@@ -33,27 +33,15 @@ const char* BackpressurePolicyToString(BackpressurePolicy policy);
 /// session's queues) assigns consecutive values across streams, and the
 /// worker replays items in ascending seq — so micro-batching across
 /// per-stream queues preserves the client's arrival order exactly.
-///
-/// The same item doubles as the cross-shard exchange record
-/// (docs/SHARDING.md): the shard router stamps `client` and `stream`
-/// so a shard worker shared by many sessions can dispatch into the
-/// right client runtime, and `is_finish` marks the end-of-input
-/// sentinel a client pushes down every shard lane before merging.
 struct IngestItem {
   uint64_t seq = 0;
-  /// Shard exchange only: owning client id (ShardClient) and the index
-  /// of the target stream in the pool's sorted stream-name table.
-  uint64_t client = 0;
-  uint32_t stream = 0;
   /// Precision tier stamped at admission by the session reader
   /// (adaptive sessions only; docs/PRECISION.md). The worker applies
   /// tier changes at item boundaries, so tier transitions are a pure
   /// function of the admission sequence — deterministic for a given
-  /// arrival order. Always 0 on the shard exchange and in static mode.
+  /// arrival order. Always 0 in static mode.
   uint8_t tier = 0;
   bool is_segment = false;
-  /// Shard exchange only: finish sentinel (no payload).
-  bool is_finish = false;
   Tuple tuple;      // meaningful when !is_segment
   Segment segment;  // meaningful when is_segment
 };

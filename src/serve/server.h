@@ -35,7 +35,8 @@ struct ServerOptions {
   /// Shard (worker thread) count for the shared pool. 0 means auto:
   /// one shard per hardware thread — the shard-per-core shape.
   size_t num_shards = 0;
-  /// Per-shard exchange queue capacity (items).
+  /// Per-shard exchange queue capacity, in tuples (a segment counts as
+  /// one; see shard::ShardPoolOptions::exchange_capacity).
   size_t exchange_capacity = 256;
   /// Registry for the server-wide serve/* metric families
   /// (docs/SERVING.md lists them) and the pool's shard/<i>/* mirrors

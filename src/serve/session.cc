@@ -68,6 +68,10 @@ Session::Session(uint64_t id, std::unique_ptr<Transport> transport,
                          ? adaptive_->metrics()->GetHistogram(
                                "span/runtime/push_segment")
                          : nullptr) {
+  // The worker sleeps on signal_ when its lanes are empty; the pool
+  // wakes it there when the shards release outputs, so they are written
+  // without waiting for the next admission.
+  client_->SetReleaseSignal(&signal_);
   c_accepted_ = serve_metrics_->GetCounter("serve/queue/accepted");
   c_dropped_ = serve_metrics_->GetCounter("serve/queue/dropped");
   c_shed_ = serve_metrics_->GetCounter("serve/queue/shed");
@@ -480,6 +484,13 @@ void Session::WorkerLoop() {
   for (;;) {
     if (stop_.load()) break;
     const uint64_t epoch = signal_.epoch();
+    // Read the drain flag before scanning, never after: it is stored
+    // only after the queues are closed, so once it reads true the scan
+    // below sees every item that will ever be admitted. Read after the
+    // scan, it could report a drain whose final items the scan missed.
+    // The epoch comes first, so a drain landing after it still ends the
+    // Wait below.
+    const bool draining = drain_requested_.load();
     {
       std::lock_guard<std::mutex> lock(lanes_mu_);
       lanes.clear();
@@ -498,11 +509,18 @@ void Session::WorkerLoop() {
       }
     }
     if (best == nullptr) {
-      // drain_requested_ is stored only after the queues are closed, so
-      // seeing it with all queues empty means no item can ever arrive.
-      if (drain_requested_.load() || stop_.load()) break;
-      signal_.Wait(epoch);
-      continue;
+      if (draining || stop_.load()) break;
+      // Idle: write what the shards released since the last dispatch.
+      // A release after this flush moves the epoch, ending the Wait.
+      const Status flushed = FlushOutputs();
+      if (flushed.ok()) {
+        signal_.Wait(epoch);
+        continue;
+      }
+      RecordFatal(flushed);
+      (void)WriteFrame(Frame::Error(flushed.message()));
+      Abort();
+      break;
     }
 
     IngestItem item;

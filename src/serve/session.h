@@ -49,7 +49,8 @@ struct SessionOptions {
 ///
 ///   reader: transport -> FrameReader -> admission control -> queues
 ///   worker: queues -> micro-batches -> ShardClient (key-routed to the
-///           shared shard pool) -> output segments -> transport
+///           shared shard pool) -> output segments -> transport, the
+///           outputs written as soon as the shards release them
 ///
 /// The reader is the single producer for all queues and stamps each
 /// admitted item with a session-global sequence number; the worker
@@ -141,6 +142,10 @@ class Session {
 
   const uint64_t id_;
   std::unique_ptr<Transport> transport_;
+  // Wakes the worker on admissions, drain, abort and shard releases.
+  // Declared before client_, which holds it as its release signal: the
+  // client (and the signal's registration with the pool) dies first.
+  WorkSignal signal_;
   // Declared before admission_/precision_ctl_: the controllers' latency
   // signal is a histogram reached through one of these handles (the
   // adaptive runtime's own registry when present, the pool-level rollup
@@ -156,7 +161,6 @@ class Session {
   store::SegmentStore* store_ = nullptr;
   AdmissionController admission_;
   PrecisionController precision_ctl_;
-  WorkSignal signal_;
 
   std::thread reader_;
   std::thread worker_;

@@ -62,9 +62,11 @@ Result<std::unique_ptr<ShardPool>> ShardPool::Make(const QuerySpec& spec,
 
   for (size_t i = 0; i < effective; ++i) {
     auto s = std::make_unique<Shard>();
-    s->queue = std::make_unique<serve::IngestQueue>(
-        pool->options_.exchange_capacity, &s->signal);
+    s->queue =
+        std::make_unique<ExchangeQueue>(pool->options_.exchange_capacity);
     s->registry = std::make_unique<obs::MetricsRegistry>();
+    s->c_records = s->registry->GetCounter("shard/exchange/records");
+    s->c_tuples = s->registry->GetCounter("shard/exchange/tuples");
     if (share_cache) {
       s->cache =
           std::make_unique<SolveCache>(*pool->options_.runtime.solve_cache);
@@ -87,10 +89,7 @@ void ShardPool::Shutdown() {
     }
     return;
   }
-  for (auto& s : shards_) {
-    s->queue->Close();
-    s->signal.Notify();
-  }
+  for (auto& s : shards_) s->queue->Close();
   for (auto& s : shards_) {
     if (s->worker.joinable()) s->worker.join();
   }
@@ -117,65 +116,72 @@ Result<std::unique_ptr<ShardClient>> ShardPool::AddClient() {
     state->runtimes.push_back(
         std::make_unique<HistoricalRuntime>(std::move(runtime)));
   }
-  {
-    std::lock_guard<std::mutex> lock(clients_mu_);
-    state->id = next_client_id_++;
-    clients_.emplace(state->id, state);
-  }
+  state->id = next_client_id_.fetch_add(1);
   return std::unique_ptr<ShardClient>(new ShardClient(this, state));
 }
 
-std::shared_ptr<ShardPool::ClientState> ShardPool::FindClient(uint64_t id) {
-  std::lock_guard<std::mutex> lock(clients_mu_);
-  auto it = clients_.find(id);
-  return it == clients_.end() ? nullptr : it->second;
-}
-
-void ShardPool::RemoveClient(uint64_t id) {
-  std::shared_ptr<ClientState> state;
-  {
-    std::lock_guard<std::mutex> lock(clients_mu_);
-    auto it = clients_.find(id);
-    if (it == clients_.end()) return;
-    state = std::move(it->second);
-    clients_.erase(it);
+void ShardPool::CompletePartLocked(ClientState* state, uint64_t call_seq,
+                                   uint32_t parts,
+                                   std::vector<Segment> outputs,
+                                   std::vector<uint32_t> positions) {
+  const size_t slot = static_cast<size_t>(call_seq - state->released_seq);
+  if (slot >= state->pending.size()) state->pending.resize(slot + 1);
+  ClientState::PendingCall& call = state->pending[slot];
+  call.parts = parts;
+  ++call.arrived;
+  if (call.outputs.empty()) {
+    call.outputs = std::move(outputs);
+    call.positions = std::move(positions);
+  } else {
+    call.outputs.insert(call.outputs.end(),
+                        std::make_move_iterator(outputs.begin()),
+                        std::make_move_iterator(outputs.end()));
+    call.positions.insert(call.positions.end(), positions.begin(),
+                          positions.end());
   }
-  // `state` (and its runtimes) dies here unless a worker still holds a
-  // reference mid-dispatch, in which case the worker's release frees it.
-}
-
-void ShardPool::ReleaseLocked(ClientState* state) {
-  while (!state->pending.empty() &&
-         state->pending.begin()->first == state->released_seq) {
-    Completion& c = state->pending.begin()->second;
-    state->ready.insert(state->ready.end(),
-                        std::make_move_iterator(c.outputs.begin()),
-                        std::make_move_iterator(c.outputs.end()));
-    state->released_seq += c.count;
-    state->pending.erase(state->pending.begin());
+  std::vector<Segment>& ready = state->ready;
+  while (!state->pending.empty() && state->pending.front().parts != 0 &&
+         state->pending.front().arrived == state->pending.front().parts) {
+    ClientState::PendingCall& done = state->pending.front();
+    if (done.parts > 1) {
+      // Parts arrive in whatever order the shards finish; within a part
+      // outputs are already in position order, and a stable sort by
+      // position interleaves the parts back into the serial order (one
+      // tuple's outputs all come from one shard, so ties keep theirs).
+      std::vector<uint32_t> order(done.outputs.size());
+      for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::stable_sort(order.begin(), order.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         return done.positions[a] < done.positions[b];
+                       });
+      for (uint32_t i : order) ready.push_back(std::move(done.outputs[i]));
+    } else if (ready.empty()) {
+      ready = std::move(done.outputs);
+    } else {
+      ready.insert(ready.end(), std::make_move_iterator(done.outputs.begin()),
+                   std::make_move_iterator(done.outputs.end()));
+    }
+    state->pending.pop_front();
+    ++state->released_seq;
   }
 }
 
 void ShardPool::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  for (;;) {
-    const uint64_t epoch = shard.signal.epoch();
-    serve::IngestItem item;
-    if (!shard.queue->Pop(&item)) {
-      if (shard.queue->closed()) break;
-      shard.signal.Wait(epoch);
-      continue;
-    }
-    Dispatch(shard_index, std::move(item));
+  ExchangeRecord record;
+  while (shard.queue->Pop(&record)) {
+    Dispatch(shard_index, std::move(record));
   }
 }
 
-void ShardPool::Dispatch(size_t shard_index, serve::IngestItem item) {
-  std::shared_ptr<ClientState> client = FindClient(item.client);
-  if (client == nullptr) return;  // client gone: drop
+void ShardPool::Dispatch(size_t shard_index, ExchangeRecord record) {
+  Shard& shard = *shards_[shard_index];
+  shard.c_records->Increment();
+  shard.c_tuples->Add(record.num_tuples());
+  ClientState* client = record.client.get();
   HistoricalRuntime* runtime = client->runtimes[shard_index].get();
 
-  if (item.is_finish) {
+  if (record.kind == ExchangeRecord::Kind::kFinish) {
     Status status;
     std::vector<Segment> outputs;
     if (!client->aborted.load()) {
@@ -185,6 +191,7 @@ void ShardPool::Dispatch(size_t shard_index, serve::IngestItem item) {
     std::lock_guard<std::mutex> lock(client->mu);
     if (!status.ok() && client->error.empty()) {
       client->error = status.ToString();
+      client->failed.store(true);
     }
     client->finish_outputs[shard_index] = std::move(outputs);
     --client->finish_remaining;
@@ -192,24 +199,49 @@ void ShardPool::Dispatch(size_t shard_index, serve::IngestItem item) {
     return;
   }
 
+  // Tuples are processed in call order; a call split over several
+  // shards tags each output with its tuple's position in the call. On a
+  // failure the tuples after it are skipped, as an aborted client's
+  // would be.
   Status status;
   std::vector<Segment> outputs;
+  std::vector<uint32_t> positions;
   if (!client->aborted.load()) {
-    const std::string& stream = stream_names_[item.stream];
-    if (item.is_segment) {
-      status = runtime->ProcessSegment(stream, std::move(item.segment));
+    const std::string& stream = stream_names_[record.stream];
+    if (record.kind == ExchangeRecord::Kind::kSegment) {
+      status = runtime->ProcessSegment(stream, std::move(record.segment));
+      if (status.ok()) outputs = runtime->TakeOutputSegments();
     } else {
-      status = runtime->ProcessTuple(stream, item.tuple);
+      for (size_t i = 0; i < record.num_tuples(); ++i) {
+        record.TupleAt(i, &shard.tuple);
+        status = runtime->ProcessTuple(stream, shard.tuple);
+        if (!status.ok()) break;
+        std::vector<Segment> produced = runtime->TakeOutputSegments();
+        if (produced.empty()) continue;
+        if (record.parts > 1) {
+          positions.insert(positions.end(), produced.size(),
+                           record.position(i));
+        }
+        outputs.insert(outputs.end(), std::make_move_iterator(produced.begin()),
+                       std::make_move_iterator(produced.end()));
+      }
     }
-    if (status.ok()) outputs = runtime->TakeOutputSegments();
   }
   std::lock_guard<std::mutex> lock(client->mu);
   if (!status.ok()) {
-    if (client->error.empty()) client->error = status.ToString();
+    if (client->error.empty()) {
+      client->error = status.ToString();
+      client->failed.store(true);
+    }
     client->aborted.store(true);
   }
-  client->pending.emplace(item.seq, Completion{1, std::move(outputs)});
-  ReleaseLocked(client.get());
+  const bool was_empty = client->ready.empty();
+  CompletePartLocked(client, record.call_seq, record.parts,
+                     std::move(outputs), std::move(positions));
+  if (was_empty && !client->ready.empty() &&
+      client->release_signal != nullptr) {
+    client->release_signal->Notify();
+  }
   client->cv.notify_all();
 }
 
@@ -236,12 +268,23 @@ void ShardPool::SyncMetrics(bool force) {
 // ---------------------------------------------------------------------
 // ShardClient
 
+ShardClient::ShardClient(ShardPool* pool, std::shared_ptr<ClientState> state)
+    : pool_(pool),
+      state_(std::move(state)),
+      parts_(pool->shards_.size()),
+      part_sizes_(pool->shards_.size(), 0) {}
+
 ShardClient::~ShardClient() {
   Abort();
-  if (pool_ != nullptr) pool_->RemoveClient(state_->id);
+  SetReleaseSignal(nullptr);
 }
 
 void ShardClient::Abort() { state_->aborted.store(true); }
+
+void ShardClient::SetReleaseSignal(serve::WorkSignal* signal) {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  state_->release_signal = signal;
+}
 
 Status ShardClient::ResolveStream(const std::string& stream,
                                   uint32_t* index) {
@@ -261,28 +304,15 @@ Status ShardClient::ResolveStream(const std::string& stream,
   return Status::OK();
 }
 
-Status ShardClient::Route(size_t shard_index, serve::IngestItem item) {
-  {
+Status ShardClient::Route(size_t shard_index, ExchangeRecord record) {
+  if (state_->failed.load()) {
     std::lock_guard<std::mutex> lock(state_->mu);
-    if (!state_->error.empty()) {
-      return Status::Internal("shard worker failed: " + state_->error);
-    }
+    return Status::Internal("shard worker failed: " + state_->error);
   }
-  serve::IngestQueue& queue = *pool_->shards_[shard_index]->queue;
-  uint64_t dropped = 0;
-  const serve::PushResult result =
-      queue.TryPush(&item, serve::BackpressurePolicy::kBlock, &dropped);
-  switch (result) {
-    case serve::PushResult::kAccepted:
-      return Status::OK();
-    case serve::PushResult::kClosed:
-      return Status::FailedPrecondition("shard pool is shut down");
-    case serve::PushResult::kWouldBlock:
-      break;
-    default:
-      return Status::Internal("unexpected exchange push result");
+  record.client = state_;
+  if (pool_->shards_[shard_index]->queue->Push(std::move(record))) {
+    return Status::OK();
   }
-  if (queue.PushBlocking(std::move(item), nullptr)) return Status::OK();
   return Status::FailedPrecondition("shard pool is shut down");
 }
 
@@ -299,20 +329,41 @@ Status ShardClient::ProcessTuples(const std::string& stream,
   uint32_t index = 0;
   PULSE_RETURN_IF_ERROR(ResolveStream(stream, &index));
   const size_t key_index = pool_->stream_key_index_[index];
+  // Route every tuple up to the first one without a key, counting each
+  // shard's share so its record is allocated once, at its final size.
+  Status status;
+  shard_of_.clear();
   for (size_t i = 0; i < n; ++i) {
     if (key_index >= tuples[i].values.size()) {
-      return Status::InvalidArgument("tuple missing key field");
+      status = Status::InvalidArgument("tuple missing key field");
+      break;
     }
-    const Key key = tuples[i].at(key_index).as_int64();
-    serve::IngestItem item;
-    item.seq = next_seq_++;
-    item.client = state_->id;
-    item.stream = index;
-    item.tuple = tuples[i];
-    PULSE_RETURN_IF_ERROR(
-        Route(pool_->router_.ShardOf(key), std::move(item)));
+    const size_t shard =
+        pool_->router_.ShardOf(tuples[i].at(key_index).as_int64());
+    if (part_sizes_[shard]++ == 0) touched_.push_back(shard);
+    shard_of_.push_back(shard);
   }
-  return Status::OK();
+  if (touched_.empty()) return status;
+  const uint64_t call_seq = next_seq_++;
+  const uint32_t parts = static_cast<uint32_t>(touched_.size());
+  for (size_t shard : touched_) {
+    ExchangeRecord& part = parts_[shard];
+    part.call_seq = call_seq;
+    part.parts = parts;
+    part.stream = index;
+    part.Reserve(part_sizes_[shard],
+                 part_sizes_[shard] * tuples[0].values.size());
+  }
+  for (size_t i = 0; i < shard_of_.size(); ++i) {
+    parts_[shard_of_[i]].AddTuple(tuples[i], static_cast<uint32_t>(i));
+  }
+  for (size_t shard : touched_) {
+    part_sizes_[shard] = 0;
+    Status routed = Route(shard, std::move(parts_[shard]));
+    if (status.ok() && !routed.ok()) status = std::move(routed);
+  }
+  touched_.clear();
+  return status;
 }
 
 Status ShardClient::ProcessSegment(const std::string& stream,
@@ -322,21 +373,20 @@ Status ShardClient::ProcessSegment(const std::string& stream,
   }
   uint32_t index = 0;
   PULSE_RETURN_IF_ERROR(ResolveStream(stream, &index));
-  const Key key = segment.key;
-  serve::IngestItem item;
-  item.seq = next_seq_++;
-  item.client = state_->id;
-  item.stream = index;
-  item.is_segment = true;
-  item.segment = std::move(segment);
-  return Route(pool_->router_.ShardOf(key), std::move(item));
+  const size_t shard = pool_->router_.ShardOf(segment.key);
+  ExchangeRecord record;
+  record.kind = ExchangeRecord::Kind::kSegment;
+  record.call_seq = next_seq_++;
+  record.stream = index;
+  record.segment = std::move(segment);
+  return Route(shard, std::move(record));
 }
 
 Status ShardClient::Barrier() {
   std::unique_lock<std::mutex> lock(state_->mu);
-  // Workers emplace a completion for every data seq — even for aborted
-  // clients — so released_seq always catches up to next_seq_ and the
-  // wait cannot hang.
+  // Workers complete every record — even an aborted client's — so
+  // released_seq always catches up to next_seq_ and the wait cannot
+  // hang.
   state_->cv.wait(lock, [&] {
     return state_->released_seq >= next_seq_ || !state_->error.empty();
   });
@@ -359,15 +409,15 @@ Status ShardClient::Finish() {
     state_->finish_remaining = shards;
   }
   for (size_t s = 0; s < shards; ++s) {
-    serve::IngestItem item;
-    item.seq = ~uint64_t{0};  // sentinels are outside the data seq space
-    item.client = state_->id;
-    item.is_finish = true;
-    PULSE_RETURN_IF_ERROR(Route(s, std::move(item)));
+    // Sentinels sit outside the call sequence; finish_remaining tracks
+    // them instead.
+    ExchangeRecord sentinel;
+    sentinel.kind = ExchangeRecord::Kind::kFinish;
+    PULSE_RETURN_IF_ERROR(Route(s, std::move(sentinel)));
   }
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->cv.wait(lock, [&] { return state_->finish_remaining == 0; });
-  // Every data item of this client was dispatched before its shard's
+  // Every record of this client was dispatched before its shard's
   // sentinel (FIFO per exchange queue), so the data merge is complete.
   // Canonical finish merge: concatenate per-shard finish tails, then
   // the same stable key sort the serial Finish applies. Each key lives

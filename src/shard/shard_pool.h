@@ -4,7 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,7 +15,8 @@
 #include "core/runtime.h"
 #include "core/solve_cache.h"
 #include "obs/metrics.h"
-#include "serve/ingest_queue.h"
+#include "serve/ingest_queue.h"  // serve::WorkSignal
+#include "shard/exchange.h"
 #include "shard/shard_router.h"
 #include "util/result.h"
 
@@ -24,13 +25,58 @@ namespace shard {
 
 class ShardClient;
 
+/// Client bookkeeping shared between its router thread and the shard
+/// workers (docs/SHARDING.md, "The exchange protocol"). Runtimes are
+/// indexed by shard and only ever touched by that shard's worker;
+/// everything ordered lives under `mu`. Exchange records hold it by
+/// shared_ptr, so it outlives its ShardClient while work is in flight.
+struct ClientState {
+  /// One call's completion, filled part by part: the outputs its parts
+  /// produced and, for a call split over several shards, the position
+  /// (in the call) of the tuple behind each output.
+  struct PendingCall {
+    uint32_t parts = 0;  // 0 until the call's first part arrives
+    uint32_t arrived = 0;
+    std::vector<Segment> outputs;
+    std::vector<uint32_t> positions;  // parallel to outputs; parts > 1
+  };
+
+  uint64_t id = 0;
+  std::atomic<bool> aborted{false};
+  /// Set once `error` is (under `mu`), so routing checks it unlocked.
+  std::atomic<bool> failed{false};
+
+  std::mutex mu;
+  std::condition_variable cv;
+  /// Calls not yet released: pending[i] is call `released_seq + i`.
+  std::deque<PendingCall> pending;
+  /// Next call seq to release (all calls below are in `ready`).
+  uint64_t released_seq = 0;
+  /// In-order output prefix (the deterministic merge result).
+  std::vector<Segment> ready;
+  /// Notified when `ready` goes from empty to non-empty; not owned,
+  /// may be null (see ShardClient::SetReleaseSignal).
+  serve::WorkSignal* release_signal = nullptr;
+  /// Shards that have not yet acknowledged the finish sentinel.
+  size_t finish_remaining = 0;
+  /// Finish-phase outputs per shard, merged canonically by Finish().
+  std::vector<std::vector<Segment>> finish_outputs;
+  std::string error;
+
+  /// Only the owning shard worker touches runtimes[s]; the vector
+  /// itself is immutable after AddClient publishes the state.
+  std::vector<std::unique_ptr<HistoricalRuntime>> runtimes;
+};
+
 struct ShardPoolOptions {
   /// Worker shards; clamped to at least 1. The shard-per-core shape is
   /// num_shards == hardware_concurrency.
   size_t num_shards = 1;
-  /// Per-shard exchange queue capacity (items). Producers block when
-  /// full (lossless; loss policies live at the serving admission edge,
-  /// not inside the engine).
+  /// Per-shard exchange queue capacity, in tuples (a segment or a
+  /// sentinel counts as one). Producers block when full (lossless; loss
+  /// policies live at the serving admission edge, not inside the
+  /// engine). A call's part larger than the whole capacity is still
+  /// admitted into an empty queue.
   size_t exchange_capacity = 256;
   /// Template for every client runtime the pool creates. `metrics` and
   /// `shared_solve_cache` are overridden per shard; `solve_cache` (the
@@ -51,16 +97,16 @@ struct ShardPoolOptions {
 /// threads, each owning one shard — a MetricsRegistry, a SolveCache,
 /// and, per client, a HistoricalRuntime holding exactly the keys the
 /// ShardRouter maps to that shard. Producers (ShardClient routers)
-/// exchange work over the serve-layer bounded ingest queues, one per
-/// shard; workers never block on output, so a full exchange queue
-/// surfaces as producer backpressure, never deadlock.
+/// send one ExchangeRecord per (call, shard) over a tuple-bounded
+/// ExchangeQueue per shard; workers never block on output, so a full
+/// exchange queue surfaces as producer backpressure, never deadlock.
 ///
 /// Determinism contract: for a partitionable plan (AnalyzePartition-
 /// ability), a client's output is byte-identical for every num_shards,
-/// including 1 — the sequence-number merge in ShardClient restores the
-/// exact serial data-phase order, and the canonical finish-phase key
-/// sort (HistoricalRuntime::Finish) makes the finish tail
-/// shard-count-invariant. Non-partitionable plans route every key to
+/// including 1 — the call-sequence and position merge in ShardClient
+/// restores the exact serial data-phase order, and the canonical
+/// finish-phase key sort (HistoricalRuntime::Finish) makes the finish
+/// tail shard-count-invariant. Non-partitionable plans route every key to
 /// shard 0 and are trivially identical.
 class ShardPool {
  public:
@@ -100,45 +146,14 @@ class ShardPool {
  private:
   friend class ShardClient;
 
-  /// One routed work item's completion: the output segments produced
-  /// while processing it (usually none). `count` is the number of data
-  /// seqs the record covers (1 today; the field keeps batched shard
-  /// dispatch possible without a protocol change).
-  struct Completion {
-    uint64_t count = 1;
-    std::vector<Segment> outputs;
-  };
-
-  /// Client bookkeeping shared between its router thread and the shard
-  /// workers. Runtimes are indexed by shard and only ever touched by
-  /// that shard's worker; everything ordered lives under `mu`.
-  struct ClientState {
-    uint64_t id = 0;
-    std::atomic<bool> aborted{false};
-
-    std::mutex mu;
-    std::condition_variable cv;
-    /// Completions not yet released, keyed by first data seq.
-    std::map<uint64_t, Completion> pending;
-    /// Next data seq to release (all seqs below are in `ready`).
-    uint64_t released_seq = 0;
-    /// In-order output prefix (the deterministic merge result).
-    std::vector<Segment> ready;
-    /// Shards that have not yet acknowledged the finish sentinel.
-    size_t finish_remaining = 0;
-    /// Finish-phase outputs per shard, merged canonically by Finish().
-    std::vector<std::vector<Segment>> finish_outputs;
-    std::string error;
-
-    /// Only the owning shard worker touches runtimes[s]; the vector
-    /// itself is immutable after AddClient publishes the state.
-    std::vector<std::unique_ptr<HistoricalRuntime>> runtimes;
-  };
-
   struct Shard {
-    serve::WorkSignal signal;
-    std::unique_ptr<serve::IngestQueue> queue;
+    std::unique_ptr<ExchangeQueue> queue;
     std::unique_ptr<obs::MetricsRegistry> registry;
+    /// shard/exchange/{records,tuples} in `registry`, bound once.
+    obs::Counter* c_records = nullptr;
+    obs::Counter* c_tuples = nullptr;
+    /// Worker-only scratch each record's tuples are rebuilt into.
+    Tuple tuple;
     std::unique_ptr<SolveCache> cache;  // null when sharing is off
     std::thread worker;
   };
@@ -146,18 +161,20 @@ class ShardPool {
   ShardPool() = default;
 
   void WorkerLoop(size_t shard_index);
-  void Dispatch(size_t shard_index, serve::IngestItem item);
-  std::shared_ptr<ClientState> FindClient(uint64_t id);
-  void RemoveClient(uint64_t id);
-  /// Appends released completions to `ready` in seq order. Caller holds
+  void Dispatch(size_t shard_index, ExchangeRecord record);
+  /// Files one part of call `call_seq` and appends every call that is
+  /// now whole, in call-seq order, to `ready`. `positions` is parallel
+  /// to `outputs` when `parts > 1`, empty otherwise. Caller holds
   /// `state->mu`.
-  static void ReleaseLocked(ClientState* state);
+  static void CompletePartLocked(ClientState* state, uint64_t call_seq,
+                                 uint32_t parts, std::vector<Segment> outputs,
+                                 std::vector<uint32_t> positions);
 
   QuerySpec spec_;
   ShardPoolOptions options_;
   ShardRouter router_{1};
   PartitionAnalysis partition_;
-  /// Sorted stream table: names (index == IngestItem::stream) and the
+  /// Sorted stream table: names (index == ExchangeRecord::stream) and the
   /// tuple field holding each stream's key.
   std::vector<std::string> stream_names_;
   std::vector<size_t> stream_key_index_;
@@ -167,21 +184,19 @@ class ShardPool {
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::mutex clients_mu_;
-  std::map<uint64_t, std::shared_ptr<ClientState>> clients_;
-  uint64_t next_client_id_ = 1;
+  std::atomic<uint64_t> next_client_id_{1};
   std::atomic<bool> shutdown_{false};
 
   std::mutex sync_mu_;
   std::atomic<uint64_t> last_sync_ns_{0};
 };
 
-/// One producer's handle onto the pool: routes items by key to shard
-/// exchange queues, stamps each with a client-global sequence number,
-/// and merges completions back into the exact serial order. All calls
-/// must come from one thread (the same contract as HistoricalRuntime);
-/// the API mirrors HistoricalRuntime so serving sessions and the
-/// ShardedRuntime facade can swap it in.
+/// One producer's handle onto the pool: splits each call by key into
+/// one record per shard, stamps the records with a client-global call
+/// sequence number, and merges completions back into the exact serial
+/// order. All calls must come from one thread (the same contract as
+/// HistoricalRuntime); the API mirrors HistoricalRuntime so serving
+/// sessions and the ShardedRuntime facade can swap it in.
 class ShardClient {
  public:
   ~ShardClient();
@@ -190,6 +205,10 @@ class ShardClient {
   ShardClient& operator=(const ShardClient&) = delete;
 
   Status ProcessTuple(const std::string& stream, const Tuple& tuple);
+  /// One call: sends one record per shard the tuples' keys touch. A
+  /// tuple missing the stream's key field ends the call there — the
+  /// tuples before it are still processed, and the call returns
+  /// InvalidArgument.
   Status ProcessTuples(const std::string& stream, const Tuple* tuples,
                        size_t n);
   Status ProcessSegment(const std::string& stream, Segment segment);
@@ -209,7 +228,7 @@ class ShardClient {
   /// sharded run mid-stream (docs/STORAGE.md).
   Status Barrier();
 
-  /// The in-order released output prefix: everything whose data seq (or
+  /// The in-order released output prefix: everything whose call (or
   /// finish merge) is complete. Safe to call while shards are still
   /// working — later outputs simply show up on a later call.
   std::vector<Segment> TakeOutputSegments();
@@ -217,26 +236,42 @@ class ShardClient {
   /// Sums over this client's per-shard runtimes.
   RuntimeStats stats() const;
 
-  /// Drops this client's queued work: shard workers skip items of an
-  /// aborted client. Already-processed outputs stay takeable.
+  /// Drops this client's queued work: shard workers skip records of an
+  /// aborted client (but still complete them, so Barrier returns).
+  /// Already-processed outputs stay takeable.
   void Abort();
+
+  /// Wakes `signal` (not owned; null detaches) whenever released
+  /// outputs appear in an empty output buffer — one wake per
+  /// empty-to-non-empty transition, so a consumer that takes everything
+  /// on each wake sees each release promptly. Detach before `signal`
+  /// dies; the destructor detaches too.
+  void SetReleaseSignal(serve::WorkSignal* signal);
 
   uint64_t id() const { return state_->id; }
   ShardPool* pool() const { return pool_; }
 
  private:
   friend class ShardPool;
-  ShardClient(ShardPool* pool, std::shared_ptr<ShardPool::ClientState> state)
-      : pool_(pool), state_(std::move(state)) {}
+  ShardClient(ShardPool* pool, std::shared_ptr<ClientState> state);
 
-  /// Routes one stamped item to its shard, blocking on a full exchange
-  /// queue. Fails when the pool is shut down or the client errored.
-  Status Route(size_t shard_index, serve::IngestItem item);
+  /// Stamps `record` with this client and routes it to its shard,
+  /// blocking on a full exchange queue. Fails when the pool is shut
+  /// down or the client errored.
+  Status Route(size_t shard_index, ExchangeRecord record);
   Status ResolveStream(const std::string& stream, uint32_t* index);
 
   ShardPool* pool_ = nullptr;
-  std::shared_ptr<ShardPool::ClientState> state_;
+  std::shared_ptr<ClientState> state_;
+  /// Next call seq to stamp.
   uint64_t next_seq_ = 0;
+  /// ProcessTuples scratch: one record under construction per shard,
+  /// each shard's tuple count in the current call, each tuple's shard,
+  /// and the shards the call touched, in first-touch order.
+  std::vector<ExchangeRecord> parts_;
+  std::vector<size_t> part_sizes_;
+  std::vector<size_t> shard_of_;
+  std::vector<size_t> touched_;
   bool finished_ = false;
   /// Memoized stream lookup (sessions feed long same-stream runs).
   std::string memo_stream_;

@@ -17,7 +17,8 @@ namespace shard {
 struct ShardedRuntimeOptions {
   /// Shard (worker thread) count; clamped to at least 1.
   size_t num_shards = 1;
-  /// Per-shard exchange queue capacity.
+  /// Per-shard exchange queue capacity, in tuples (see
+  /// ShardPoolOptions::exchange_capacity).
   size_t exchange_capacity = 256;
   /// Template for the per-shard runtimes (see ShardPoolOptions).
   HistoricalRuntime::Options runtime;

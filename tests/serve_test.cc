@@ -491,6 +491,78 @@ TEST(Session, DrainDeliversSameOutputsAsDirectRuntime) {
   EXPECT_EQ(snapshot.counters["serve/session/closed"], 1u);
 }
 
+// The worker must never end a drain with accepted items still queued.
+// Each session sends its data and its kDrain back to back, so the final
+// items are often admitted while the worker is idle-flushing released
+// outputs; every session's output must still equal the replay's.
+TEST(Session, DrainRightAfterDataDeliversAllAccepted) {
+  std::vector<Tuple> trace;
+  // Eight keys whose x zig-zags every four samples, so segments close
+  // (and the shards release outputs) all through the session.
+  for (int i = 0; i < 256; ++i) {
+    const int step = i / 8;
+    const double t = step * 0.05;
+    const double x =
+        (step / 4) % 2 == 0 ? 4.0 * (step % 4) : 12.0 - 4.0 * (step % 4);
+    trace.push_back(ObjectTuple(t, i % 8, x + (i % 8), 0.0));
+  }
+  ServerOptions options = ObjectsServerOptions(BackpressurePolicy::kBlock);
+  options.num_shards = 4;
+  Result<HistoricalRuntime> direct =
+      HistoricalRuntime::Make(options.spec, options.runtime);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(direct->ProcessTuples("objects", trace.data(), trace.size())
+                  .ok());
+  ASSERT_TRUE(direct->Finish().ok());
+  const std::vector<Segment> expected = direct->TakeOutputSegments();
+  ASSERT_FALSE(expected.empty());
+
+  Result<std::unique_ptr<StreamServer>> server =
+      StreamServer::Make(std::move(options));
+  ASSERT_TRUE(server.ok());
+  constexpr int kThreads = 4;
+  constexpr int kSessionsPerThread = 75;
+  std::atomic<int> mismatched{0};
+  std::vector<std::thread> threads;
+  for (int th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kSessionsPerThread; ++i) {
+        Result<std::unique_ptr<Transport>> conn =
+            (*server)->ConnectInProcess();
+        ASSERT_TRUE(conn.ok());
+        ServeClient client(std::move(*conn));
+        ASSERT_TRUE(client.Hello().ok());
+        ASSERT_TRUE(client.OpenStream(1, "objects").ok());
+        for (size_t j = 0; j < trace.size(); j += 8) {
+          ASSERT_TRUE(client
+                          .SendBatch(1, std::vector<Tuple>(
+                                            trace.begin() + j,
+                                            trace.begin() + j + 8))
+                          .ok());
+        }
+        Result<ServeClient::DrainResult> drained = client.Drain();
+        ASSERT_TRUE(drained.ok());
+        const std::vector<Segment>& got = drained->output_segments;
+        bool same = got.size() == expected.size();
+        for (size_t k = 0; same && k < got.size(); ++k) {
+          same = got[k].key == expected[k].key &&
+                 got[k].range.lo == expected[k].range.lo &&
+                 got[k].range.hi == expected[k].range.hi &&
+                 got[k].attributes == expected[k].attributes;
+        }
+        if (!same) mismatched.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  (*server)->Drain();
+  EXPECT_EQ(mismatched.load(), 0)
+      << "sessions whose drain lost accepted items";
+  obs::MetricsSnapshot snapshot = (*server)->metrics()->Snapshot();
+  EXPECT_EQ(snapshot.counters["serve/batch/tuples"],
+            trace.size() * kThreads * kSessionsPerThread);
+}
+
 TEST(Session, SegmentPushPathMatchesDirectReplay) {
   ServerOptions options = ObjectsServerOptions(BackpressurePolicy::kBlock);
   options.spec = FilterQuerySpec(5.0);
