@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 namespace pulse {
 namespace {
 
@@ -157,11 +161,16 @@ TEST(IntervalSet, EmptyIntervalsIgnored) {
 }
 
 // Property sweep: union/intersection against brute-force membership on a
-// grid of probe points.
+// grid of probe points. Each case prints as its name: gtest's default
+// printer would dump the vectors' heap pointers, which differ between runs
+// and end up in the discovered ctest names.
 struct SetPair {
+  std::string name;
   std::vector<Interval> a;
   std::vector<Interval> b;
 };
+
+void PrintTo(const SetPair& p, std::ostream* os) { *os << p.name; }
 
 class IntervalSetAlgebra : public ::testing::TestWithParam<SetPair> {};
 
@@ -184,18 +193,23 @@ TEST_P(IntervalSetAlgebra, MatchesPointwiseSemantics) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, IntervalSetAlgebra,
     ::testing::Values(
-        SetPair{{Interval::Closed(0.0, 5.0)}, {Interval::Closed(2.0, 7.0)}},
-        SetPair{{Interval::ClosedOpen(0.0, 2.0),
+        SetPair{"Overlapping",
+                {Interval::Closed(0.0, 5.0)},
+                {Interval::Closed(2.0, 7.0)}},
+        SetPair{"SpansGap",
+                {Interval::ClosedOpen(0.0, 2.0),
                  Interval::ClosedOpen(4.0, 6.0)},
                 {Interval::ClosedOpen(1.0, 5.0)}},
-        SetPair{{Interval::Open(0.0, 10.0)},
+        SetPair{"InteriorPoints",
+                {Interval::Open(0.0, 10.0)},
                 {Interval::Point(3.0), Interval::Point(5.0)}},
-        SetPair{{Interval::Closed(0.0, 1.0), Interval::Closed(2.0, 3.0),
+        SetPair{"MixedEndpoints",
+                {Interval::Closed(0.0, 1.0), Interval::Closed(2.0, 3.0),
                  Interval::Closed(4.0, 5.0)},
                 {Interval::OpenClosed(0.5, 2.5),
                  Interval::ClosedOpen(4.5, 9.0)}},
-        SetPair{{}, {Interval::Closed(1.0, 2.0)}},
-        SetPair{{Interval::Closed(1.0, 2.0)}, {}}));
+        SetPair{"EmptyLeft", {}, {Interval::Closed(1.0, 2.0)}},
+        SetPair{"EmptyRight", {Interval::Closed(1.0, 2.0)}, {}}));
 
 }  // namespace
 }  // namespace pulse
