@@ -1,34 +1,23 @@
-// Parallel solver scaling on the Fig. 7 proximity-join workload, plus
-// shard-per-core scaling on a partitionable per-key aggregate.
+// Shard-per-core scaling on a partitionable per-key aggregate.
 //
-// Sweep 1 (mode "threads"): the paper's Fig. 7ii moving-object
-// self-join (distance predicate => one degree-4 equation system per
-// overlapping segment pair), driven in historical/segment mode so the
-// equation-system solver dominates and widened to a multi-second window
-// so every pushed segment probes a meaningful partner population. The
-// same trace is replayed at 1/2/4/8 solver threads
-// (ParallelOptions::num_threads).
-//
-// Sweep 2 (mode "shards"): the same moving-object trace through a
-// per-key windowed aggregate — a partitionable plan, so the
+// The moving-object trace of the paper's Fig. 7 goes through a per-key
+// windowed aggregate — a partitionable plan, so the
 // shard::ShardedRuntime spreads keys over num_shards worker shards
 // (docs/SHARDING.md). The Fig. 7 join itself is deliberately NOT used
 // here: require_distinct_keys makes it cross-key, which the router
 // collapses to one shard. num_shards sweeps {1, 2, 4, hw}.
 //
-// Expected shape: near-linear speedup while workers <= physical cores,
+// Expected shape: near-linear speedup while shards <= physical cores,
 // flattening at the core count. On hosts with fewer cores than a
-// configuration's worker count the extra threads time-slice one core
-// and the speedup stays ~1x — each row's core_bound flag marks those
+// configuration's shard count the extra workers time-slice one core and
+// the speedup stays ~1x — each row's core_bound flag marks those
 // configurations and the JSON records hardware_concurrency, so
 // trajectories from different hosts stay comparable.
 #include <cstdio>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/runtime.h"
 #include "obs/metrics.h"
 #include "shard/sharded_runtime.h"
 #include "workload/moving_object.h"
@@ -41,7 +30,6 @@ constexpr size_t kNumObjects = 32;
 constexpr double kRate = 800.0;      // aggregate tuples/second
 constexpr double kDuration = 60.0;   // seconds of stream
 constexpr size_t kTuplesPerModel = 40;
-constexpr double kWindowSeconds = 4.0;
 
 std::vector<Tuple> MakeTrace() {
   MovingObjectOptions opts;
@@ -54,34 +42,17 @@ std::vector<Tuple> MakeTrace() {
       static_cast<size_t>(kRate * kDuration));
 }
 
-QuerySpec ProximityJoin() {
-  QuerySpec spec;
-  (void)spec.AddStream(MovingObjectGenerator::MakeStreamSpec(
-      "objects", 100.0 * kNumObjects / kRate));
-  JoinSpec join;
-  join.predicate = Predicate::Comparison(ComparisonTerm::Distance2(
-      AttrRef::Left("x"), AttrRef::Left("y"), AttrRef::Right("x"),
-      AttrRef::Right("y"), CmpOp::kLt, kArea / 10.0));
-  join.window_seconds = kWindowSeconds;
-  join.require_distinct_keys = true;
-  spec.AddJoin("join", QuerySpec::Input::Stream("objects"),
-               QuerySpec::Input::Stream("objects"), join);
-  return spec;
-}
-
 struct RunResult {
-  size_t threads = 0;
-  size_t num_shards = 1;
+  size_t num_shards = 0;
   double seconds = 0.0;
   double tuples_per_sec = 0.0;
-  uint64_t tasks_spawned = 0;
   uint64_t solves = 0;
   // Registry snapshot after the run; the widest configuration's snapshot
-  // becomes the BENCH JSON `metrics` block (parallel cpu/wall counters).
+  // becomes the BENCH JSON `metrics` block.
   obs::MetricsSnapshot metrics;
 };
 
-// The partitionable workload of the sharded sweep: per-key windowed
+// The partitionable workload of the sweep: per-key windowed
 // average over the same trace. Every key's state is independent, so
 // AnalyzePartitionability accepts it and the router spreads the keys.
 QuerySpec PerKeyAggregate() {
@@ -99,40 +70,8 @@ QuerySpec PerKeyAggregate() {
   return spec;
 }
 
-RunResult RunOnce(const std::vector<Tuple>& trace, size_t threads) {
-  const QuerySpec spec = ProximityJoin();
-  HistoricalRuntime::Options opts;
-  opts.segmentation.degree = 1;
-  opts.segmentation.max_error = 0.5;
-  opts.segmentation.max_points_per_segment = kTuplesPerModel;
-  opts.collect_outputs = false;
-  opts.parallel.num_threads = threads;
-  Result<HistoricalRuntime> rt = HistoricalRuntime::Make(spec, opts);
-  if (!rt.ok()) {
-    std::fprintf(stderr, "runtime setup failed: %s\n",
-                 rt.status().ToString().c_str());
-    return RunResult{};
-  }
-  RunResult result;
-  result.threads = threads;
-  result.seconds = bench::MeasureSeconds([&] {
-    for (const Tuple& t : trace) {
-      (void)rt->ProcessTuple("objects", t);
-    }
-    (void)rt->Finish();
-  });
-  result.tuples_per_sec = static_cast<double>(trace.size()) / result.seconds;
-  result.tasks_spawned = rt->stats().tasks_spawned;
-  for (size_t n = 0; n < rt->plan().num_nodes(); ++n) {
-    result.solves += rt->plan().node(n)->metrics().solves;
-  }
-  result.metrics = rt->metrics()->Snapshot();
-  return result;
-}
-
-// One sharded-sweep configuration: the per-key aggregate trace pushed
-// through a ShardedRuntime with `num_shards` worker shards, one solver
-// thread per shard (the shard IS the parallelism unit here).
+// One sweep configuration: the per-key aggregate trace pushed through a
+// ShardedRuntime with `num_shards` worker shards.
 RunResult RunSharded(const std::vector<Tuple>& trace, size_t num_shards) {
   const QuerySpec spec = PerKeyAggregate();
   shard::ShardedRuntimeOptions options;
@@ -149,7 +88,6 @@ RunResult RunSharded(const std::vector<Tuple>& trace, size_t num_shards) {
     return RunResult{};
   }
   RunResult result;
-  result.threads = 1;
   result.num_shards = rt->num_shards();
   result.seconds = bench::MeasureSeconds([&] {
     for (const Tuple& t : trace) {
@@ -158,7 +96,6 @@ RunResult RunSharded(const std::vector<Tuple>& trace, size_t num_shards) {
     (void)rt->Finish();
   });
   result.tuples_per_sec = static_cast<double>(trace.size()) / result.seconds;
-  result.tasks_spawned = rt->stats().tasks_spawned;
   rt->SyncMetrics();
   result.metrics = rt->metrics()->Snapshot();
   // Solves summed across shards from the rollup (the sharded runtime has
@@ -181,109 +118,53 @@ int main(int argc, char** argv) {
   using namespace pulse;
   const unsigned cores = bench::HardwareConcurrency();
   std::printf(
-      "Parallel scaling: Fig. 7 proximity join, %zu objects, %g s of "
-      "stream, window %g s (host reports %u hardware threads)\n",
-      kNumObjects, kDuration, kWindowSeconds, cores);
+      "Shard scaling: per-key aggregate over the Fig. 7 moving-object "
+      "trace, %zu objects, %g s of stream (host reports %u hardware "
+      "threads)\n",
+      kNumObjects, kDuration, cores);
 
   const std::vector<Tuple> trace = MakeTrace();
-  // Cap the sweep at the host's core count: thread counts beyond it
-  // time-slice one core and measure scheduler overhead, not scaling.
-  // When hardware_concurrency is unknown (0) the full sweep runs and
-  // each row's core_bound flag marks configurations that may be
-  // over-subscribed.
-  std::vector<size_t> thread_counts;
-  for (size_t threads : {1, 2, 4, 8}) {
-    if (cores > 0 && threads > cores) {
-      std::printf(
-          "  (skipping %zu threads: exceeds %u hardware threads)\n",
-          threads, cores);
-      continue;
-    }
-    thread_counts.push_back(threads);
-  }
-
-  bench::SeriesTable table(
-      "Parallel equation-system solving: tuples/sec vs solver threads",
-      "threads", {"tuples_per_sec", "speedup", "solves", "tasks_spawned"});
-
-  std::vector<RunResult> results;
-  double serial_tps = 0.0;
-  for (size_t threads : thread_counts) {
-    const RunResult r = RunOnce(trace, threads);
-    if (r.threads == 0) return 1;
-    if (threads == 1) serial_tps = r.tuples_per_sec;
-    results.push_back(r);
-    table.AddRow(static_cast<double>(threads),
-                 {r.tuples_per_sec, r.tuples_per_sec / serial_tps,
-                  static_cast<double>(r.solves),
-                  static_cast<double>(r.tasks_spawned)});
-  }
-  table.Print();
-
-  // Sharded sweep: {1, 2, 4, hw} shards (deduplicated) over the
-  // partitionable per-key aggregate. Unlike the thread sweep, counts
-  // beyond the core count still run — the row's core_bound flag marks
-  // them so the check.sh gate knows the speedup number is meaningless
-  // on this host rather than silently comparing it.
+  // {1, 2, 4, hw} shards (deduplicated). Counts beyond the core count
+  // still run — the row's core_bound flag marks them so the check.sh
+  // gate knows the speedup number is meaningless on this host rather
+  // than silently comparing it.
   std::set<size_t> shard_counts = {1, 2, 4};
   if (cores > 0) shard_counts.insert(static_cast<size_t>(cores));
-  bench::SeriesTable shard_table(
+  bench::SeriesTable table(
       "Shard-per-core scaling: per-key aggregate, tuples/sec vs shards",
       "num_shards", {"tuples_per_sec", "speedup", "solves"});
-  std::vector<RunResult> shard_results;
-  double shard_serial_tps = 0.0;
+  std::vector<RunResult> results;
+  double serial_tps = 0.0;
   for (size_t shards : shard_counts) {
     const RunResult r = RunSharded(trace, shards);
     if (r.num_shards == 0) return 1;
-    if (shards == 1) shard_serial_tps = r.tuples_per_sec;
-    shard_results.push_back(r);
-    shard_table.AddRow(static_cast<double>(shards),
-                       {r.tuples_per_sec, r.tuples_per_sec / shard_serial_tps,
-                        static_cast<double>(r.solves)});
+    if (shards == 1) serial_tps = r.tuples_per_sec;
+    results.push_back(r);
+    table.AddRow(static_cast<double>(shards),
+                 {r.tuples_per_sec, r.tuples_per_sec / serial_tps,
+                  static_cast<double>(r.solves)});
   }
-  std::printf("\n");
-  shard_table.Print();
+  table.Print();
 
   bench::BenchReport report("parallel_scaling");
-  report.ParamString("workload", "fig7_proximity_join");
-  report.ParamString("sharded_workload", "per_key_aggregate");
+  report.ParamString("workload", "per_key_aggregate");
   report.ParamUint("num_objects", kNumObjects);
-  report.ParamDouble("window_seconds", kWindowSeconds);
   report.ParamUint("tuples", trace.size());
   report.ParamUint("hardware_concurrency", cores);
   for (const RunResult& r : results) {
     report.AddRow()
-        .String("mode", "threads")
-        .Uint("threads", r.threads)
-        .Uint("num_shards", 1)
+        .Uint("num_shards", r.num_shards)
         .Double("seconds", r.seconds)
         .Double("tuples_per_sec", r.tuples_per_sec)
         .Double("speedup", r.tuples_per_sec / serial_tps)
         .Uint("solves", r.solves)
-        .Uint("tasks_spawned", r.tasks_spawned)
-        .Bool("core_bound", bench::CoreBound(r.threads));
-  }
-  for (const RunResult& r : shard_results) {
-    report.AddRow()
-        .String("mode", "shards")
-        .Uint("threads", r.threads)
-        .Uint("num_shards", r.num_shards)
-        .Double("seconds", r.seconds)
-        .Double("tuples_per_sec", r.tuples_per_sec)
-        .Double("speedup", r.tuples_per_sec / shard_serial_tps)
-        .Uint("solves", r.solves)
-        .Uint("tasks_spawned", r.tasks_spawned)
         .Bool("core_bound", bench::CoreBound(r.num_shards));
   }
-  // The widest thread configuration's registry snapshot (the run whose
-  // runtime/parallel_solve_{cpu,wall}_ns counters matter most).
+  // The widest configuration's registry snapshot (shard/<i>/... mirrors
+  // plus the merged rollups).
   report.AttachMetrics(results.back().metrics);
   if (!report.WriteFile("BENCH_parallel_scaling.json")) return 1;
-  std::printf(
-      "\nWrote BENCH_parallel_scaling.json. Expected shape: near-linear "
-      "speedup up to the\nphysical core count (>= 2.5x at 4 threads or "
-      "shards on a >= 4-core host); ~1x on\nfewer cores (rows marked "
-      "core_bound).\n");
+  std::printf("\nWrote BENCH_parallel_scaling.json.\n");
   if (!bench::HandleMetricsOutFlag(argc, argv, results.back().metrics)) {
     return 1;
   }

@@ -1,8 +1,7 @@
 // Solver hot-path microbenchmark: measures the allocation-free solve
-// pipeline (small-buffer polynomials + scratch-based root finding +
-// difference-polynomial solve cache) on the paper's two solver-bound
-// workloads and a segment-replay scenario, and writes the results to
-// BENCH_solver_hotpath.json.
+// pipeline (small-buffer polynomials + scratch-based root finding) on
+// the paper's two solver-bound workloads and a segment-replay scenario,
+// and writes the results to BENCH_solver_hotpath.json.
 //
 // Scenarios:
 //   fig7_join_1t   — Fig. 7ii moving-object proximity self-join, single
@@ -14,11 +13,9 @@
 //   fig9_ais       — Fig. 9ii AIS "following" query in historical mode;
 //                    joint multi-attribute segmentation + join + windowed
 //                    aggregate, exercising deeper plans.
-//   replay_cached  — the same fitted Fig. 7 segment list pushed twice
-//                    through one HistoricalRuntime. The second pass
-//                    re-solves identical difference polynomials, so the
-//                    solve cache answers nearly every row — this is the
-//                    what-if replay scenario the cache is designed for.
+//   replay         — the same fitted Fig. 7 segment list pushed twice
+//                    through one HistoricalRuntime; the second pass
+//                    (segment replay without modeling) is timed.
 //
 // Each scenario repetition is bracketed by a fixed floating-point
 // calibration kernel whose throughput ("calibration_ops_per_sec" per
@@ -30,8 +27,7 @@
 // Per scenario the JSON records tuples/sec (median rep), solver row count,
 // heap allocations attributed to Polynomial coefficient spill (delta of
 // Polynomial::heap_allocations() across the run — the allocations proxy;
-// near-zero means the SBO + scratch path held), and the solve-cache hit
-// rate from RuntimeStats.
+// near-zero means the SBO + scratch path held).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -51,7 +47,7 @@ namespace pulse {
 namespace {
 
 // Pre-change single-thread Fig. 7 throughput on the development host
-// (median of 3, commit before the SBO/scratch/cache rework). Used only
+// (median of 3, commit before the SBO/scratch rework). Used only
 // for the printed comparison; the JSON regression gate in
 // scripts/check.sh compares against the checked-in baseline JSON.
 constexpr double kFig7PreChangeTuplesPerSec = 576000.0;
@@ -109,9 +105,6 @@ struct ScenarioResult {
   double calibration_ops_per_sec = 0.0;
   uint64_t solves = 0;
   uint64_t heap_allocations = 0;  // Polynomial spill during the kept rep
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  double cache_hit_rate = 0.0;
   // Full registry snapshot of the kept rep's runtime (op counters, span
   // histograms) — embedded as the BENCH JSON `metrics` block.
   obs::MetricsSnapshot metrics;
@@ -123,8 +116,6 @@ struct RepData {
   double calib = 0.0;  // calibration ops/s bracketing this rep
   uint64_t solves = 0;
   uint64_t heap_allocations = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   obs::MetricsSnapshot metrics;
 };
 
@@ -151,8 +142,6 @@ void AdoptRep(RepData rep, ScenarioResult* r) {
   r->calibration_ops_per_sec = rep.calib;
   r->solves = rep.solves;
   r->heap_allocations = rep.heap_allocations;
-  r->cache_hits = rep.cache_hits;
-  r->cache_misses = rep.cache_misses;
   r->metrics = std::move(rep.metrics);
 }
 
@@ -189,11 +178,6 @@ uint64_t PlanSolves(const PulsePlan& plan) {
 
 void FinishScenario(ScenarioResult* r) {
   r->tuples_per_sec = static_cast<double>(r->tuples) / r->seconds;
-  const uint64_t total = r->cache_hits + r->cache_misses;
-  r->cache_hit_rate =
-      total == 0 ? 0.0
-                 : static_cast<double>(r->cache_hits) /
-                       static_cast<double>(total);
 }
 
 // Fig. 7 proximity join, single thread, tuples through the online
@@ -223,8 +207,6 @@ ScenarioResult RunFig7(const std::vector<Tuple>& trace) {
     r.calib = 0.5 * (calib_before + MeasureCalibrationOpsPerSec());
     r.solves = PlanSolves(rt->plan());
     r.heap_allocations = Polynomial::heap_allocations() - allocs_before;
-    r.cache_hits = rt->stats().solve_cache_hits;
-    r.cache_misses = rt->stats().solve_cache_misses;
     r.metrics = rt->metrics()->Snapshot();
     reps.push_back(r);
   }
@@ -281,8 +263,6 @@ ScenarioResult RunAis() {
     r.calib = 0.5 * (calib_before + MeasureCalibrationOpsPerSec());
     r.solves = PlanSolves(rt->plan());
     r.heap_allocations = Polynomial::heap_allocations() - allocs_before;
-    r.cache_hits = rt->stats().solve_cache_hits;
-    r.cache_misses = rt->stats().solve_cache_misses;
     r.metrics = rt->metrics()->Snapshot();
     reps.push_back(r);
   }
@@ -292,9 +272,8 @@ ScenarioResult RunAis() {
 }
 
 // Segment replay: fit the Fig. 7 trace once, then push the identical
-// segment list through one runtime twice. Pass 2 re-solves the exact
-// difference polynomials of pass 1, so the cache should answer nearly
-// every row; the scenario measures the *second* pass alone.
+// segment list through one runtime twice. The scenario measures the
+// *second* pass alone, against join state the first pass built.
 ScenarioResult RunReplay(const std::vector<Tuple>& trace) {
   const QuerySpec spec = ProximityJoin();
   HistoricalRuntime::Options opts = Fig7Options();
@@ -309,7 +288,7 @@ ScenarioResult RunReplay(const std::vector<Tuple>& trace) {
   }
 
   ScenarioResult best;
-  best.name = "replay_cached";
+  best.name = "replay";
   best.tuples = trace.size();
   std::vector<RepData> reps;
   reps.reserve(kRepeats);
@@ -320,12 +299,10 @@ ScenarioResult RunReplay(const std::vector<Tuple>& trace) {
                    rt.status().ToString().c_str());
       return best;
     }
-    // Warm pass: populates join state and the solve cache.
+    // Warm pass: populates join state.
     for (const Segment& s : segments) {
       (void)rt->ProcessSegment("objects", s);
     }
-    const uint64_t hits_before = rt->stats().solve_cache_hits;
-    const uint64_t misses_before = rt->stats().solve_cache_misses;
     const uint64_t solves_before = PlanSolves(rt->plan());
     const uint64_t allocs_before = Polynomial::heap_allocations();
     const double calib_before = MeasureCalibrationOpsPerSec();
@@ -340,8 +317,6 @@ ScenarioResult RunReplay(const std::vector<Tuple>& trace) {
     r.calib = 0.5 * (calib_before + MeasureCalibrationOpsPerSec());
     r.solves = PlanSolves(rt->plan()) - solves_before;
     r.heap_allocations = Polynomial::heap_allocations() - allocs_before;
-    r.cache_hits = rt->stats().solve_cache_hits - hits_before;
-    r.cache_misses = rt->stats().solve_cache_misses - misses_before;
     r.metrics = rt->metrics()->Snapshot();
     reps.push_back(r);
   }
@@ -353,13 +328,10 @@ ScenarioResult RunReplay(const std::vector<Tuple>& trace) {
 void PrintScenario(const ScenarioResult& r) {
   std::printf(
       "  %-14s %10.0f tuples/s  (%zu tuples, %llu solves, "
-      "%llu poly heap allocs, cache %llu/%llu = %.1f%% hits)\n",
+      "%llu poly heap allocs)\n",
       r.name, r.tuples_per_sec, r.tuples,
       static_cast<unsigned long long>(r.solves),
-      static_cast<unsigned long long>(r.heap_allocations),
-      static_cast<unsigned long long>(r.cache_hits),
-      static_cast<unsigned long long>(r.cache_hits + r.cache_misses),
-      100.0 * r.cache_hit_rate);
+      static_cast<unsigned long long>(r.heap_allocations));
 }
 
 }  // namespace
@@ -368,8 +340,8 @@ void PrintScenario(const ScenarioResult& r) {
 int main(int argc, char** argv) {
   using namespace pulse;
   std::printf(
-      "Solver hot path: SBO polynomials + scratch root finding + solve "
-      "cache\n(median of %d runs per scenario, calibration-normalized)\n\n",
+      "Solver hot path: SBO polynomials + scratch root finding\n"
+      "(median of %d runs per scenario, calibration-normalized)\n\n",
       kRepeats);
 
   const std::vector<Tuple> fig7_trace = MakeFig7Trace();
@@ -400,10 +372,7 @@ int main(int argc, char** argv) {
         .Double("tuples_per_sec", r->tuples_per_sec)
         .Double("calibration_ops_per_sec", r->calibration_ops_per_sec)
         .Uint("solves", r->solves)
-        .Uint("poly_heap_allocations", r->heap_allocations)
-        .Uint("cache_hits", r->cache_hits)
-        .Uint("cache_misses", r->cache_misses)
-        .Double("cache_hit_rate", r->cache_hit_rate);
+        .Uint("poly_heap_allocations", r->heap_allocations);
   }
   // The metrics block carries the kept fig7 rep's registry snapshot —
   // the scenario the metrics-overhead gate normalizes on.

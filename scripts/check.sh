@@ -40,9 +40,9 @@ else
   # the root isolator, so the scalar fallback must reproduce their
   # boundary semantics bit for bit too.
   for t in batch_kernels_test roots_test equation_system_test \
-           solve_cache_test predicate_test pulse_filter_test \
-           pulse_join_test runtime_test differential_test \
-           epoch_distinct_test telemetry_test equivalence_test; do
+           predicate_test pulse_filter_test pulse_join_test \
+           runtime_test differential_test epoch_distinct_test \
+           telemetry_test equivalence_test; do
     echo "  PULSE_FORCE_SCALAR=1 $t"
     PULSE_FORCE_SCALAR=1 "$repo/build/tests/$t" --gtest_brief=1
   done
@@ -54,26 +54,21 @@ else
   echo "== TSan: threaded tests (-DPULSE_TSAN=ON) =="
   cmake -B "$repo/build-tsan" -S "$repo" -DPULSE_TSAN=ON
   cmake --build "$repo/build-tsan" -j "$jobs" \
-    --target metrics_registry_test thread_pool_test runtime_test \
-             solve_cache_test differential_test serve_test \
-             shard_router_test epoch_distinct_test telemetry_test \
-             store_recovery_test precision_test
+    --target metrics_registry_test runtime_test differential_test \
+             serve_test shard_router_test epoch_distinct_test \
+             telemetry_test store_recovery_test precision_test
 
   # halt_on_error makes a race fail the script, not just print a warning.
-  # differential_test runs the metamorphic parallel AND sharded variants
-  # (num_threads = 4, num_shards in {2, 3}) of every generated case under
-  # TSan — the shard pool's exchange queues, completion merge, and
-  # teardown all execute with real worker threads here;
+  # differential_test runs the metamorphic sharded variants
+  # (num_shards in {2, 3}) of every generated case under TSan — the
+  # shard pool's exchange queues, completion merge, and teardown all
+  # execute with real worker threads here;
   # metrics_registry_test hammers one registry from 8 writer threads
   # while snapshotting (the registry's lock-free hot path must be clean).
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$repo/build-tsan/tests/metrics_registry_test"
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
-    "$repo/build-tsan/tests/thread_pool_test"
-  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$repo/build-tsan/tests/runtime_test"
-  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
-    "$repo/build-tsan/tests/solve_cache_test"
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$repo/build-tsan/tests/differential_test"
   # serve_test exercises the full serving stack — concurrent sessions
@@ -87,8 +82,8 @@ else
     "$repo/build-tsan/tests/shard_router_test"
   # The telemetry family: epoch/distinct operators plus the detection
   # queries end to end on both realizations. Mostly single-threaded, but
-  # differential_test above re-runs the same plans through the threaded
-  # and sharded executors, so a clean pass here plus a clean
+  # differential_test above re-runs the same plans through the sharded
+  # executor, so a clean pass here plus a clean
   # differential pass covers the telemetry battery under TSan.
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$repo/build-tsan/tests/epoch_distinct_test"
@@ -216,7 +211,7 @@ EOF
     fi
   fi
 
-  echo "== bench gate: parallel/sharded scaling vs checked-in baseline =="
+  echo "== bench gate: shard scaling vs checked-in baseline =="
   scaling_baseline="$repo/BENCH_parallel_scaling.json"
   cores="$(nproc 2>/dev/null || echo 0)"
   if [[ ! -f "$scaling_baseline" ]]; then
@@ -234,7 +229,7 @@ EOF
     (cd "$workdir" && "$repo/build/bench/bench_parallel_scaling" > /dev/null)
     # Rows marked core_bound (in either document) are excluded: the flag
     # records that the measurement was taken on too few cores to mean
-    # anything. Remaining multi-worker rows must keep >= 70% of the
+    # anything. Remaining multi-shard rows must keep >= 70% of the
     # baseline speedup.
     scaling_ok=0
     python3 - "$scaling_baseline" "$workdir/BENCH_parallel_scaling.json" \
@@ -244,28 +239,23 @@ import json, sys
 def rows(path):
     with open(path) as f:
         doc = json.load(f)
-    out = {}
-    for r in doc["results"]:
-        out[(r["mode"], r["threads"], r["num_shards"])] = r
-    return out
+    return {r["num_shards"]: r for r in doc["results"]}
 
 THRESHOLD = 0.70
 base, fresh = rows(sys.argv[1]), rows(sys.argv[2])
 failed = checked = skipped = 0
-for key, ref in sorted(base.items()):
-    mode, threads, shards = key
-    workers = shards if mode == "shards" else threads
-    if workers <= 1:
+for shards, ref in sorted(base.items()):
+    if shards <= 1:
         continue
-    got = fresh.get(key)
+    got = fresh.get(shards)
     if got is None or ref.get("core_bound") or got.get("core_bound"):
         skipped += 1
-        print(f"  SKIPPED {mode} workers={workers}: core_bound or absent")
+        print(f"  SKIPPED shards={shards}: core_bound or absent")
         continue
     checked += 1
     ratio = got["speedup"] / ref["speedup"] if ref["speedup"] else 1.0
     flag = "FAIL" if ratio < THRESHOLD else "ok"
-    print(f"  {mode} workers={workers}: speedup {got['speedup']:.2f} vs "
+    print(f"  shards={shards}: speedup {got['speedup']:.2f} vs "
           f"baseline {ref['speedup']:.2f} ({ratio:.2f}x) {flag}")
     if ratio < THRESHOLD:
         failed += 1
@@ -274,7 +264,7 @@ sys.exit(1 if failed else 0)
 EOF
     rm -rf "$workdir"
     if [[ "$scaling_ok" != "0" ]]; then
-      echo "parallel/sharded scaling regressed vs checked-in baseline" >&2
+      echo "shard scaling regressed vs checked-in baseline" >&2
       exit 1
     fi
   fi

@@ -7,12 +7,10 @@
 #include <limits>
 #include <sstream>
 
-#include "core/solve_cache.h"
 #include "math/batch_kernels.h"
 #include "math/roots_internal.h"
 #include "obs/span.h"
 #include "util/cpu_features.h"
-#include "util/thread_pool.h"
 
 namespace pulse {
 
@@ -49,13 +47,12 @@ IntervalSet EquationSystem::Solve(const Interval& domain,
                                   RootMethod method) const {
   SolveScratch scratch;
   IntervalSet solution;
-  SolveInto(domain, method, &scratch, nullptr, &solution);
+  SolveInto(domain, method, &scratch, &solution);
   return solution;
 }
 
 void EquationSystem::SolveInto(const Interval& domain, RootMethod method,
-                               SolveScratch* scratch, SolveCache* cache,
-                               IntervalSet* out) const {
+                               SolveScratch* scratch, IntervalSet* out) const {
   if (domain.IsEmpty()) {
     out->Clear();
     return;
@@ -70,15 +67,8 @@ void EquationSystem::SolveInto(const Interval& domain, RootMethod method,
   bool first = true;
   for (const DifferenceEquation& row : rows_) {
     IntervalSet* target = first ? out : &scratch->row_solution;
-    const bool hit = cache != nullptr &&
-                     cache->Lookup(row.diff, row.op, domain, method, target);
-    if (!hit) {
-      SolveComparisonInto(row.diff, row.op, domain, method, &scratch->roots,
-                          target);
-      if (cache != nullptr) {
-        cache->Insert(row.diff, row.op, domain, method, *target);
-      }
-    }
+    SolveComparisonInto(row.diff, row.op, domain, method, &scratch->roots,
+                        target);
     if (!first) {
       out->IntersectWith(scratch->row_solution,
                          &scratch->roots.interval_scratch);
@@ -184,9 +174,6 @@ namespace {
 // ---------------------------------------------------------------------------
 
 constexpr size_t kMaxBatchDegree = 3;
-// Upper bound on tasks per parallel chunk; the serial path batches the
-// whole call at once.
-constexpr size_t kMaxChunkTasks = 256;
 constexpr uint32_t kTaskDone = ~uint32_t{0};
 
 // Obs sites for the batched solver, cached per thread and revalidated
@@ -270,7 +257,7 @@ struct BatchScratch {
   SolveScratch scalar;
   std::vector<IntervalSet> row_sets;  // aux targets for non-first rows
   std::vector<RowRef> row_refs;
-  // Per chunk task: {first RowRef slot, row count}, or {kTaskDone, 0}
+  // Per task: {first RowRef slot, row count}, or {kTaskDone, 0}
   // when the task was answered inline (empty domain / no rows).
   std::vector<std::array<uint32_t, 2>> task_rows;
   std::array<RootBatch, kMaxBatchDegree> roots;
@@ -280,9 +267,8 @@ struct BatchScratch {
   std::vector<double> cuts_flat;
 };
 
-Status SolveChunk(const EquationSystemTask* tasks, size_t begin, size_t end,
-                  RootMethod method, SolveCache* cache,
-                  std::vector<IntervalSet>* solutions, BatchScratch* s) {
+void SolveBatch(const EquationSystemTask* tasks, size_t n, RootMethod method,
+                std::vector<IntervalSet>* solutions, BatchScratch* s) {
   const BatchKernels& kernels = ActiveBatchKernels();
   static thread_local BatchObsSite obs_site;
   if constexpr (obs::kMetricsEnabled) obs_site.Refresh(kernels.name);
@@ -293,7 +279,7 @@ Status SolveChunk(const EquationSystemTask* tasks, size_t begin, size_t end,
       method == RootMethod::kAuto || method == RootMethod::kClosedForm;
 
   size_t total_rows = 0;
-  for (size_t ti = begin; ti < end; ++ti) {
+  for (size_t ti = 0; ti < n; ++ti) {
     total_rows += tasks[ti].system.rows().size();
   }
   // Aux sets are addressed by stable pointers below; size once up front.
@@ -306,13 +292,12 @@ Status SolveChunk(const EquationSystemTask* tasks, size_t begin, size_t end,
   s->roots_flat.clear();
   s->cuts_flat.clear();
 
-  // Pass 1: classify every row. Cache hits and non-batchable rows are
-  // finished here (the latter via the per-row scalar path, exactly as
+  // Pass 1: classify every row. Non-batchable rows are finished here (the latter via the per-row scalar path, exactly as
   // EquationSystem::SolveInto would); batchable rows gather their
   // coefficients into the per-degree columns.
   uint64_t scalar_rows = 0;
   size_t aux = 0;
-  for (size_t ti = begin; ti < end; ++ti) {
+  for (size_t ti = 0; ti < n; ++ti) {
     const EquationSystemTask& task = tasks[ti];
     IntervalSet& out = (*solutions)[ti];
     if (task.domain.IsEmpty()) {
@@ -337,19 +322,12 @@ Status SolveChunk(const EquationSystemTask* tasks, size_t begin, size_t end,
       first = false;
       const uint32_t slot = static_cast<uint32_t>(s->row_refs.size());
       s->row_refs.push_back({&row, &task.domain, target});
-      if (cache != nullptr &&
-          cache->Lookup(row.diff, row.op, task.domain, method, target)) {
-        continue;
-      }
       const size_t d = row.diff.IsZero() ? 0 : row.diff.degree();
       const bool batchable = method_batchable && row.op != CmpOp::kNe &&
                              d >= 1 && d <= kMaxBatchDegree;
       if (!batchable) {
         SolveComparisonInto(row.diff, row.op, task.domain, method,
                             &s->scalar.roots, target);
-        if (cache != nullptr) {
-          cache->Insert(row.diff, row.op, task.domain, method, *target);
-        }
         ++scalar_rows;
         continue;
       }
@@ -412,10 +390,6 @@ Status SolveChunk(const EquationSystemTask* tasks, size_t begin, size_t end,
         roots_internal::AssembleEquality(lane_roots.data(),
                                          lane_roots.size(), *ref.domain,
                                          &s->scalar.roots.cells, ref.target);
-        if (cache != nullptr) {
-          cache->Insert(ref.row->diff, ref.row->op, *ref.domain, method,
-                        *ref.target);
-        }
         continue;
       }
       std::vector<double>& cuts = s->scalar.roots.cuts;
@@ -476,17 +450,12 @@ Status SolveChunk(const EquationSystemTask* tasks, size_t begin, size_t end,
         s->cuts_flat.data() + pending.cuts_begin,
         pending.cuts_end - pending.cuts_begin, mids, &s->scalar.roots.cells,
         ref.target);
-    if (cache != nullptr) {
-      cache->Insert(ref.row->diff, ref.row->op, *ref.domain, method,
-                    *ref.target);
-    }
   }
 
   // Pass 6: intersect each task's row sets in row order (first row is
   // already in the output set), mirroring EquationSystem::SolveInto.
-  size_t idx = 0;
-  for (size_t ti = begin; ti < end; ++ti, ++idx) {
-    const std::array<uint32_t, 2>& tr = s->task_rows[idx];
+  for (size_t ti = 0; ti < n; ++ti) {
+    const std::array<uint32_t, 2>& tr = s->task_rows[ti];
     if (tr[0] == kTaskDone) continue;
     IntervalSet& out = (*solutions)[ti];
     for (uint32_t k = 1; k < tr[1] && !out.IsEmpty(); ++k) {
@@ -502,47 +471,20 @@ Status SolveChunk(const EquationSystemTask* tasks, size_t begin, size_t end,
       obs_site.scalar_fallback->Add(scalar_rows);
     }
   }
-  return Status::OK();
 }
 
 }  // namespace
 
-Status SolveSystemsInto(const EquationSystemTask* tasks, size_t n,
-                        RootMethod method, ThreadPool* pool,
-                        SolveCache* cache,
-                        std::vector<IntervalSet>* solutions) {
+void SolveSystemsInto(const EquationSystemTask* tasks, size_t n,
+                      RootMethod method, std::vector<IntervalSet>* solutions) {
   PULSE_SPAN("solve/batch");
   solutions->resize(n);
-  if (n == 0) return Status::OK();
-  if (pool == nullptr || pool->num_threads() <= 1 || n == 1) {
-    // Serial: one chunk over the whole call maximizes SIMD lane fill.
-    // Per-thread scratch keeps buffers warm across calls and is never
-    // shared between workers (TSan-clean under ParallelFor).
-    static thread_local BatchScratch scratch;
-    return SolveChunk(tasks, 0, n, method, cache, solutions, &scratch);
-  }
-  // Parallel: chunk so every worker still fills SIMD lanes without
-  // starving the pool of work items.
-  const size_t threads = pool->num_threads();
-  size_t chunk = (n + threads * 4 - 1) / (threads * 4);
-  chunk = std::min(std::max<size_t>(chunk, 1), kMaxChunkTasks);
-  const size_t num_chunks = (n + chunk - 1) / chunk;
-  return pool->ParallelFor(num_chunks, [&](size_t ci) -> Status {
-    static thread_local BatchScratch scratch;
-    const size_t chunk_begin = ci * chunk;
-    const size_t chunk_end = std::min(n, chunk_begin + chunk);
-    return SolveChunk(tasks, chunk_begin, chunk_end, method, cache,
-                      solutions, &scratch);
-  });
-}
-
-Result<std::vector<IntervalSet>> SolveSystems(
-    const std::vector<EquationSystemTask>& tasks, RootMethod method,
-    ThreadPool* pool, SolveCache* cache) {
-  std::vector<IntervalSet> solutions;
-  PULSE_RETURN_IF_ERROR(SolveSystemsInto(tasks.data(), tasks.size(), method,
-                                         pool, cache, &solutions));
-  return solutions;
+  if (n == 0) return;
+  // One batch over the whole call maximizes SIMD lane fill. Per-thread
+  // scratch keeps buffers warm across calls and is never shared between
+  // the shard workers that call this concurrently.
+  static thread_local BatchScratch scratch;
+  SolveBatch(tasks, n, method, solutions, &scratch);
 }
 
 std::string EquationSystem::ToString() const {

@@ -12,12 +12,9 @@
 
 namespace pulse {
 
-class SolveCache;
-class ThreadPool;
-
 /// Caller-provided scratch for system solving: the root-finding scratch
 /// plus the per-row solution set the intersection loop reuses. One per
-/// thread (SolveSystems keeps a thread_local instance per worker).
+/// thread (SolveSystemsInto keeps a thread_local instance per thread).
 struct SolveScratch {
   RootScratch roots;
   IntervalSet row_solution;
@@ -84,13 +81,10 @@ class EquationSystem {
   IntervalSet Solve(const Interval& domain,
                     RootMethod method = RootMethod::kAuto) const;
 
-  /// Scratch/cache form of Solve: writes the solution into *out, reusing
-  /// scratch buffers across calls. When `cache` is non-null, each row's
-  /// comparison solve is looked up in (and on miss inserted into) the
-  /// cache — with exact keys the result is bit-identical either way.
+  /// Scratch form of Solve: writes the solution into *out, reusing
+  /// scratch buffers across calls.
   void SolveInto(const Interval& domain, RootMethod method,
-                 SolveScratch* scratch, SolveCache* cache,
-                 IntervalSet* out) const;
+                 SolveScratch* scratch, IntervalSet* out) const;
 
   /// Fast path for all-equality systems of degree <= 1 (the equi-join
   /// case the paper routes to Gaussian elimination): solves the stacked
@@ -118,35 +112,21 @@ class EquationSystem {
 };
 
 /// One independent solve instance for batch execution: an equation
-/// system plus the time domain to solve it over. Instances share no
-/// state, which is what makes the batch embarrassingly parallel.
+/// system plus the time domain to solve it over.
 struct EquationSystemTask {
   EquationSystem system;
   Interval domain;
 };
 
-/// Solves every task independently — the per-segment / per-segment-pair
-/// fan-out of the parallel runtime (docs/CONCURRENCY.md). Root-finding
-/// and sign-testing shard across `pool` when it has more than one thread
-/// (nullptr or single-thread pools solve inline on the caller), and
-/// solutions are returned in task order, so the concatenated result is
-/// deterministic regardless of execution interleaving. Each executing
-/// thread keeps a thread_local SolveScratch, so the batch allocates
-/// nothing once those are warm; `cache` (optional) memoizes per-row
-/// solves across tasks and batches.
-Result<std::vector<IntervalSet>> SolveSystems(
-    const std::vector<EquationSystemTask>& tasks,
-    RootMethod method = RootMethod::kAuto, ThreadPool* pool = nullptr,
-    SolveCache* cache = nullptr);
-
-/// Buffer-reusing form of SolveSystems: solves tasks[0..n) into
-/// *solutions (resized to n; interval storage of previous batches is
-/// reused). This is the per-push hot path of the join — combined with a
-/// caller-owned task scratch it makes the fan-out allocation-free.
-Status SolveSystemsInto(const EquationSystemTask* tasks, size_t n,
-                        RootMethod method, ThreadPool* pool,
-                        SolveCache* cache,
-                        std::vector<IntervalSet>* solutions);
+/// Solves tasks[0..n) independently into *solutions (resized to n, in
+/// task order; interval storage of previous batches is reused). Rows of
+/// every task gather into the batched closed-form kernels, so one call
+/// fills SIMD lanes across the whole batch. The calling thread keeps a
+/// thread_local scratch (shard workers call this concurrently); combined
+/// with a caller-owned task scratch this per-push hot path of the join
+/// allocates nothing once warm.
+void SolveSystemsInto(const EquationSystemTask* tasks, size_t n,
+                      RootMethod method, std::vector<IntervalSet>* solutions);
 
 }  // namespace pulse
 

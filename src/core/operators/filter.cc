@@ -40,18 +40,14 @@ Status PulseFilter::Process(size_t port, const Segment& segment,
     PULSE_RETURN_IF_ERROR(
         predicate_.BuildSystemInto(resolver, &task_scratch_.system));
     task_scratch_.domain = segment.range;
-    PULSE_RETURN_IF_ERROR(SolveSystemsInto(&task_scratch_, 1, method_,
-                                           /*pool=*/nullptr, solve_cache_,
-                                           &solution_scratch_));
+    SolveSystemsInto(&task_scratch_, 1, method_, &solution_scratch_);
     solution = &solution_scratch_[0];
   } else {
     // Boolean trees solve recursively on the pushing thread; one warm
     // scratch serves every Process call.
     static thread_local SolveScratch scratch;
-    PULSE_RETURN_IF_ERROR(predicate_.SolveInto(resolver, segment.range,
-                                               method_, &scratch,
-                                               solve_cache_,
-                                               &tree_solution));
+    PULSE_RETURN_IF_ERROR(predicate_.SolveInto(
+        resolver, segment.range, method_, &scratch, &tree_solution));
   }
   for (const Interval& iv : solution->intervals()) {
     Segment result = segment;

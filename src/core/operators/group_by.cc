@@ -1,11 +1,9 @@
 #include "core/operators/group_by.h"
 
 #include <utility>
-#include <vector>
 
 #include "obs/span.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace pulse {
 
@@ -19,18 +17,9 @@ Result<PulseOperator*> PulseGroupBy::GetOrCreate(Key group) {
   if (it != groups_.end()) return it->second.get();
   PULSE_ASSIGN_OR_RETURN(std::unique_ptr<PulseOperator> inner,
                          factory_(group));
-  // Inner operators share the group-by's solve cache (identical systems
-  // recur across groups) but not the thread pool — parallelism stays at
-  // the per-group flush fan-out below.
-  inner->set_solve_cache(solve_cache_);
   PulseOperator* raw = inner.get();
   groups_.emplace(group, std::move(inner));
   return raw;
-}
-
-void PulseGroupBy::set_solve_cache(SolveCache* cache) {
-  PulseOperator::set_solve_cache(cache);
-  for (auto& [group, inner] : groups_) inner->set_solve_cache(cache);
 }
 
 PulseOperator* PulseGroupBy::group_operator(Key group) const {
@@ -70,32 +59,13 @@ Result<std::vector<AllocatedBound>> PulseGroupBy::InvertBound(
 
 Status PulseGroupBy::Flush(SegmentBatch* out) {
   PULSE_SPAN("group_by/flush");
-  // Shard the per-group flush across the pool: each group owns a
-  // disjoint inner operator (per-shard state), so shards are fully
-  // independent. Each shard writes only its own batch slot; the merge
-  // below walks groups in ascending key order (groups_ is an ordered
-  // map), which keeps the emitted batch identical to a serial flush up
-  // to engine-assigned segment ids.
-  std::vector<std::pair<Key, PulseOperator*>> shards;
-  shards.reserve(groups_.size());
+  // Groups flush in ascending key order (groups_ is an ordered map);
+  // each group's tail is re-keyed with the group key, as in Process.
   for (auto& [group, inner] : groups_) {
-    shards.emplace_back(group, inner.get());
-  }
-  std::vector<SegmentBatch> batches(shards.size());
-  auto flush_one = [&](size_t i) -> Status {
-    return shards[i].second->Flush(&batches[i]);
-  };
-  if (pool_ != nullptr && pool_->num_threads() > 1 && shards.size() > 1) {
-    PULSE_RETURN_IF_ERROR(pool_->ParallelFor(shards.size(), flush_one));
-  } else {
-    for (size_t i = 0; i < shards.size(); ++i) {
-      PULSE_RETURN_IF_ERROR(flush_one(i));
-    }
-  }
-  for (size_t i = 0; i < shards.size(); ++i) {
-    for (Segment& s : batches[i]) {
-      s.key = shards[i].first;
-      out->push_back(std::move(s));
+    const size_t begin = out->size();
+    PULSE_RETURN_IF_ERROR(inner->Flush(out));
+    for (size_t i = begin; i < out->size(); ++i) {
+      (*out)[i].key = group;
       ++metrics_.segments_out;
     }
   }

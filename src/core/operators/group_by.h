@@ -36,9 +36,6 @@ class PulseGroupBy : public PulseOperator {
   /// The inner operator for `group`, or nullptr when the group is unseen.
   PulseOperator* group_operator(Key group) const;
 
-  /// Forwards the cache to the inner operators (existing and future).
-  void set_solve_cache(SolveCache* cache) override;
-
  private:
   Result<PulseOperator*> GetOrCreate(Key group);
 

@@ -8,7 +8,6 @@
 
 #include "obs/span.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace pulse {
 
@@ -218,12 +217,12 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
   metrics_.solves += pairs.size();
   PULSE_SPAN("join/match_partners");
 
-  // Each pair is an independent equation system: fan the solves out
-  // across the pool. Conjunctive predicates (the common case) go through
-  // the EquationSystem batch API; boolean trees solve the full predicate
-  // per pair. Both keep solutions in pair order. Task and solution
-  // buffers are operator members reused across pushes (grown, never
-  // shrunk), so once warm the fan-out performs no allocation.
+  // Each pair is an independent equation system. Conjunctive predicates
+  // (the common case) go through the EquationSystem batch API; boolean
+  // trees solve the full predicate per pair. Both keep solutions in pair
+  // order. Task and solution buffers are operator members reused across
+  // pushes (grown, never shrunk), so once warm the batch performs no
+  // allocation.
   std::vector<IntervalSet>& solutions = solution_scratch_;
   if (predicate_.IsConjunctive()) {
     if (task_scratch_.size() < pairs.size()) {
@@ -244,31 +243,21 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
       }
       task_scratch_[i].domain = p.overlap;
     }
-    PULSE_RETURN_IF_ERROR(SolveSystemsInto(task_scratch_.data(),
-                                           pairs.size(), options_.method,
-                                           pool_, solve_cache_, &solutions));
+    SolveSystemsInto(task_scratch_.data(), pairs.size(), options_.method,
+                     &solutions);
   } else {
     solutions.resize(pairs.size());
-    auto solve_one = [&](size_t i) -> Status {
-      static thread_local SolveScratch scratch;
+    // Shard workers run joins concurrently, so the scratch is per thread.
+    static thread_local SolveScratch scratch;
+    for (size_t i = 0; i < pairs.size(); ++i) {
       const Pair& p = pairs[i];
       const AttrResolver resolver = MakeBinaryResolver(*p.left, *p.right);
-      PULSE_RETURN_IF_ERROR(
-          predicate_.SolveInto(resolver, p.overlap, options_.method,
-                               &scratch, solve_cache_, &solutions[i]));
-      return Status::OK();
-    };
-    if (pool_ != nullptr && pool_->num_threads() > 1 && pairs.size() > 1) {
-      PULSE_RETURN_IF_ERROR(pool_->ParallelFor(pairs.size(), solve_one));
-    } else {
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        PULSE_RETURN_IF_ERROR(solve_one(i));
-      }
+      PULSE_RETURN_IF_ERROR(predicate_.SolveInto(
+          resolver, p.overlap, options_.method, &scratch, &solutions[i]));
     }
   }
 
-  // Serial emission in pair order: segment ids, lineage, and output
-  // order are identical to the single-threaded engine's.
+  // Emission in pair order fixes segment ids, lineage and output order.
   for (size_t i = 0; i < pairs.size(); ++i) {
     for (const Interval& iv : solutions[i].intervals()) {
       Segment joined = MakeJoined(*pairs[i].left, *pairs[i].right, iv);

@@ -123,12 +123,10 @@ class PulseJoin : public PulseOperator {
                            EquationSystem* out) const;
 
   // Solves `segment` (arrived on `port`) against every admissible stored
-  // partner. Root-finding fans out across the operator's thread pool
-  // when one is installed; emission (ids, lineage, output order) stays
-  // on the calling thread in partner order, so parallel and serial runs
-  // produce identical batches. `probe_resolved` / `partner_resolved`
-  // (nullable) carry the compiled row program's pointer tables for the
-  // incoming segment and the partner deque (parallel to `partners`).
+  // partner, emitting (ids, lineage, output order) in partner order.
+  // `probe_resolved` / `partner_resolved` (nullable) carry the compiled
+  // row program's pointer tables for the incoming segment and the
+  // partner deque (parallel to `partners`).
   Status MatchPartners(size_t port, const Segment& segment,
                        const std::vector<const Segment*>& partners,
                        const ResolvedAttrs* probe_resolved,
@@ -148,10 +146,10 @@ class PulseJoin : public PulseOperator {
   // left_ / right_ (maintained only when compiled_).
   std::deque<ResolvedAttrs> left_resolved_;
   std::deque<ResolvedAttrs> right_resolved_;
-  // Per-push scratch for the conjunctive fan-out, reused across pushes
-  // so pair-system construction and solution collection stop allocating
-  // once warm (docs/PERFORMANCE.md). Only MatchPartners (serial, calling
-  // thread) touches them; entries are grown, never shrunk.
+  // Per-push scratch for the conjunctive batch, reused across pushes so
+  // pair-system construction and solution collection stop allocating
+  // once warm (docs/PERFORMANCE.md). Only MatchPartners touches them;
+  // entries are grown, never shrunk.
   std::vector<EquationSystemTask> task_scratch_;
   std::vector<IntervalSet> solution_scratch_;
   std::deque<Segment> left_;

@@ -15,9 +15,6 @@
 
 namespace pulse {
 
-class SolveCache;
-class ThreadPool;
-
 /// Base class of continuous-time operators. Each operator is a closed
 /// equation system: it consumes segments and produces segments, so
 /// segments are the plan's first-class datatype (paper Section III-C).
@@ -54,21 +51,6 @@ class PulseOperator {
   PulseOperatorMetrics& metrics() { return metrics_; }
   const PulseOperatorMetrics& metrics() const { return metrics_; }
 
-  /// Installs the solver thread pool (nullptr = serial, the default).
-  /// Operators with independent work units — join partner matching,
-  /// group-by flush — fan out across it; all others ignore it. The pool
-  /// must outlive the operator's last Process/Flush call.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool* thread_pool() const { return pool_; }
-
-  /// Installs the shared solve cache (nullptr = uncached, the default).
-  /// Selective operators — filter, join, group-by children — memoize
-  /// per-row comparison solves through it. The cache must outlive the
-  /// operator's last Process/Flush call. Virtual so containers (group-by)
-  /// can forward the cache to operators they own.
-  virtual void set_solve_cache(SolveCache* cache) { solve_cache_ = cache; }
-  SolveCache* solve_cache() const { return solve_cache_; }
-
   /// Lineage recorded by this operator (outputs -> causing inputs), used
   /// by query inversion.
   LineageStore& lineage() { return lineage_; }
@@ -77,8 +59,6 @@ class PulseOperator {
  protected:
   PulseOperatorMetrics metrics_;
   LineageStore lineage_;
-  ThreadPool* pool_ = nullptr;
-  SolveCache* solve_cache_ = nullptr;
 
  private:
   std::string name_;

@@ -45,10 +45,9 @@ Result<std::unique_ptr<AdaptiveRuntime>> AdaptiveRuntime::Make(
   runtime->metrics_ = std::make_unique<obs::MetricsRegistry>();
 
   // Settlement compares against collected outputs, so collection is
-  // mandatory; the shard-pool sharing fields do not apply here (the
-  // adaptive runtime is session-owned, docs/PRECISION.md).
+  // mandatory; the observer does not apply here (the adaptive runtime is
+  // session-owned, docs/PRECISION.md).
   exact.collect_outputs = true;
-  exact.shared_solve_cache = nullptr;
   exact.output_observer = nullptr;
   exact.metrics = runtime->metrics_.get();
   PULSE_ASSIGN_OR_RETURN(HistoricalRuntime rt,
@@ -64,7 +63,6 @@ Status AdaptiveRuntime::StartEpisode(size_t tier) {
   HistoricalRuntime::Options coarse = exact_template_;
   coarse.segmentation.max_error *= rung.error_scale;
   coarse.collect_outputs = true;
-  coarse.shared_solve_cache = nullptr;
   coarse.output_observer = nullptr;
   // Both runtimes report through the shared registry, so the
   // span/runtime/push_segment histogram the precision controller reads

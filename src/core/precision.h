@@ -119,11 +119,10 @@ struct PrecisionStats {
 /// worker thread is the one caller.
 class AdaptiveRuntime {
  public:
-  /// `exact` is the static-precision configuration (the shard-pool
-  /// specific fields shared_solve_cache / metrics / output_observer are
-  /// overridden: the adaptive runtime owns a registry shared by the
-  /// exact and coarse runtimes so span/runtime/push_segment reflects
-  /// whichever side is live).
+  /// `exact` is the static-precision configuration (the fields metrics /
+  /// output_observer are overridden: the adaptive runtime owns a
+  /// registry shared by the exact and coarse runtimes so
+  /// span/runtime/push_segment reflects whichever side is live).
   static Result<std::unique_ptr<AdaptiveRuntime>> Make(
       const QuerySpec& spec, HistoricalRuntime::Options exact,
       AdaptivePrecisionOptions precision = {});

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/solve_cache.h"
 
 namespace pulse {
 
@@ -150,27 +149,19 @@ Result<IntervalSet> Predicate::Solve(const AttrResolver& resolver,
   SolveScratch scratch;
   IntervalSet out;
   PULSE_RETURN_IF_ERROR(
-      SolveInto(resolver, domain, method, &scratch, nullptr, &out));
+      SolveInto(resolver, domain, method, &scratch, &out));
   return out;
 }
 
 Status Predicate::SolveInto(const AttrResolver& resolver,
                             const Interval& domain, RootMethod method,
-                            SolveScratch* scratch, SolveCache* cache,
-                            IntervalSet* out) const {
+                            SolveScratch* scratch, IntervalSet* out) const {
   switch (kind_) {
     case Kind::kComparison: {
       PULSE_ASSIGN_OR_RETURN(DifferenceEquation row,
                              BuildRow(term_, resolver));
-      if (cache != nullptr &&
-          cache->Lookup(row.diff, row.op, domain, method, out)) {
-        return Status::OK();
-      }
       SolveComparisonInto(row.diff, row.op, domain, method, &scratch->roots,
                           out);
-      if (cache != nullptr) {
-        cache->Insert(row.diff, row.op, domain, method, *out);
-      }
       return Status::OK();
     }
     case Kind::kAnd: {
@@ -180,7 +171,7 @@ Status Predicate::SolveInto(const AttrResolver& resolver,
       IntervalSet sub;
       for (const Predicate& c : children_) {
         PULSE_RETURN_IF_ERROR(
-            c.SolveInto(resolver, domain, method, scratch, cache, &sub));
+            c.SolveInto(resolver, domain, method, scratch, &sub));
         out->IntersectWith(sub, &scratch->roots.interval_scratch);
         if (out->IsEmpty()) break;
       }
@@ -191,15 +182,15 @@ Status Predicate::SolveInto(const AttrResolver& resolver,
       IntervalSet sub;
       for (const Predicate& c : children_) {
         PULSE_RETURN_IF_ERROR(
-            c.SolveInto(resolver, domain, method, scratch, cache, &sub));
+            c.SolveInto(resolver, domain, method, scratch, &sub));
         out->UnionWith(sub);
       }
       return Status::OK();
     }
     case Kind::kNot: {
       IntervalSet sub;
-      PULSE_RETURN_IF_ERROR(children_[0].SolveInto(resolver, domain, method,
-                                                   scratch, cache, &sub));
+      PULSE_RETURN_IF_ERROR(
+          children_[0].SolveInto(resolver, domain, method, scratch, &sub));
       sub.ComplementInto(domain, out);
       return Status::OK();
     }

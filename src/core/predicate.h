@@ -14,7 +14,6 @@
 
 namespace pulse {
 
-class SolveCache;
 
 /// Which input of an operator an attribute reference addresses. Unary
 /// operators use kLeft only; joins use both ("R.x" vs "S.x").
@@ -135,12 +134,10 @@ class Predicate {
                             const Interval& domain,
                             RootMethod method = RootMethod::kAuto) const;
 
-  /// Scratch/cache form of Solve: writes into *out, reusing scratch
-  /// buffers; leaf comparison solves consult `cache` when non-null (see
-  /// SolveCache — with exact keys the output is bit-identical).
+  /// Scratch form of Solve: writes into *out, reusing scratch buffers.
   Status SolveInto(const AttrResolver& resolver, const Interval& domain,
                    RootMethod method, SolveScratch* scratch,
-                   SolveCache* cache, IntervalSet* out) const;
+                   IntervalSet* out) const;
 
   /// Collects every attribute reference in the tree (the inversion
   /// machinery's "inferences": attributes constrained by predicates,

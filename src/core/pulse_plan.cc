@@ -97,18 +97,6 @@ Result<PulseExecutor> PulseExecutor::Make(PulsePlan plan) {
   return exec;
 }
 
-void PulseExecutor::set_thread_pool(ThreadPool* pool) {
-  for (PulsePlan::NodeId id = 0; id < plan_.num_nodes(); ++id) {
-    plan_.node(id)->set_thread_pool(pool);
-  }
-}
-
-void PulseExecutor::set_solve_cache(SolveCache* cache) {
-  for (PulsePlan::NodeId id = 0; id < plan_.num_nodes(); ++id) {
-    plan_.node(id)->set_solve_cache(cache);
-  }
-}
-
 void PulseExecutor::set_metrics_registry(obs::MetricsRegistry* registry) {
   registry_ = registry;
   views_ = obs::ViewGroup();  // drop any previous binding

@@ -77,22 +77,12 @@ class PulseExecutor {
   }
   void set_discard_output(bool discard) { discard_output_ = discard; }
 
-  /// Installs `pool` (nullptr = serial) on every operator in the plan so
-  /// fan-out-capable operators shard their solves across it. The pool
-  /// must outlive the executor's last Push/Finish call.
-  void set_thread_pool(ThreadPool* pool);
-
-  /// Installs `cache` (nullptr = uncached) on every operator in the plan
-  /// so selective operators memoize row solves. The cache must outlive
-  /// the executor's last Push/Finish call.
-  void set_solve_cache(SolveCache* cache);
-
   /// Publishes every operator's counters into `registry` under the
   /// unified op/<name>/... naming scheme (docs/OBSERVABILITY.md) and
   /// enables per-operator Process latency histograms
-  /// (op/<name>/process_ns). The registry must outlive the executor
-  /// (same rule as the pool and cache); the views this call binds are
-  /// released by the executor's destruction. Pass nullptr to detach.
+  /// (op/<name>/process_ns). The registry must outlive the executor;
+  /// the views this call binds are released by the executor's
+  /// destruction. Pass nullptr to detach.
   void set_metrics_registry(obs::MetricsRegistry* registry);
   obs::MetricsRegistry* metrics_registry() const { return registry_; }
 

@@ -87,14 +87,6 @@ Result<PredictiveRuntime> PredictiveRuntime::Make(const QuerySpec& spec,
   PULSE_ASSIGN_OR_RETURN(PulseExecutor exec,
                          PulseExecutor::Make(std::move(transformed.plan)));
   rt.executor_ = std::make_unique<PulseExecutor>(std::move(exec));
-  if (rt.options_.parallel.num_threads > 1) {
-    rt.pool_ = std::make_unique<ThreadPool>(rt.options_.parallel.num_threads);
-    rt.executor_->set_thread_pool(rt.pool_.get());
-  }
-  if (rt.options_.solve_cache.has_value()) {
-    rt.solve_cache_ = std::make_unique<SolveCache>(*rt.options_.solve_cache);
-    rt.executor_->set_solve_cache(rt.solve_cache_.get());
-  }
   if (rt.options_.metrics != nullptr) {
     rt.metrics_ = rt.options_.metrics;
   } else {
@@ -142,28 +134,6 @@ void PredictiveRuntime::BindRuntimeCounters() {
   c_output_segments_ = metrics_->GetCounter("runtime/output_segments");
   c_output_tuples_ = metrics_->GetCounter("runtime/output_tuples");
   c_inversions_ = metrics_->GetCounter("runtime/inversions");
-  c_tasks_spawned_ = metrics_->GetCounter("runtime/tasks_spawned");
-  c_parallel_cpu_ns_ = metrics_->GetCounter("runtime/parallel_solve_cpu_ns");
-  c_parallel_wall_ns_ =
-      metrics_->GetCounter("runtime/parallel_solve_wall_ns");
-  c_cache_hits_ = metrics_->GetCounter("solve_cache/hits");
-  c_cache_misses_ = metrics_->GetCounter("solve_cache/misses");
-  c_cache_lookups_ = metrics_->GetCounter("solve_cache/lookups");
-  c_cache_uncacheable_ = metrics_->GetCounter("solve_cache/uncacheable");
-}
-
-void PredictiveRuntime::SyncParallelStats() {
-  if (pool_ != nullptr) {
-    c_tasks_spawned_->Store(pool_->tasks_spawned());
-    c_parallel_cpu_ns_->Store(pool_->parallel_cpu_ns());
-    c_parallel_wall_ns_->Store(pool_->parallel_wall_ns());
-  }
-  if (solve_cache_ != nullptr) {
-    c_cache_hits_->Store(solve_cache_->hits());
-    c_cache_misses_->Store(solve_cache_->misses());
-    c_cache_lookups_->Store(solve_cache_->lookups());
-    c_cache_uncacheable_->Store(solve_cache_->uncacheable());
-  }
 }
 
 RuntimeStats PredictiveRuntime::stats() const {
@@ -175,17 +145,6 @@ RuntimeStats PredictiveRuntime::stats() const {
   s.output_segments = c_output_segments_->value();
   s.output_tuples = c_output_tuples_->value();
   s.inversions = c_inversions_->value();
-  if (pool_ != nullptr) {
-    s.tasks_spawned = pool_->tasks_spawned();
-    s.parallel_solve_cpu_ns = pool_->parallel_cpu_ns();
-    s.parallel_solve_wall_ns = pool_->parallel_wall_ns();
-  }
-  if (solve_cache_ != nullptr) {
-    s.solve_cache_hits = solve_cache_->hits();
-    s.solve_cache_misses = solve_cache_->misses();
-    s.solve_cache_lookups = solve_cache_->lookups();
-    s.solve_cache_uncacheable = solve_cache_->uncacheable();
-  }
   return s;
 }
 
@@ -407,7 +366,6 @@ Status PredictiveRuntime::ProcessTuple(const std::string& stream,
         executor_->PushSegment(stream, std::move(segment)));
   }
   c_segments_pushed_->Increment();
-  SyncParallelStats();
   std::vector<Segment> outputs = executor_->TakeOutput();
   const bool produced = !outputs.empty();
   PULSE_RETURN_IF_ERROR(HandleOutputs(std::move(outputs)));
@@ -442,7 +400,6 @@ Status PredictiveRuntime::Finish() {
     obs::ScopedMetricsRegistry scoped(metrics_);
     PULSE_RETURN_IF_ERROR(executor_->Finish());
   }
-  SyncParallelStats();
   return HandleOutputs(executor_->TakeOutput());
 }
 
@@ -660,18 +617,6 @@ Result<HistoricalRuntime> HistoricalRuntime::Make(const QuerySpec& spec,
                          PulseExecutor::Make(std::move(transformed.plan)));
   rt.executor_ = std::make_unique<PulseExecutor>(std::move(exec));
   rt.executor_->set_discard_output(!rt.options_.collect_outputs);
-  if (rt.options_.parallel.num_threads > 1) {
-    rt.pool_ = std::make_unique<ThreadPool>(rt.options_.parallel.num_threads);
-    rt.executor_->set_thread_pool(rt.pool_.get());
-  }
-  if (rt.options_.shared_solve_cache != nullptr) {
-    rt.cache_ = rt.options_.shared_solve_cache;
-    rt.executor_->set_solve_cache(rt.cache_);
-  } else if (rt.options_.solve_cache.has_value()) {
-    rt.solve_cache_ = std::make_unique<SolveCache>(*rt.options_.solve_cache);
-    rt.cache_ = rt.solve_cache_.get();
-    rt.executor_->set_solve_cache(rt.cache_);
-  }
   if (rt.options_.metrics != nullptr) {
     rt.metrics_ = rt.options_.metrics;
   } else {
@@ -736,28 +681,6 @@ void HistoricalRuntime::BindRuntimeCounters() {
   c_tuples_in_ = metrics_->GetCounter("runtime/tuples_in");
   c_segments_pushed_ = metrics_->GetCounter("runtime/segments_pushed");
   c_output_segments_ = metrics_->GetCounter("runtime/output_segments");
-  c_tasks_spawned_ = metrics_->GetCounter("runtime/tasks_spawned");
-  c_parallel_cpu_ns_ = metrics_->GetCounter("runtime/parallel_solve_cpu_ns");
-  c_parallel_wall_ns_ =
-      metrics_->GetCounter("runtime/parallel_solve_wall_ns");
-  c_cache_hits_ = metrics_->GetCounter("solve_cache/hits");
-  c_cache_misses_ = metrics_->GetCounter("solve_cache/misses");
-  c_cache_lookups_ = metrics_->GetCounter("solve_cache/lookups");
-  c_cache_uncacheable_ = metrics_->GetCounter("solve_cache/uncacheable");
-}
-
-void HistoricalRuntime::SyncParallelStats() {
-  if (pool_ != nullptr) {
-    c_tasks_spawned_->Store(pool_->tasks_spawned());
-    c_parallel_cpu_ns_->Store(pool_->parallel_cpu_ns());
-    c_parallel_wall_ns_->Store(pool_->parallel_wall_ns());
-  }
-  if (cache_ != nullptr) {
-    c_cache_hits_->Store(cache_->hits());
-    c_cache_misses_->Store(cache_->misses());
-    c_cache_lookups_->Store(cache_->lookups());
-    c_cache_uncacheable_->Store(cache_->uncacheable());
-  }
 }
 
 RuntimeStats HistoricalRuntime::stats() const {
@@ -765,17 +688,6 @@ RuntimeStats HistoricalRuntime::stats() const {
   s.tuples_in = c_tuples_in_->value();
   s.segments_pushed = c_segments_pushed_->value();
   s.output_segments = c_output_segments_->value();
-  if (pool_ != nullptr) {
-    s.tasks_spawned = pool_->tasks_spawned();
-    s.parallel_solve_cpu_ns = pool_->parallel_cpu_ns();
-    s.parallel_solve_wall_ns = pool_->parallel_wall_ns();
-  }
-  if (cache_ != nullptr) {
-    s.solve_cache_hits = cache_->hits();
-    s.solve_cache_misses = cache_->misses();
-    s.solve_cache_lookups = cache_->lookups();
-    s.solve_cache_uncacheable = cache_->uncacheable();
-  }
   return s;
 }
 
@@ -801,7 +713,6 @@ Status HistoricalRuntime::ProcessSegment(const std::string& stream,
       options_.output_observer(out[i]);
     }
   }
-  SyncParallelStats();
   return Status::OK();
 }
 
@@ -838,7 +749,6 @@ Status HistoricalRuntime::Finish() {
       options_.output_observer(out[i]);
     }
   }
-  SyncParallelStats();
   return Status::OK();
 }
 

@@ -13,7 +13,6 @@
 #include "core/pulse_plan.h"
 #include "core/query.h"
 #include "core/sampler.h"
-#include "core/solve_cache.h"
 #include "core/transform.h"
 #include "core/validation/bounds.h"
 #include "core/validation/inversion.h"
@@ -23,27 +22,14 @@
 #include "model/segmentation.h"
 #include "obs/metrics.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace pulse {
 
-/// Degree of parallelism for equation-system solving. Work units are the
-/// independent solves of one push — join segment-pairs and group-by
-/// shards (see docs/CONCURRENCY.md for the full threading model).
-struct ParallelOptions {
-  /// Total solver threads, counting the thread that pushes tuples. The
-  /// default 1 creates no pool and is byte-identical to the serial
-  /// engine; n > 1 spawns n-1 workers shared by every operator in the
-  /// plan.
-  size_t num_threads = 1;
-};
-
-/// End-to-end counters for a runtime session. Since the observability
-/// rework this is a point-in-time VIEW assembled by stats() from the
-/// runtime's MetricsRegistry handles plus the pool/cache counters — a
+/// End-to-end counters for a runtime session: a point-in-time VIEW
+/// assembled by stats() from the runtime's MetricsRegistry handles — a
 /// plain value, safe to keep after the runtime is gone. The authoritative
 /// counters live in the registry under the names documented in
-/// docs/OBSERVABILITY.md (runtime/..., solve_cache/..., op/...).
+/// docs/OBSERVABILITY.md (runtime/..., op/...).
 struct RuntimeStats {
   uint64_t tuples_in = 0;
   /// Tuples explained by the current model within bounds/slack — dropped
@@ -55,21 +41,6 @@ struct RuntimeStats {
   uint64_t output_segments = 0;
   uint64_t output_tuples = 0;
   uint64_t inversions = 0;
-  /// Worker tasks handed to the solver thread pool (0 when serial).
-  uint64_t tasks_spawned = 0;
-  /// Nanoseconds summed over every parallel fan-out's full span. Nested
-  /// and concurrent fan-outs each contribute their whole duration, so
-  /// this behaves like CPU time and can exceed wall time.
-  uint64_t parallel_solve_cpu_ns = 0;
-  /// Wall-clock nanoseconds during which at least one parallel fan-out
-  /// was active. Always <= parallel_solve_cpu_ns.
-  uint64_t parallel_solve_wall_ns = 0;
-  /// Solve-cache traffic (all 0 when the cache is disabled). Invariant:
-  /// hits + misses + uncacheable == lookups at any quiescent point.
-  uint64_t solve_cache_hits = 0;
-  uint64_t solve_cache_misses = 0;
-  uint64_t solve_cache_lookups = 0;
-  uint64_t solve_cache_uncacheable = 0;
 };
 
 /// Online predictive processing (paper Section II-A): models of unseen
@@ -88,14 +59,6 @@ class PredictiveRuntime {
     double sample_rate = 0.0;
     /// Retain output segments/tuples in memory (disable for long runs).
     bool collect_outputs = true;
-    /// Solver fan-out; default is serial execution.
-    ParallelOptions parallel;
-    /// Difference-polynomial solve memoization; nullopt disables. The
-    /// default (exact keys, min_degree = 3 so the batched closed-form
-    /// kernels own low degrees) is deterministic: output is
-    /// bit-identical to an uncached run.
-    std::optional<SolveCacheOptions> solve_cache =
-        DefaultRuntimeSolveCacheOptions();
     /// Registry all runtime/operator counters report through. Must
     /// outlive the runtime. nullptr (the default) gives the runtime a
     /// private registry, so counters from concurrent runtimes in one
@@ -120,9 +83,7 @@ class PredictiveRuntime {
   /// End of input: flush residual operator state.
   Status Finish();
 
-  /// Point-in-time view over the registry and pool/cache counters (see
-  /// RuntimeStats). Returned by value: the snapshot stays coherent while
-  /// worker threads keep counting.
+  /// Point-in-time view over the registry counters (see RuntimeStats).
   RuntimeStats stats() const;
 
   /// The registry this runtime reports through (owned unless
@@ -135,7 +96,6 @@ class PredictiveRuntime {
   const PulsePlan& plan() const { return executor_->plan(); }
   const BoundRegistry& bounds() const { return *bound_registry_; }
   const AlternatingValidator& validator() const { return *validator_; }
-  SolveCache* solve_cache() const { return solve_cache_.get(); }
 
  private:
   PredictiveRuntime() = default;
@@ -145,9 +105,6 @@ class PredictiveRuntime {
   // Inverts bounds / samples a freshly produced batch of sink outputs and
   // stores it (when collection is enabled).
   Status HandleOutputs(std::vector<Segment> outputs);
-  // Mirrors the pool's and cache's cumulative counters into the registry
-  // namespace (slow path only).
-  void SyncParallelStats();
   // Resolves the runtime/... counter handles out of metrics_.
   void BindRuntimeCounters();
 
@@ -189,14 +146,8 @@ class PredictiveRuntime {
   void RefreshMargins(const StreamState& state, Key key,
                       ActiveModel* model) const;
 
-  // Heap-allocated so the pool's address is stable across moves of the
-  // runtime (operators hold a raw pointer to it). Declared before the
-  // executor so operators never outlive the pool they point at.
-  std::unique_ptr<ThreadPool> pool_;
-  // Same lifetime rules as pool_: operators hold a raw pointer.
-  std::unique_ptr<SolveCache> solve_cache_;
-  // Declared before the executor for the same reason: the executor's
-  // view bindings must release before the registry they point into dies.
+  // Declared before the executor: the executor's view bindings must
+  // release before the registry they point into dies.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<PulseExecutor> executor_;
@@ -219,15 +170,6 @@ class PredictiveRuntime {
   obs::Counter* c_output_segments_ = nullptr;
   obs::Counter* c_output_tuples_ = nullptr;
   obs::Counter* c_inversions_ = nullptr;
-  // Mirrors of the pool/cache cumulative counters (Store()d by
-  // SyncParallelStats so snapshots and exporters see them).
-  obs::Counter* c_tasks_spawned_ = nullptr;
-  obs::Counter* c_parallel_cpu_ns_ = nullptr;
-  obs::Counter* c_parallel_wall_ns_ = nullptr;
-  obs::Counter* c_cache_hits_ = nullptr;
-  obs::Counter* c_cache_misses_ = nullptr;
-  obs::Counter* c_cache_lookups_ = nullptr;
-  obs::Counter* c_cache_uncacheable_ = nullptr;
 };
 
 /// Joint multi-attribute online segmentation: one piece breaks when ANY
@@ -311,23 +253,6 @@ class HistoricalRuntime {
     SegmentationOptions segmentation;
     double sample_rate = 0.0;
     bool collect_outputs = true;
-    /// Solver fan-out; default is serial execution.
-    ParallelOptions parallel;
-    /// Difference-polynomial solve memoization; nullopt disables. Replay
-    /// runs (ProcessSegment over a previously fitted trace) hit the cache
-    /// heavily — identical difference polynomials recur across what-if
-    /// variants of one model set. Low-degree rows are excluded by the
-    /// default min_degree = 3: the batched closed forms resolve them
-    /// faster than a hit (docs/PERFORMANCE.md "replay_cached anomaly").
-    std::optional<SolveCacheOptions> solve_cache =
-        DefaultRuntimeSolveCacheOptions();
-    /// Externally owned cache used INSTEAD of creating one from
-    /// `solve_cache` (which is then ignored). Must outlive the runtime.
-    /// This is how every client runtime on one shard shares the shard's
-    /// cache (docs/SHARDING.md): with exact keys (quantum == 0) a hit
-    /// replays precisely the solution an owned cache would have
-    /// computed, so sharing never changes any client's answers.
-    SolveCache* shared_solve_cache = nullptr;
     /// Registry all runtime/operator counters report through. Must
     /// outlive the runtime. nullptr (the default) gives the runtime a
     /// private registry, so counters from concurrent runtimes in one
@@ -360,8 +285,7 @@ class HistoricalRuntime {
 
   Status Finish();
 
-  /// Point-in-time view over the registry and pool/cache counters (see
-  /// RuntimeStats).
+  /// Point-in-time view over the registry counters (see RuntimeStats).
   RuntimeStats stats() const;
 
   /// The registry this runtime reports through (owned unless
@@ -370,8 +294,6 @@ class HistoricalRuntime {
 
   std::vector<Segment> TakeOutputSegments();
   const PulsePlan& plan() const { return executor_->plan(); }
-  /// The cache in use: owned, or Options::shared_solve_cache.
-  SolveCache* solve_cache() const { return cache_; }
 
  private:
   HistoricalRuntime() = default;
@@ -382,14 +304,8 @@ class HistoricalRuntime {
   /// finish tail, observed only after the canonical sort.
   bool finishing_ = false;
   MultiAttributeSegmenter* FindSegmenter(const std::string& name);
-  void SyncParallelStats();
   void BindRuntimeCounters();
 
-  // Declared before the executor: see PredictiveRuntime::pool_.
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<SolveCache> solve_cache_;
-  // Active cache: solve_cache_.get() or Options::shared_solve_cache.
-  SolveCache* cache_ = nullptr;
   // Declared before the executor: its view bindings must release before
   // the registry they point into dies.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
@@ -403,15 +319,6 @@ class HistoricalRuntime {
   obs::Counter* c_tuples_in_ = nullptr;
   obs::Counter* c_segments_pushed_ = nullptr;
   obs::Counter* c_output_segments_ = nullptr;
-  // Mirrors of the pool/cache cumulative counters (Store()d by
-  // SyncParallelStats so snapshots and exporters see them).
-  obs::Counter* c_tasks_spawned_ = nullptr;
-  obs::Counter* c_parallel_cpu_ns_ = nullptr;
-  obs::Counter* c_parallel_wall_ns_ = nullptr;
-  obs::Counter* c_cache_hits_ = nullptr;
-  obs::Counter* c_cache_misses_ = nullptr;
-  obs::Counter* c_cache_lookups_ = nullptr;
-  obs::Counter* c_cache_uncacheable_ = nullptr;
 };
 
 }  // namespace pulse

@@ -26,7 +26,7 @@ struct BatchKernels {
   const char* name;
 
   /// SoA Horner: out[i] = p_i(t[i]) where p_i has coefficient columns
-  /// c[0..degree], degree <= 7 (the solver's cacheable-coefficient cap).
+  /// c[0..degree], degree <= 7 (the polynomials' inline-coefficient cap).
   /// The recurrence is pinned to Polynomial::Evaluate (acc = 0.0; top
   /// coefficient downwards: acc = acc * t + c[j][i]) — the leading
   /// 0.0 * t step matters for t = ±inf.

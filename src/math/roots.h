@@ -41,8 +41,8 @@ inline constexpr double kRootTolerance = 1e-10;
 /// Caller-provided scratch for the root-finding / comparison-solving hot
 /// path. All temporary buffers (Sturm chain, root lists, sign-test cells)
 /// live here so repeated solves reuse warm storage instead of allocating
-/// (docs/PERFORMANCE.md). A scratch is single-threaded state: parallel
-/// solvers keep one per worker (thread_local in SolveSystems).
+/// (docs/PERFORMANCE.md). A scratch is single-threaded state: solvers
+/// keep one per thread (thread_local in SolveSystemsInto).
 struct RootScratch {
   // Reused Sturm chain; entries beyond the current chain keep their
   // coefficient buffers warm.

@@ -28,10 +28,10 @@ inline constexpr bool kMetricsEnabled = true;
 #endif
 
 /// Monotonic counter. The hot path is one relaxed fetch_add — safe and
-/// truthful when operators fan out across the ThreadPool (same contract
-/// as RelaxedCounter, see util/atomic_counter.h). Store() exists for
-/// mirroring cumulative counts maintained elsewhere (ThreadPool,
-/// SolveCache) into the registry namespace.
+/// truthful when exporters read it from other threads (same contract as
+/// RelaxedCounter, see util/atomic_counter.h). Store() exists for
+/// mirroring cumulative counts maintained elsewhere (registry roll-ups,
+/// the adaptive-precision accounting) into the registry namespace.
 class Counter {
  public:
   void Add(uint64_t delta) {
@@ -202,7 +202,7 @@ class ViewGroup {
 /// differential harness asserts behavioral invariants on these names.
 ///
 /// Lifetime: a registry must outlive every component holding handles
-/// into it (the ThreadPool/SolveCache convention). View metrics are the
+/// into it. View metrics are the
 /// reverse direction — the registry reads counters owned by shorter-
 /// lived components — and are therefore bound through ViewGroup, whose
 /// destructor unregisters them.

@@ -12,7 +12,7 @@ namespace pulse {
 /// Per-operator counters for the discrete (tuple-at-a-time) realization,
 /// used by the benchmark harness to report the paper's processing-cost
 /// and throughput series. Counters are relaxed atomics so they stay
-/// truthful if an operator is ever driven from a ThreadPool shard (see
+/// truthful while exporters read them from other threads (see
 /// docs/CONCURRENCY.md).
 struct OperatorMetrics {
   RelaxedCounter tuples_in = 0;
@@ -36,8 +36,8 @@ struct OperatorMetrics {
 /// Counters for a continuous-time operator. `solves` counts equation-
 /// system executions — the quantity Pulse's validation machinery works to
 /// minimize ("the solver executes infrequently and only in the presence
-/// of errors", paper abstract). Counters are relaxed atomics so the
-/// bench harness stays truthful when solves fan out across a ThreadPool.
+/// of errors", paper abstract). Counters are relaxed atomics so exporters
+/// on other threads read them without a data race.
 struct PulseOperatorMetrics {
   RelaxedCounter segments_in = 0;
   RelaxedCounter segments_out = 0;

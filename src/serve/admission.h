@@ -96,7 +96,7 @@ class AdmissionController {
 /// *below* the load-shed controller: its watermarks trigger earlier
 /// (widen at 0.60 of queue capacity vs shed at 0.90), so under rising
 /// pressure the system first trades accuracy for throughput — cheaper
-/// segments, more solve-cache hits, provisional answers — and sheds
+/// segments, fewer solves, provisional answers — and sheds
 /// tuples only when the widest budget still cannot keep up.
 struct PrecisionOptions {
   /// Master switch. Off = static precision: the session never defers,

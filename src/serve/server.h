@@ -27,9 +27,8 @@ struct ServerOptions {
   /// pool's per-shard runtimes (docs/SHARDING.md), so a client's keys
   /// stay isolated without a dedicated runtime per session.
   QuerySpec spec;
-  /// Template for the pool's per-shard client runtimes. `metrics` and
-  /// `shared_solve_cache` are overridden per shard (see
-  /// shard::ShardPoolOptions).
+  /// Template for the pool's per-shard client runtimes. `metrics` is
+  /// overridden per shard (see shard::ShardPoolOptions).
   HistoricalRuntime::Options runtime;
   SessionOptions session;
   /// Shard (worker thread) count for the shared pool. 0 means auto:

@@ -51,15 +51,6 @@ Result<std::unique_ptr<ShardPool>> ShardPool::Make(const QuerySpec& spec,
     pool->metrics_ = pool->owned_metrics_.get();
   }
 
-  // Cross-client cache sharing is only sound with exact keys: a
-  // quantized hit may replay a *nearby* system's solution, and leaking
-  // those across clients would make one client's answers depend on
-  // another's traffic.
-  const bool share_cache =
-      pool->options_.runtime.solve_cache.has_value() &&
-      pool->options_.runtime.solve_cache->quantum == 0.0 &&
-      pool->options_.runtime.shared_solve_cache == nullptr;
-
   for (size_t i = 0; i < effective; ++i) {
     auto s = std::make_unique<Shard>();
     s->queue =
@@ -67,10 +58,6 @@ Result<std::unique_ptr<ShardPool>> ShardPool::Make(const QuerySpec& spec,
     s->registry = std::make_unique<obs::MetricsRegistry>();
     s->c_records = s->registry->GetCounter("shard/exchange/records");
     s->c_tuples = s->registry->GetCounter("shard/exchange/tuples");
-    if (share_cache) {
-      s->cache =
-          std::make_unique<SolveCache>(*pool->options_.runtime.solve_cache);
-    }
     pool->shards_.push_back(std::move(s));
   }
   for (size_t i = 0; i < pool->shards_.size(); ++i) {
@@ -108,9 +95,6 @@ Result<std::unique_ptr<ShardClient>> ShardPool::AddClient() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     HistoricalRuntime::Options rt = options_.runtime;
     rt.metrics = shards_[i]->registry.get();
-    if (shards_[i]->cache != nullptr) {
-      rt.shared_solve_cache = shards_[i]->cache.get();
-    }
     PULSE_ASSIGN_OR_RETURN(HistoricalRuntime runtime,
                            HistoricalRuntime::Make(spec_, std::move(rt)));
     state->runtimes.push_back(
@@ -446,28 +430,6 @@ std::vector<Segment> ShardClient::TakeOutputSegments() {
   std::vector<Segment> out = std::move(state_->ready);
   state_->ready.clear();
   return out;
-}
-
-RuntimeStats ShardClient::stats() const {
-  RuntimeStats sum;
-  for (const auto& runtime : state_->runtimes) {
-    const RuntimeStats s = runtime->stats();
-    sum.tuples_in += s.tuples_in;
-    sum.tuples_validated += s.tuples_validated;
-    sum.violations += s.violations;
-    sum.segments_pushed += s.segments_pushed;
-    sum.output_segments += s.output_segments;
-    sum.output_tuples += s.output_tuples;
-    sum.inversions += s.inversions;
-    sum.tasks_spawned += s.tasks_spawned;
-    sum.parallel_solve_cpu_ns += s.parallel_solve_cpu_ns;
-    sum.parallel_solve_wall_ns += s.parallel_solve_wall_ns;
-    sum.solve_cache_hits += s.solve_cache_hits;
-    sum.solve_cache_misses += s.solve_cache_misses;
-    sum.solve_cache_lookups += s.solve_cache_lookups;
-    sum.solve_cache_uncacheable += s.solve_cache_uncacheable;
-  }
-  return sum;
 }
 
 }  // namespace shard

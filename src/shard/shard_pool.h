@@ -13,7 +13,6 @@
 
 #include "core/query.h"
 #include "core/runtime.h"
-#include "core/solve_cache.h"
 #include "obs/metrics.h"
 #include "serve/ingest_queue.h"  // serve::WorkSignal
 #include "shard/exchange.h"
@@ -78,11 +77,8 @@ struct ShardPoolOptions {
   /// engine). A call's part larger than the whole capacity is still
   /// admitted into an empty queue.
   size_t exchange_capacity = 256;
-  /// Template for every client runtime the pool creates. `metrics` and
-  /// `shared_solve_cache` are overridden per shard; `solve_cache` (the
-  /// cache geometry) configures each shard's shared cache. A nonzero
-  /// quantum disables cross-client cache sharing — quantized hits could
-  /// leak one client's solutions into another's answers.
+  /// Template for every client runtime the pool creates. `metrics` is
+  /// overridden per shard.
   HistoricalRuntime::Options runtime;
   /// Registry the pool's SyncMetrics publishes into: per-shard mirrors
   /// under `shard/<i>/...` plus merged rollups under the plain names.
@@ -94,12 +90,12 @@ struct ShardPoolOptions {
 };
 
 /// Key-partitioned shard-per-core engine (docs/SHARDING.md): N worker
-/// threads, each owning one shard — a MetricsRegistry, a SolveCache,
-/// and, per client, a HistoricalRuntime holding exactly the keys the
-/// ShardRouter maps to that shard. Producers (ShardClient routers)
-/// send one ExchangeRecord per (call, shard) over a tuple-bounded
-/// ExchangeQueue per shard; workers never block on output, so a full
-/// exchange queue surfaces as producer backpressure, never deadlock.
+/// threads, each owning one shard — a MetricsRegistry and, per client,
+/// a HistoricalRuntime holding exactly the keys the ShardRouter maps to
+/// that shard. Producers (ShardClient routers) send one ExchangeRecord
+/// per (call, shard) over a tuple-bounded ExchangeQueue per shard;
+/// workers never block on output, so a full exchange queue surfaces as
+/// producer backpressure, never deadlock.
 ///
 /// Determinism contract: for a partitionable plan (AnalyzePartition-
 /// ability), a client's output is byte-identical for every num_shards,
@@ -118,7 +114,7 @@ class ShardPool {
   ShardPool& operator=(const ShardPool&) = delete;
 
   /// Registers a new client: builds its per-shard runtimes (sharing the
-  /// shard's cache and registry) and returns the routing handle. Every
+  /// shard's registry) and returns the routing handle. Every
   /// client must be destroyed before the pool.
   Result<std::unique_ptr<ShardClient>> AddClient();
 
@@ -133,7 +129,7 @@ class ShardPool {
   /// The pool-level registry (mirrors + rollups target).
   obs::MetricsRegistry* metrics() const { return metrics_; }
   /// Shard `i`'s own registry (every client runtime on that shard
-  /// reports here).
+  /// reports here, so its runtime/* counters sum over all clients).
   obs::MetricsRegistry* shard_metrics(size_t i) const;
 
   /// Publishes per-shard registries into metrics() as `shard/<i>/...`
@@ -154,7 +150,6 @@ class ShardPool {
     obs::Counter* c_tuples = nullptr;
     /// Worker-only scratch each record's tuples are rebuilt into.
     Tuple tuple;
-    std::unique_ptr<SolveCache> cache;  // null when sharing is off
     std::thread worker;
   };
 
@@ -232,9 +227,6 @@ class ShardClient {
   /// finish merge) is complete. Safe to call while shards are still
   /// working — later outputs simply show up on a later call.
   std::vector<Segment> TakeOutputSegments();
-
-  /// Sums over this client's per-shard runtimes.
-  RuntimeStats stats() const;
 
   /// Drops this client's queued work: shard workers skip records of an
   /// aborted client (but still complete them, so Barrier returns).

@@ -19,5 +19,21 @@ Result<ShardedRuntime> ShardedRuntime::Make(const QuerySpec& spec,
   return rt;
 }
 
+RuntimeStats ShardedRuntime::stats() const {
+  // A shard registry sums the counters of every client on that shard.
+  // This pool is private and has exactly one client, so the per-shard
+  // sums are exactly this runtime's counts.
+  RuntimeStats sum;
+  for (size_t i = 0; i < pool_->num_shards(); ++i) {
+    obs::MetricsRegistry* registry = pool_->shard_metrics(i);
+    sum.tuples_in += registry->GetCounter("runtime/tuples_in")->value();
+    sum.segments_pushed +=
+        registry->GetCounter("runtime/segments_pushed")->value();
+    sum.output_segments +=
+        registry->GetCounter("runtime/output_segments")->value();
+  }
+  return sum;
+}
+
 }  // namespace shard
 }  // namespace pulse

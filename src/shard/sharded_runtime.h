@@ -63,8 +63,8 @@ class ShardedRuntime {
     return client_->TakeOutputSegments();
   }
 
-  /// Summed over shards; refreshed rollups land in metrics().
-  RuntimeStats stats() const { return client_->stats(); }
+  /// The runtime/* counters summed over the per-shard registries.
+  RuntimeStats stats() const;
 
   /// Pool-level registry. Call SyncMetrics() first for fresh mirrors.
   obs::MetricsRegistry* metrics() const { return pool_->metrics(); }

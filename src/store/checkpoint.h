@@ -9,7 +9,7 @@
 namespace pulse {
 namespace store {
 
-/// Runtime checkpoint (docs/STORAGE.md). Solver caches, envelopes, and
+/// Runtime checkpoint (docs/STORAGE.md). Join buffers, envelopes, and
 /// segmenter state are all rebuildable by deterministic replay of the
 /// log, so the checkpoint carries only what replay cannot reconstruct:
 /// how much of the log had been applied and which outputs had already

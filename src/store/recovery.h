@@ -15,7 +15,7 @@ namespace store {
 
 /// Runtime restoration (docs/STORAGE.md): reopen the store, replay the
 /// consistent log prefix into a fresh runtime — deterministic replay
-/// reconstructs solver caches, envelopes, and segmenter state exactly —
+/// reconstructs join buffers, envelopes, and segmenter state exactly —
 /// then verify the replayed output prefix against the checkpoint's
 /// canonical hash and suppress the outputs a client already saw.
 

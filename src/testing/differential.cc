@@ -217,15 +217,11 @@ SegmentFeed MakeSegmentFeed(const GeneratedCase& kase) {
 struct PulseRun {
   std::vector<Segment> segments;
   obs::MetricsSnapshot metrics;
-  RuntimeStats stats;
 };
 
-Result<PulseRun> RunPulse(const GeneratedCase& kase, const SegmentFeed& feed,
-                          size_t num_threads, bool cache) {
+Result<PulseRun> RunPulse(const GeneratedCase& kase, const SegmentFeed& feed) {
   HistoricalRuntime::Options options;
   options.collect_outputs = true;
-  options.parallel.num_threads = num_threads;
-  if (!cache) options.solve_cache = std::nullopt;
   PULSE_ASSIGN_OR_RETURN(HistoricalRuntime rt,
                          HistoricalRuntime::Make(kase.spec, options));
   for (const auto& [stream_idx, segment] : feed.items) {
@@ -236,7 +232,6 @@ Result<PulseRun> RunPulse(const GeneratedCase& kase, const SegmentFeed& feed,
   PulseRun run;
   run.segments = rt.TakeOutputSegments();
   run.metrics = rt.metrics()->Snapshot();
-  run.stats = rt.stats();
   return run;
 }
 
@@ -248,13 +243,10 @@ Result<PulseRun> RunPulse(const GeneratedCase& kase, const SegmentFeed& feed,
 // (docs/SHARDING.md).
 Result<std::vector<Segment>> RunPulseSharded(const GeneratedCase& kase,
                                              const SegmentFeed& feed,
-                                             size_t num_shards,
-                                             size_t num_threads, bool cache) {
+                                             size_t num_shards) {
   shard::ShardedRuntimeOptions options;
   options.num_shards = num_shards;
   options.runtime.collect_outputs = true;
-  options.runtime.parallel.num_threads = num_threads;
-  if (!cache) options.runtime.solve_cache = std::nullopt;
   PULSE_ASSIGN_OR_RETURN(
       shard::ShardedRuntime rt,
       shard::ShardedRuntime::Make(kase.spec, std::move(options)));
@@ -557,11 +549,6 @@ std::string CompareVariant(const std::vector<Segment>& base,
 // MetricsRegistry namespace (docs/OBSERVABILITY.md), so behavioral
 // properties of the counters themselves are checkable per seed.
 
-uint64_t CounterOr0(const obs::MetricsSnapshot& s, const std::string& name) {
-  auto it = s.counters.find(name);
-  return it == s.counters.end() ? 0 : it->second;
-}
-
 // Operator names that registered the common per-operator counter subset
 // (op/<name>/in — the prefix every realization emits).
 std::set<std::string> OpNames(const obs::MetricsSnapshot& s) {
@@ -577,8 +564,8 @@ std::set<std::string> OpNames(const obs::MetricsSnapshot& s) {
 }
 
 void CheckMetricsInvariants(const DiscreteRun& discrete,
-                            const PulseRun& base, const PulseRun& parallel,
-                            DiffReport* report, Reporter* reporter) {
+                            const PulseRun& base, DiffReport* report,
+                            Reporter* reporter) {
   if (!obs::kMetricsEnabled) return;  // registry compiled out
 
   // Name parity: every Pulse plan operator must be visible in the
@@ -611,47 +598,6 @@ void CheckMetricsInvariants(const DiscreteRun& discrete,
         }
       }
     }
-  }
-
-  // Solve-cache accounting identity, both serial and parallel runs:
-  // every Lookup is a hit, a miss, or uncacheable.
-  for (const auto& [label, run] :
-       {std::pair<const char*, const PulseRun*>{"serial", &base},
-        {"parallel", &parallel}}) {
-    const uint64_t hits = CounterOr0(run->metrics, "solve_cache/hits");
-    const uint64_t misses = CounterOr0(run->metrics, "solve_cache/misses");
-    const uint64_t uncacheable =
-        CounterOr0(run->metrics, "solve_cache/uncacheable");
-    const uint64_t lookups = CounterOr0(run->metrics, "solve_cache/lookups");
-    ++report->metrics_checks;
-    if (hits + misses + uncacheable != lookups) {
-      reporter->Add(Divergence{
-          "metrics.cache_identity", 0.0, 0, label,
-          static_cast<double>(lookups),
-          static_cast<double>(hits + misses + uncacheable),
-          "hits + misses + uncacheable != lookups"});
-    }
-  }
-
-  // A single-threaded runtime must never hand work to the pool.
-  ++report->metrics_checks;
-  if (base.stats.tasks_spawned != 0 ||
-      CounterOr0(base.metrics, "runtime/tasks_spawned") != 0) {
-    reporter->Add(Divergence{
-        "metrics.serial_tasks", 0.0, 0, "runtime/tasks_spawned", 0.0,
-        static_cast<double>(base.stats.tasks_spawned),
-        "num_threads == 1 but pool tasks were spawned"});
-  }
-
-  // Busy-interval union can never exceed the per-fan-out sum.
-  ++report->metrics_checks;
-  if (parallel.stats.parallel_solve_wall_ns >
-      parallel.stats.parallel_solve_cpu_ns) {
-    reporter->Add(Divergence{
-        "metrics.wall_le_cpu", 0.0, 0, "runtime/parallel_solve_wall_ns",
-        static_cast<double>(parallel.stats.parallel_solve_cpu_ns),
-        static_cast<double>(parallel.stats.parallel_solve_wall_ns),
-        "parallel wall time exceeds accumulated cpu time"});
   }
 }
 
@@ -1193,60 +1139,25 @@ Result<DiffReport> RunDifferential(const GeneratedCase& kase,
   report.discrete_output_tuples = discrete.output.size();
 
   const SegmentFeed feed = MakeSegmentFeed(kase);
-  PULSE_ASSIGN_OR_RETURN(PulseRun base, RunPulse(kase, feed, 1, true));
+  PULSE_ASSIGN_OR_RETURN(PulseRun base, RunPulse(kase, feed));
   report.pulse_output_segments = base.segments.size();
 
-  // Metamorphic variants: solve cache off, parallel solver, both — each
-  // must reproduce the base run byte-identically (modulo segment ids).
-  const struct {
-    const char* name;
-    size_t threads;
-    bool cache;
-  } variants[] = {
-      {"cache_off", 1, false},
-      {"parallel", options.parallel_threads, true},
-      {"parallel_cache_off", options.parallel_threads, false},
-  };
-  PulseRun parallel;  // kept for the metrics invariants below
-  for (const auto& v : variants) {
-    PULSE_ASSIGN_OR_RETURN(PulseRun got,
-                           RunPulse(kase, feed, v.threads, v.cache));
-    const std::string mismatch = CompareVariant(base.segments, got.segments);
-    if (!mismatch.empty()) {
-      reporter.Add(Divergence{std::string("metamorphic.") + v.name, 0.0, 0,
-                              "", 0.0, 0.0, mismatch});
-    }
-    if (v.threads > 1 && v.cache) parallel = std::move(got);
-  }
-
-  // Sharded variants: threads x cache x shards grid. Byte-identity
-  // against the serial unsharded base is the determinism guarantee the
-  // whole scale-out design rests on (docs/SHARDING.md).
+  // Sharded variants: byte-identity against the unsharded base is the
+  // determinism guarantee the whole scale-out design rests on
+  // (docs/SHARDING.md).
   for (const size_t shards : options.shard_counts) {
-    const struct {
-      const char* suffix;
-      size_t threads;
-      bool cache;
-    } shard_variants[] = {
-        {"", 1, true},
-        {"_parallel_cache_off", options.parallel_threads, false},
-    };
-    for (const auto& sv : shard_variants) {
-      PULSE_ASSIGN_OR_RETURN(
-          std::vector<Segment> sharded,
-          RunPulseSharded(kase, feed, shards, sv.threads, sv.cache));
-      const std::string mismatch = CompareVariant(base.segments, sharded);
-      if (!mismatch.empty()) {
-        reporter.Add(Divergence{"metamorphic.shards" +
-                                    std::to_string(shards) + sv.suffix,
-                                0.0, 0, "", 0.0, 0.0, mismatch});
-      }
+    PULSE_ASSIGN_OR_RETURN(std::vector<Segment> sharded,
+                           RunPulseSharded(kase, feed, shards));
+    const std::string mismatch = CompareVariant(base.segments, sharded);
+    if (!mismatch.empty()) {
+      reporter.Add(Divergence{"metamorphic.shards" + std::to_string(shards),
+                              0.0, 0, "", 0.0, 0.0, mismatch});
     }
   }
 
-  // Forced-scalar variants (ISSUE 7): replaying with solver dispatch
-  // pinned to the scalar kernels — serial, parallel + cache-off, and
-  // sharded — must reproduce the SIMD-batched base run byte-identically.
+  // Forced-scalar variants: replaying with solver dispatch pinned to the
+  // scalar kernels — unsharded and sharded — must reproduce the
+  // SIMD-batched base run byte-identically.
   // This is the bit-for-bit determinism contract of the batched kernels.
   if (options.forced_scalar_variant) {
     struct ScopedScalarDispatch {
@@ -1255,30 +1166,16 @@ Result<DiffReport> RunDifferential(const GeneratedCase& kase,
       }
       ~ScopedScalarDispatch() { SetSimdOverrideForTesting(std::nullopt); }
     } scoped;
-    const struct {
-      const char* name;
-      size_t threads;
-      bool cache;
-    } scalar_variants[] = {
-        {"forced_scalar", 1, true},
-        {"forced_scalar_parallel_cache_off", options.parallel_threads,
-         false},
-    };
-    for (const auto& v : scalar_variants) {
-      PULSE_ASSIGN_OR_RETURN(PulseRun got,
-                             RunPulse(kase, feed, v.threads, v.cache));
-      const std::string mismatch =
-          CompareVariant(base.segments, got.segments);
-      if (!mismatch.empty()) {
-        reporter.Add(Divergence{std::string("metamorphic.") + v.name, 0.0,
-                                0, "", 0.0, 0.0, mismatch});
-      }
+    PULSE_ASSIGN_OR_RETURN(PulseRun got, RunPulse(kase, feed));
+    const std::string mismatch = CompareVariant(base.segments, got.segments);
+    if (!mismatch.empty()) {
+      reporter.Add(Divergence{"metamorphic.forced_scalar", 0.0, 0, "", 0.0,
+                              0.0, mismatch});
     }
     if (!options.shard_counts.empty()) {
       PULSE_ASSIGN_OR_RETURN(
           std::vector<Segment> sharded,
-          RunPulseSharded(kase, feed, options.shard_counts.front(), 1,
-                          true));
+          RunPulseSharded(kase, feed, options.shard_counts.front()));
       const std::string mismatch = CompareVariant(base.segments, sharded);
       if (!mismatch.empty()) {
         reporter.Add(Divergence{
@@ -1344,7 +1241,7 @@ Result<DiffReport> RunDifferential(const GeneratedCase& kase,
     }
   }
 
-  CheckMetricsInvariants(discrete, base, parallel, &report, &reporter);
+  CheckMetricsInvariants(discrete, base, &report, &reporter);
 
   switch (kase.sink.kind) {
     case SinkInfo::Kind::kPointwise:

@@ -15,7 +15,7 @@ namespace testing {
 /// rerunning under a debugger.
 struct Divergence {
   /// Which check fired, e.g. "pointwise.uncovered", "aggregate.value",
-  /// "metamorphic.threads4".
+  /// "metamorphic.shards2".
   std::string check;
   double time = 0.0;
   Key key = 0;
@@ -28,16 +28,11 @@ struct Divergence {
 };
 
 struct DiffOptions {
-  /// Thread count of the parallel metamorphic variants (the N in the
-  /// threads-1-vs-N comparison).
-  size_t parallel_threads = 4;
   /// Shard counts of the sharded metamorphic variants: the same segment
   /// feed replayed through the shard-per-core ShardedRuntime must be
   /// byte-identical to the serial unsharded run for every count
-  /// (docs/SHARDING.md determinism contract). Each count runs twice —
-  /// once serial-per-shard with the solve cache on, once with
-  /// parallel_threads per shard and the cache off — so the grid spans
-  /// threads x cache x shards. Empty disables the sharded variants.
+  /// (docs/SHARDING.md determinism contract). Empty disables the
+  /// sharded variants.
   std::vector<size_t> shard_counts = {2, 3};
   /// Stop collecting divergences past this count (a broken operator
   /// would otherwise report one per grid point).
@@ -58,8 +53,8 @@ struct DiffOptions {
   /// run — the crash-consistency contract of the tiered segment store.
   bool kill_restore_variant = true;
   /// Replay the feed with solver dispatch pinned to the scalar kernels
-  /// (SetSimdOverrideForTesting) — serial, parallel + cache-off, and
-  /// sharded — and require byte-identity with the SIMD-batched base run.
+  /// (SetSimdOverrideForTesting) — unsharded and sharded — and require
+  /// byte-identity with the SIMD-batched base run.
   /// This is the determinism contract of the batched kernels: vector
   /// lanes reproduce the scalar closed forms bit for bit
   /// (docs/PERFORMANCE.md, "Batched solver kernels").
@@ -77,8 +72,8 @@ struct DiffOptions {
 
 /// Result of one differential run. `ok()` means: the discrete engine and
 /// the Pulse runtime agreed everywhere the bound-aware matcher requires
-/// agreement, and all metamorphic Pulse variants (solve cache on/off,
-/// serial/parallel) produced byte-identical output.
+/// agreement, and all metamorphic Pulse variants (shards, forced-scalar,
+/// serving, precision, kill-restore) produced byte-identical output.
 struct DiffReport {
   uint64_t seed = 0;
   std::string description;
@@ -98,13 +93,12 @@ struct DiffReport {
 };
 
 /// Runs `kase` through the discrete executor (densely sampled tuples) and
-/// the Pulse runtime (exact model segments, four metamorphic variants),
-/// then matches outputs per kase.sink (see docs/TESTING.md for the oracle
-/// design and tolerance rationale). Both runs report through a
-/// MetricsRegistry, and the harness additionally checks the metrics
-/// invariants of docs/OBSERVABILITY.md: per-operator counter name parity
-/// across realizations, the solve-cache accounting identity, no pool
-/// tasks when serial, and parallel wall time <= accumulated cpu time.
+/// the Pulse runtime (exact model segments, plus the metamorphic
+/// variants of DiffOptions), then matches outputs per kase.sink (see
+/// docs/TESTING.md for the oracle design and tolerance rationale). Both
+/// runs report through a MetricsRegistry, and the harness additionally
+/// checks the metrics invariant of docs/OBSERVABILITY.md: per-operator
+/// counter name parity across realizations.
 Result<DiffReport> RunDifferential(const GeneratedCase& kase,
                                    const DiffOptions& options = {});
 

@@ -6,8 +6,8 @@
 
 namespace pulse {
 
-/// Drop-in replacement for a uint64_t statistics counter that stays
-/// truthful when operators fan work out across a ThreadPool. All
+/// Drop-in replacement for a uint64_t statistics counter that exporters
+/// may read from other threads while the owning thread counts. All
 /// operations use relaxed ordering: counters order nothing, they only
 /// have to count. Copy and assignment take value snapshots so the
 /// metrics structs keep their plain-struct semantics (Reset via

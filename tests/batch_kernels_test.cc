@@ -261,7 +261,7 @@ TEST(BatchKernelsTest, CubicRootsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: the batched SolveSystems gather step must yield interval
+// End-to-end: the batched SolveSystemsInto gather step must yield interval
 // sets bit-identical to the forced-scalar dispatch, including roots that
 // land exactly on domain endpoints.
 // ---------------------------------------------------------------------------
@@ -321,11 +321,11 @@ TEST(BatchKernelsTest, SolveSystemsBitIdenticalAcrossDispatch) {
   SetSimdOverrideForTesting(SimdLevel::kScalar);
   std::vector<IntervalSet> scalar_out;
   SolveSystemsInto(tasks.data(), tasks.size(), RootMethod::kAuto,
-                   /*pool=*/nullptr, /*cache=*/nullptr, &scalar_out);
+                   &scalar_out);
   SetSimdOverrideForTesting(std::nullopt);
   std::vector<IntervalSet> simd_out;
   SolveSystemsInto(tasks.data(), tasks.size(), RootMethod::kAuto,
-                   /*pool=*/nullptr, /*cache=*/nullptr, &simd_out);
+                   &simd_out);
 
   ASSERT_EQ(scalar_out.size(), simd_out.size());
   for (size_t i = 0; i < tasks.size(); ++i) {

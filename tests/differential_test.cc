@@ -59,8 +59,9 @@ INSTANTIATE_TEST_SUITE_P(Fixed, DifferentialSuite,
 // stream -> epoch -> filter -> distinct over bursty telemetry-mode
 // workloads). Kept separate from the Fixed battery so its seed -> case
 // mapping stays frozen too, and so every seed here exercises the new
-// operators across the full metamorphic grid (threads x cache x shards
-// x forced-scalar x serving) rather than a 2-in-7 slice of a mixed run.
+// operators across the full metamorphic grid (shards, forced-scalar,
+// serving, precision, kill-restore) rather than a 2-in-7 slice of a
+// mixed run.
 void RunTelemetrySeed(uint64_t seed) {
   PlanGenOptions gen;
   gen.archetypes = {PlanArchetype::kEpochMark,
@@ -170,18 +171,16 @@ TEST(Regression, ZeroDifferenceEqualityJoin) {
   EXPECT_GT(report->pulse_output_segments, 0u);
 }
 
-// The harness checks the docs/OBSERVABILITY.md metrics invariants on
-// every seed (op-name parity across realizations, the solve-cache
-// accounting identity, tasks_spawned == 0 when serial, wall <= cpu on
-// the parallel variant). This pins that those checks actually ran —
-// metrics_checks counts evaluated invariants, and a plan with at least
-// one operator must evaluate the four invariant families plus one
-// name-parity check per operator.
+// The harness checks the docs/OBSERVABILITY.md metrics invariant on
+// every seed: op-name parity across realizations. This pins that the
+// check actually ran — metrics_checks counts evaluated checks, and a
+// plan with at least one operator evaluates the non-empty check plus
+// one name-parity check per operator.
 TEST(MetricsInvariants, ChecksAreEvaluatedPerSeed) {
   Result<DiffReport> report = RunDifferentialSeed(1000);
   ASSERT_TRUE(report.ok()) << report.status().message();
   EXPECT_TRUE(report->ok()) << report->ToString();
-  EXPECT_GE(report->metrics_checks, 5u) << "metrics invariants were "
+  EXPECT_GE(report->metrics_checks, 2u) << "metrics invariants were "
                                            "vacuous for seed 1000";
 }
 

@@ -205,6 +205,52 @@ TEST(PulseGroupBy, InvertBoundDelegates) {
   EXPECT_FALSE(g.InvertBound(fake, "agg", 0.5, split).ok());
 }
 
+// Flush walks the groups in ascending key order and appends each
+// group's tail after whatever `out` already holds, stamped with the
+// group's key. A finalize-mode min aggregate holds its envelope pieces
+// until Flush, so every output below comes from Flush.
+TEST(PulseGroupBy, FlushEmitsGroupsInAscendingKeyOrder) {
+  PulseGroupBy g("g", [](Key) -> Result<std::unique_ptr<PulseOperator>> {
+    PulseAggregateOptions o;
+    o.fn = AggFn::kMin;
+    o.input_attribute = "v";
+    o.window_seconds = 100.0;
+    o.finalize = true;
+    return MakePulseAggregate("inner", o);
+  });
+  SegmentBatch processed;
+  for (Key key : {7, 2, 5}) {
+    // min(5, t) over [0, 10): two envelope pieces, split at t = 5.
+    ASSERT_TRUE(
+        g.Process(0, Seg(key, 0.0, 10.0, {{"v", Polynomial({5.0})}}),
+                  &processed)
+            .ok());
+    ASSERT_TRUE(
+        g.Process(0, Seg(key, 0.0, 10.0, {{"v", Polynomial({0.0, 1.0})}}),
+                  &processed)
+            .ok());
+  }
+  EXPECT_TRUE(processed.empty()) << "finalize mode emits only on Flush";
+
+  SegmentBatch out;
+  out.push_back(Seg(99, 0.0, 1.0, {{"v", Polynomial({0.0})}}));
+  ASSERT_TRUE(g.Flush(&out).ok());
+  ASSERT_EQ(out.size(), 7u);
+  EXPECT_EQ(out[0].key, 99) << "Flush must not touch earlier outputs";
+  const Key expected[] = {2, 2, 5, 5, 7, 7};
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(out[i + 1].key, expected[i]) << "output " << i;
+  }
+  // Each group's pieces: t on [0, 5), then 5 on [5, 10).
+  for (size_t i = 1; i < out.size(); i += 2) {
+    EXPECT_DOUBLE_EQ(out[i].range.lo, 0.0);
+    EXPECT_DOUBLE_EQ(out[i].range.hi, 5.0);
+    EXPECT_DOUBLE_EQ(out[i + 1].range.lo, 5.0);
+    EXPECT_DOUBLE_EQ(out[i + 1].range.hi, 10.0);
+  }
+  EXPECT_EQ(g.metrics().segments_out, 6u);
+}
+
 TEST(PulseGroupBy, FactoryFailurePropagates) {
   PulseGroupBy g("g", [](Key) -> Result<std::unique_ptr<PulseOperator>> {
     return Status::Unimplemented("nope");

@@ -529,6 +529,54 @@ TEST(ShardedRuntime, MissingKeyMidCallKeepsPrefixAndFails) {
   EXPECT_EQ(Exact(rt->TakeOutputSegments()), expected);
 }
 
+// ShardedRuntime::stats() sums the per-shard registries' runtime/*
+// counters; on one mixed feed (batched and single tuples, fitted
+// segments) it must equal the serial runtime's stats at every shard
+// count.
+TEST(ShardedRuntime, StatsMatchSerialAtEveryShardCount) {
+  const std::vector<Tuple> trace = ObjectsTrace(3000, 32, 13);
+  auto drive = [&](auto& rt) {
+    for (size_t i = 0; i < trace.size(); i += 100) {
+      EXPECT_TRUE(rt.ProcessTuples("objects", trace.data() + i, 99).ok());
+      EXPECT_TRUE(rt.ProcessTuple("objects", trace[i + 99]).ok());
+      // A key no tuple uses, so the segment never interleaves with a
+      // segmenter's own output for the same key.
+      Segment seg(static_cast<Key>(1000 + i),
+                  Interval::ClosedOpen(static_cast<double>(i),
+                                       static_cast<double>(i) + 10.0));
+      seg.set_attribute("x", Polynomial({490.0, 1.0}));
+      seg.set_attribute("y", Polynomial({0.0}));
+      EXPECT_TRUE(rt.ProcessSegment("objects", std::move(seg)).ok());
+    }
+    EXPECT_TRUE(rt.Finish().ok());
+    return rt.stats();
+  };
+
+  auto serial = HistoricalRuntime::Make(ObjectsFilterSpec(),
+                                        ObjectsRuntimeOptions());
+  ASSERT_TRUE(serial.ok()) << serial.status().message();
+  const RuntimeStats expected = drive(*serial);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(expected.tuples_in, trace.size());
+    EXPECT_GT(expected.segments_pushed, 0u);
+    EXPECT_GT(expected.output_segments, 0u);
+  }
+
+  for (size_t shards : {1u, 2u, 3u, 4u}) {
+    ShardedRuntimeOptions options;
+    options.num_shards = shards;
+    options.runtime = ObjectsRuntimeOptions();
+    auto rt = ShardedRuntime::Make(ObjectsFilterSpec(), std::move(options));
+    ASSERT_TRUE(rt.ok()) << rt.status().message();
+    const RuntimeStats got = drive(*rt);
+    EXPECT_EQ(got.tuples_in, expected.tuples_in) << shards << " shards";
+    EXPECT_EQ(got.segments_pushed, expected.segments_pushed)
+        << shards << " shards";
+    EXPECT_EQ(got.output_segments, expected.output_segments)
+        << shards << " shards";
+  }
+}
+
 // An aborted client's records are skipped but still completed, so
 // released_seq catches up and Barrier/Finish do not hang.
 TEST(ShardPool, AbortedClientStillCompletesItsCalls) {
