@@ -4,9 +4,10 @@
 // A StreamServer runs the Fig. 5-style moving-object filter query while
 // 16 concurrent in-process sessions each replay a piecewise-linear
 // trace through the full serving stack: frame codec -> admission
-// control -> per-stream bounded queues -> micro-batched dispatch into
-// the server's shared shard pool (per-client runtimes sliced across
-// shards) -> output segments framed back to the client. The same offered load is repeated once per backpressure
+// control -> the session's bounded queue (one item per frame, capacity
+// in tuples) -> dispatch of queued frame runs into the server's shared
+// shard pool (per-client runtimes sliced across shards) -> output
+// segments framed back to the client. The same offered load is repeated once per backpressure
 // policy (block / drop_oldest / shed, admission off so the queue policy
 // alone decides what happens at capacity) plus one run with the
 // admission controller shedding ahead of the queues. The rows show what

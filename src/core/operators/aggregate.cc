@@ -44,28 +44,13 @@ Status PulseMinMaxAggregate::Process(size_t port, const Segment& segment,
       state_.MergeEnvelope(Piece{segment.range, poly}, is_min_);
   for (const Interval& iv : changed.intervals()) {
     if (iv.IsPoint()) continue;  // tangency: no change of measure
-    if (options_.finalize) {
-      OverrideInsert(FinalPiece{Interval::ClosedOpen(iv.lo, iv.hi), poly,
-                                segment.key, segment});
-      continue;
-    }
-    Segment result;
-    result.id = NextSegmentId();
-    result.key = 0;  // aggregate spans all input keys
-    result.range = iv;
-    result.set_attribute(options_.output_attribute, poly);
-    // Which entity achieves the extremum (argmin/argmax witness).
-    result.unmodeled["arg_key"] = static_cast<double>(segment.key);
-    lineage_.Record(result.id, iv, {LineageEntry{0, segment}});
-    out->push_back(std::move(result));
-    ++metrics_.segments_out;
+    OverrideInsert(FinalPiece{Interval::ClosedOpen(iv.lo, iv.hi), poly,
+                              segment.key, segment});
   }
-  if (options_.finalize) {
-    // Inputs arrive ordered by range.lo, so every change going forward
-    // starts at or after this segment's lo: everything before it is
-    // settled and safe to release downstream.
-    EmitSettled(segment.range.lo, out);
-  }
+  // Inputs arrive ordered by range.lo, so every change going forward
+  // starts at or after this segment's lo: everything before it is
+  // settled and safe to release downstream.
+  EmitSettled(segment.range.lo, out);
   metrics_.state_size = state_.size();
   return Status::OK();
 }

@@ -25,18 +25,6 @@ struct PulseAggregateOptions {
   /// output rate").
   double slide_seconds = 1.0;
   RootMethod method = RootMethod::kAuto;
-  /// min/max only. By default the envelope aggregate emits every *changed*
-  /// range eagerly, which gives downstream consumers an override protocol:
-  /// a later segment replaces earlier coverage where their ranges overlap.
-  /// Operators that drop segments (filters, i.e. HAVING) cannot express
-  /// "this range was retracted", so stale passing slices of an overridden
-  /// envelope piece would leak through. With `finalize` set the aggregate
-  /// instead buffers changes and emits each envelope piece exactly once,
-  /// append-only in time order, as soon as it can no longer change — i.e.
-  /// once the input low-watermark (max range.lo seen; inputs must arrive
-  /// ordered by range.lo) has passed the piece. The tail is emitted on
-  /// Flush. Composed plans (BuildPulsePlan) always set this.
-  bool finalize = false;
 };
 
 /// Continuous-time min/max aggregate (paper Section III-B, Fig. 3 row
@@ -46,9 +34,15 @@ struct PulseAggregateOptions {
 /// (max) envelope of the input models, per Fig. 2. An arriving segment is
 /// compared against the envelope with the difference equation
 /// x(t) - s(t) R 0 — the equation system built exactly as for selective
-/// operators — and the envelope is updated where the input wins. Output
-/// segments cover the times where the aggregate's value changed, carrying
-/// the new envelope model.
+/// operators — and the envelope is updated where the input wins.
+///
+/// Emission is settled and append-only: changed envelope pieces are
+/// buffered, and each is emitted exactly once, in time order, once it
+/// can no longer change — i.e. once the input low-watermark (the latest
+/// range.lo seen; inputs must arrive ordered by range.lo) has passed the
+/// piece. Flush emits the tail. Because no emitted range is ever
+/// overridden, downstream operators that drop segments (filters, i.e.
+/// HAVING) never pass a stale slice of a superseded piece.
 class PulseMinMaxAggregate : public PulseOperator {
  public:
   PulseMinMaxAggregate(std::string name, PulseAggregateOptions options);
@@ -69,7 +63,7 @@ class PulseMinMaxAggregate : public PulseOperator {
   const PiecewiseModel& state() const { return state_; }
 
  private:
-  /// One settled-envelope piece awaiting emission (finalize mode).
+  /// One envelope piece awaiting emission.
   struct FinalPiece {
     Interval range;
     Polynomial poly;
@@ -88,7 +82,7 @@ class PulseMinMaxAggregate : public PulseOperator {
   PiecewiseModel state_;
   double latest_time_ = 0.0;
   double last_expire_ = 0.0;
-  /// finalize mode: settled-envelope track, time-ordered, non-overlapping.
+  /// Unsettled envelope pieces, time-ordered and non-overlapping.
   std::deque<FinalPiece> pending_;
 };
 

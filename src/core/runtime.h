@@ -75,8 +75,8 @@ class PredictiveRuntime {
   Status ProcessTuple(const std::string& stream, const Tuple& tuple);
 
   /// Batch feed: exactly equivalent to calling ProcessTuple on each
-  /// element in order (the serving micro-batcher's entry point — batch
-  /// boundaries can never change results, see docs/SERVING.md).
+  /// element in order (batch boundaries can never change results, see
+  /// docs/SERVING.md).
   Status ProcessTuples(const std::string& stream, const Tuple* tuples,
                        size_t n);
 
@@ -275,7 +275,7 @@ class HistoricalRuntime {
 
   /// Batch feed: result-equivalent to calling ProcessTuple on each
   /// element in order, with the segmenter lookup amortized across the
-  /// batch (the serving micro-batcher's entry point).
+  /// batch (the serving worker dispatches each run of frames here).
   Status ProcessTuples(const std::string& stream, const Tuple* tuples,
                        size_t n);
 

@@ -372,11 +372,6 @@ Result<TransformedPlan> BuildPulsePlan(const QuerySpec& spec) {
         options.output_attribute = as.output_attribute;
         options.window_seconds = as.window_seconds;
         options.slide_seconds = as.slide_seconds;
-        // Composed plans may put filters (HAVING) downstream of the
-        // aggregate; the eager changed-range protocol is not closed under
-        // filtering (no way to retract an overridden range), so built
-        // plans always take the settled append-only emission.
-        options.finalize = true;
         if (as.per_key) {
           const std::string base = node.name;
           auto factory = [options, base](Key group)

@@ -52,53 +52,6 @@ double RmsResidual(const Polynomial& p, const std::vector<Sample>& samples) {
   return std::sqrt(acc / static_cast<double>(samples.size()));
 }
 
-IncrementalFitter::IncrementalFitter(size_t degree)
-    : degree_(degree),
-      s_(2 * degree + 1, 0.0),
-      b_(degree + 1, 0.0) {}
-
-void IncrementalFitter::Add(const Sample& sample) {
-  double p = 1.0;
-  const size_t ns = s_.size();
-  const size_t nb = b_.size();
-  for (size_t k = 0; k < ns; ++k) {
-    s_[k] += p;
-    if (k < nb) b_[k] += sample.value * p;
-    p *= sample.t;
-  }
-  ++count_;
-}
-
-void IncrementalFitter::AddBatch(const Sample* samples, size_t n) {
-  for (size_t i = 0; i < n; ++i) Add(samples[i]);
-}
-
-void IncrementalFitter::Reset() {
-  std::fill(s_.begin(), s_.end(), 0.0);
-  std::fill(b_.begin(), b_.end(), 0.0);
-  count_ = 0;
-}
-
-Result<Polynomial> IncrementalFitter::Fit() const {
-  const size_t cols = degree_ + 1;
-  if (count_ < cols) {
-    return Status::InvalidArgument(
-        "IncrementalFitter: need at least degree+1 samples");
-  }
-  // Normal equations directly from the moments: (A^T A)[i][j] = s_{i+j},
-  // (A^T b)[i] = b_i — the same system SolveLeastSquares forms from the
-  // design matrix, assembled here without materializing the samples.
-  Matrix ata(cols, cols);
-  std::vector<double> atb(cols);
-  for (size_t i = 0; i < cols; ++i) {
-    for (size_t j = 0; j < cols; ++j) ata.At(i, j) = s_[i + j];
-    atb[i] = b_[i];
-  }
-  PULSE_ASSIGN_OR_RETURN(std::vector<double> coeffs,
-                         SolveLinearSystem(std::move(ata), std::move(atb)));
-  return Polynomial(std::move(coeffs));
-}
-
 Result<Polynomial> FitConstant(const std::vector<Sample>& samples) {
   return FitPolynomial(samples, 0);
 }

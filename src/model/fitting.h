@@ -28,44 +28,6 @@ double MaxAbsResidual(const Polynomial& p, const std::vector<Sample>& samples);
 /// Root-mean-square residual of `p` over `samples`.
 double RmsResidual(const Polynomial& p, const std::vector<Sample>& samples);
 
-/// Incremental least-squares fitter over running moments: maintains the
-/// Vandermonde normal-equation sums (s_k = sum t^k, b_k = sum v t^k) so
-/// samples can arrive in micro-batches and each Fit() costs
-/// O(degree^3) regardless of how many samples were absorbed.
-///
-/// The serving-relevant invariant: the moments are plain ordered sums,
-/// so feeding the same samples in the same order yields bit-identical
-/// state — and therefore bit-identical fits — no matter how the
-/// sequence is split across Add/AddBatch calls. This is why the
-/// micro-batcher's adaptive batch boundaries can never change model
-/// coefficients (docs/SERVING.md).
-class IncrementalFitter {
- public:
-  explicit IncrementalFitter(size_t degree);
-
-  void Add(const Sample& sample);
-  void AddBatch(const Sample* samples, size_t n);
-  void AddBatch(const std::vector<Sample>& samples) {
-    AddBatch(samples.data(), samples.size());
-  }
-
-  size_t count() const { return count_; }
-  size_t degree() const { return degree_; }
-
-  /// Clears the accumulated moments (start a new piece).
-  void Reset();
-
-  /// Solves the normal equations over the accumulated moments. Needs at
-  /// least degree+1 samples; NumericError when (numerically) singular.
-  Result<Polynomial> Fit() const;
-
- private:
-  size_t degree_;
-  std::vector<double> s_;  // power sums t^k, k in [0, 2*degree]
-  std::vector<double> b_;  // sums v * t^k, k in [0, degree]
-  size_t count_ = 0;
-};
-
 /// Convenience: best constant fit (the mean value).
 Result<Polynomial> FitConstant(const std::vector<Sample>& samples);
 

@@ -42,41 +42,31 @@ IngestQueue::IngestQueue(size_t capacity, WorkSignal* signal)
 
 PushResult IngestQueue::TryPush(IngestItem* item, BackpressurePolicy policy,
                                 uint64_t* dropped) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return PushResult::kClosed;
-    if (items_.size() < capacity_) {
-      items_.push_back(std::move(*item));
-      if (signal_ != nullptr) signal_->Notify();
-      return PushResult::kAccepted;
-    }
-    switch (policy) {
-      case BackpressurePolicy::kBlock:
-        return PushResult::kWouldBlock;
-      case BackpressurePolicy::kShed:
-        return PushResult::kShed;
-      case BackpressurePolicy::kDropOldest: {
-        uint64_t evicted = 0;
-        while (items_.size() >= capacity_) {
-          items_.pop_front();
-          ++evicted;
-        }
-        items_.push_back(std::move(*item));
-        if (dropped != nullptr) *dropped = evicted;
-        if (signal_ != nullptr) signal_->Notify();
-        return PushResult::kDroppedOldest;
-      }
+  const size_t w = item->weight();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return PushResult::kClosed;
+  uint64_t evicted = 0;
+  if (!FitsLocked(w)) {
+    if (policy == BackpressurePolicy::kBlock) return PushResult::kWouldBlock;
+    if (policy == BackpressurePolicy::kShed) return PushResult::kShed;
+    while (!FitsLocked(w)) {
+      evicted += items_.front().weight();
+      weight_ -= items_.front().weight();
+      items_.pop_front();
     }
   }
-  return PushResult::kShed;  // unreachable
+  weight_ += w;
+  items_.push_back(std::move(*item));
+  if (evicted != 0 && dropped != nullptr) *dropped = evicted;
+  if (signal_ != nullptr) signal_->Notify();
+  return evicted != 0 ? PushResult::kDroppedOldest : PushResult::kAccepted;
 }
 
 bool IngestQueue::PushBlocking(IngestItem item, uint64_t* blocked_ns) {
   const auto start = std::chrono::steady_clock::now();
   {
     std::unique_lock<std::mutex> lock(mu_);
-    space_cv_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
+    space_cv_.wait(lock, [&] { return closed_ || FitsLocked(item.weight()); });
     if (blocked_ns != nullptr) {
       *blocked_ns = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -84,38 +74,28 @@ bool IngestQueue::PushBlocking(IngestItem item, uint64_t* blocked_ns) {
               .count());
     }
     if (closed_) return false;
+    weight_ += item.weight();
     items_.push_back(std::move(item));
   }
   if (signal_ != nullptr) signal_->Notify();
   return true;
 }
 
-bool IngestQueue::PeekSeq(uint64_t* seq, bool* is_segment,
-                          uint8_t* tier) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (items_.empty()) return false;
-  *seq = items_.front().seq;
-  if (is_segment != nullptr) *is_segment = items_.front().is_segment;
-  if (tier != nullptr) *tier = items_.front().tier;
-  return true;
-}
-
-bool IngestQueue::Pop(IngestItem* out) {
-  bool freed_space = false;
+bool IngestQueue::PopAll(std::vector<IngestItem>* out) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    freed_space = true;
+    for (IngestItem& item : items_) out->push_back(std::move(item));
+    items_.clear();
+    weight_ = 0;
   }
-  if (freed_space) space_cv_.notify_one();
+  space_cv_.notify_all();
   return true;
 }
 
-size_t IngestQueue::size() const {
+size_t IngestQueue::weight() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return items_.size();
+  return weight_;
 }
 
 void IngestQueue::Close() {
@@ -125,11 +105,6 @@ void IngestQueue::Close() {
   }
   space_cv_.notify_all();
   if (signal_ != nullptr) signal_->Notify();
-}
-
-bool IngestQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
 }
 
 }  // namespace serve

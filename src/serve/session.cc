@@ -1,7 +1,6 @@
 #include "serve/session.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "obs/span.h"
@@ -11,13 +10,6 @@ namespace pulse {
 namespace serve {
 
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // The precision controller runs only when the session actually has an
 // adaptive runtime to apply the tier to, and never offers more tiers
@@ -67,8 +59,9 @@ Session::Session(uint64_t id, std::unique_ptr<Transport> transport,
                      adaptive_ != nullptr
                          ? adaptive_->metrics()->GetHistogram(
                                "span/runtime/push_segment")
-                         : nullptr) {
-  // The worker sleeps on signal_ when its lanes are empty; the pool
+                         : nullptr),
+      queue_(options.queue_capacity, &signal_) {
+  // The worker sleeps on signal_ when its queue is empty; the pool
   // wakes it there when the shards release outputs, so they are written
   // without waiting for the next admission.
   client_->SetReleaseSignal(&signal_);
@@ -79,6 +72,7 @@ Session::Session(uint64_t id, std::unique_ptr<Transport> transport,
   g_depth_ = serve_metrics_->GetGauge("serve/queue/depth");
   c_batch_dispatched_ = serve_metrics_->GetCounter("serve/batch/dispatched");
   c_batch_tuples_ = serve_metrics_->GetCounter("serve/batch/tuples");
+  c_batch_segments_ = serve_metrics_->GetCounter("serve/batch/segments");
   c_shed_queue_ = serve_metrics_->GetCounter("serve/admission/shed_queue");
   c_shed_latency_ =
       serve_metrics_->GetCounter("serve/admission/shed_latency");
@@ -123,7 +117,7 @@ void Session::Join() {
 
 void Session::BeginDrain() {
   accepting_.store(false);
-  CloseLaneQueues();
+  queue_.Close();
   drain_requested_.store(true);
   signal_.Notify();
 }
@@ -131,7 +125,7 @@ void Session::BeginDrain() {
 void Session::Abort() {
   if (stop_.exchange(true)) return;
   accepting_.store(false);
-  CloseLaneQueues();
+  queue_.Close();
   // Drop this session's queued shard work too — hard stop discards.
   client_->Abort();
   transport_->Close();
@@ -146,29 +140,6 @@ std::string Session::error() const {
 void Session::RecordFatal(const Status& status) {
   std::lock_guard<std::mutex> lock(error_mu_);
   if (error_.empty()) error_ = status.ToString();
-}
-
-Session::Lane* Session::FindLane(uint32_t stream_id) {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  for (const auto& lane : lanes_) {
-    if (lane->stream_id == stream_id) return lane.get();
-  }
-  return nullptr;
-}
-
-void Session::TotalDepth(size_t* depth, size_t* capacity) {
-  *depth = 0;
-  *capacity = 0;
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  for (const auto& lane : lanes_) {
-    *depth += lane->queue.size();
-    *capacity += lane->queue.capacity();
-  }
-}
-
-void Session::CloseLaneQueues() {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  for (const auto& lane : lanes_) lane->queue.Close();
 }
 
 Status Session::WriteFrame(const Frame& frame) {
@@ -287,11 +258,9 @@ void Session::ReaderLoop() {
     }
   }
   // No more input will ever be admitted: whatever the exit reason
-  // (EOF, kBye, error, abort), close the queues and let the worker
+  // (EOF, kBye, error, abort), close the queue and let the worker
   // finish what was accepted.
-  accepting_.store(false);
-  CloseLaneQueues();
-  drain_requested_.store(true);
+  BeginDrain();
   reader_done_.store(true);
   signal_.Notify();
 }
@@ -314,21 +283,18 @@ Status Session::HandleFrame(Frame frame) {
       saw_hello_ = true;
       return Status::OK();
     case FrameType::kOpenStream: {
-      if (std::find(valid_streams_.begin(), valid_streams_.end(),
-                    frame.text) == valid_streams_.end()) {
+      const auto it = std::find(valid_streams_.begin(), valid_streams_.end(),
+                                frame.text);
+      if (it == valid_streams_.end()) {
         return Status::NotFound("unknown stream '" + frame.text + "'");
       }
-      std::lock_guard<std::mutex> lock(lanes_mu_);
-      for (const auto& lane : lanes_) {
-        if (lane->stream_id == frame.stream_id) {
-          return Status::AlreadyExists(
-              "stream id " + std::to_string(frame.stream_id) +
-              " already open");
-        }
+      const uint32_t index =
+          static_cast<uint32_t>(it - valid_streams_.begin());
+      if (!open_streams_.emplace(frame.stream_id, index).second) {
+        return Status::AlreadyExists(
+            "stream id " + std::to_string(frame.stream_id) +
+            " already open");
       }
-      lanes_.push_back(std::make_unique<Lane>(
-          frame.stream_id, std::move(frame.text), options_.queue_capacity,
-          &signal_, options_.batcher));
       return Status::OK();
     }
     case FrameType::kTuple:
@@ -337,10 +303,7 @@ Status Session::HandleFrame(Frame frame) {
       return AdmitData(std::move(frame));
     case FrameType::kDrain:
       client_drain_.store(true);
-      accepting_.store(false);
-      CloseLaneQueues();
-      drain_requested_.store(true);
-      signal_.Notify();
+      BeginDrain();
       return Status::OK();
     case FrameType::kBye:
       // Orderly goodbye without a drain barrier: admitted items still
@@ -365,20 +328,21 @@ Status Session::AdmitData(Frame frame) {
     return WriteFrame(
         Frame::Flow(frame.stream_id, FlowEvent::kShed, items));
   }
-  Lane* lane = FindLane(frame.stream_id);
-  if (lane == nullptr) {
+  const auto open = open_streams_.find(frame.stream_id);
+  if (open == open_streams_.end()) {
     return Status::FailedPrecondition(
         "stream id " + std::to_string(frame.stream_id) + " not open");
   }
+  if (items == 0) return Status::OK();
+  const std::string& stream = valid_streams_[open->second];
 
   PULSE_SPAN("serve/admit");
   // Refresh the pool rollup the latency signal reads (throttled inside
   // the pool; most calls are a single relaxed load). Adaptive sessions
   // read their own runtime's registry, which needs no sync.
   if (adaptive_ == nullptr) client_->pool()->SyncMetrics();
-  size_t depth = 0;
-  size_t capacity = 0;
-  TotalDepth(&depth, &capacity);
+  const size_t depth = queue_.weight();
+  const size_t capacity = queue_.capacity();
   const AdmitDecision decision = admission_.Admit(depth, capacity);
   const bool overloaded = admission_.overloaded();
   if (overloaded && !admission_overloaded_prev_) {
@@ -401,114 +365,80 @@ Status Session::AdmitData(Frame frame) {
   // than to process input that recovery could not replay).
   if (store_ != nullptr) {
     for (const Tuple& tuple : frame.tuples) {
-      PULSE_RETURN_IF_ERROR(store_->AppendTuple(lane->name, tuple));
+      PULSE_RETURN_IF_ERROR(store_->AppendTuple(stream, tuple));
     }
     for (const Segment& segment : frame.segments) {
-      PULSE_RETURN_IF_ERROR(store_->AppendSegment(lane->name, segment));
+      PULSE_RETURN_IF_ERROR(store_->AppendSegment(stream, segment));
     }
   }
 
-  // Precision stage: the tier decided here is stamped onto every item
-  // of the frame, so the worker applies tier changes at exact
-  // admission-order boundaries (docs/PRECISION.md). A frame never
-  // straddles a tier change.
-  const uint8_t tier =
-      static_cast<uint8_t>(precision_ctl_.Update(depth, capacity));
-
-  const uint64_t now_ns = NowNs();
-  for (Tuple& tuple : frame.tuples) {
-    lane->batcher.RecordArrival(now_ns);
-    IngestItem item;
-    item.seq = next_seq_++;
-    item.tier = tier;
-    item.tuple = std::move(tuple);
-    PULSE_RETURN_IF_ERROR(EnqueueItem(lane, std::move(item)));
-  }
-  for (Segment& segment : frame.segments) {
-    IngestItem item;
-    item.seq = next_seq_++;
-    item.tier = tier;
-    item.is_segment = true;
-    item.segment = std::move(segment);
-    PULSE_RETURN_IF_ERROR(EnqueueItem(lane, std::move(item)));
-  }
+  // Precision stage: the tier decided here is stamped onto the frame's
+  // item, so the worker applies tier changes at exact admission-order
+  // boundaries (docs/PRECISION.md). A frame never straddles a tier
+  // change.
+  IngestItem item;
+  item.stream = open->second;
+  item.tier = static_cast<uint8_t>(precision_ctl_.Update(depth, capacity));
+  item.tuples = std::move(frame.tuples);
+  item.segments = std::move(frame.segments);
+  PULSE_RETURN_IF_ERROR(Enqueue(frame.stream_id, std::move(item)));
   g_depth_->Set(static_cast<double>(depth + items));
   return Status::OK();
 }
 
-Status Session::EnqueueItem(Lane* lane, IngestItem item) {
+Status Session::Enqueue(uint32_t stream_id, IngestItem item) {
+  const uint64_t n = item.weight();
   uint64_t dropped = 0;
-  const PushResult result =
-      lane->queue.TryPush(&item, options_.policy, &dropped);
-  switch (result) {
+  switch (queue_.TryPush(&item, options_.policy, &dropped)) {
     case PushResult::kAccepted:
-      c_accepted_->Increment();
+      c_accepted_->Add(n);
       return Status::OK();
     case PushResult::kDroppedOldest:
-      c_accepted_->Increment();
+      c_accepted_->Add(n);
       c_dropped_->Add(dropped);
-      return WriteFrame(Frame::Flow(lane->stream_id,
-                                    FlowEvent::kDroppedOldest, dropped));
+      return WriteFrame(
+          Frame::Flow(stream_id, FlowEvent::kDroppedOldest, dropped));
     case PushResult::kShed:
     case PushResult::kClosed:
-      c_shed_->Increment();
-      return WriteFrame(
-          Frame::Flow(lane->stream_id, FlowEvent::kShed, 1));
+      c_shed_->Add(n);
+      return WriteFrame(Frame::Flow(stream_id, FlowEvent::kShed, n));
     case PushResult::kWouldBlock:
       break;
   }
-  // kBlock slow path: tell the client it is paused, wait for space,
-  // tell it to resume. The pause itself is what pushes backpressure
-  // through the transport — while we block here, no further client
-  // bytes are read, so the client's own sends eventually block too.
-  PULSE_RETURN_IF_ERROR(WriteFrame(Frame::Flow(
-      lane->stream_id, FlowEvent::kPaused, lane->queue.size())));
+  // kBlock slow path: tell the client it is paused, wait for room,
+  // tell it to resume — one pair per blocked frame. The pause itself is
+  // what pushes backpressure through the transport — while we block
+  // here, no further client bytes are read, so the client's own sends
+  // eventually block too.
+  PULSE_RETURN_IF_ERROR(WriteFrame(
+      Frame::Flow(stream_id, FlowEvent::kPaused, queue_.weight())));
   uint64_t blocked_ns = 0;
-  const bool pushed = lane->queue.PushBlocking(std::move(item), &blocked_ns);
+  const bool pushed = queue_.PushBlocking(std::move(item), &blocked_ns);
   c_blocked_ns_->Add(blocked_ns);
   if (!pushed) {
-    c_shed_->Increment();
-    return WriteFrame(Frame::Flow(lane->stream_id, FlowEvent::kShed, 1));
+    c_shed_->Add(n);
+    return WriteFrame(Frame::Flow(stream_id, FlowEvent::kShed, n));
   }
-  c_accepted_->Increment();
-  return WriteFrame(
-      Frame::Flow(lane->stream_id, FlowEvent::kResumed, 0));
+  c_accepted_->Add(n);
+  return WriteFrame(Frame::Flow(stream_id, FlowEvent::kResumed, 0));
 }
 
 // ---------------------------------------------------------------------
-// Worker: queues -> micro-batches -> runtime -> output frames.
+// Worker: queue -> runs of frames -> runtime -> output frames.
 
 void Session::WorkerLoop() {
-  std::vector<Lane*> lanes;
-  std::vector<Tuple> batch;
   for (;;) {
     if (stop_.load()) break;
     const uint64_t epoch = signal_.epoch();
-    // Read the drain flag before scanning, never after: it is stored
-    // only after the queues are closed, so once it reads true the scan
+    // Read the drain flag before popping, never after: it is stored
+    // only after the queue is closed, so once it reads true the pop
     // below sees every item that will ever be admitted. Read after the
-    // scan, it could report a drain whose final items the scan missed.
+    // pop, it could report a drain whose final items the pop missed.
     // The epoch comes first, so a drain landing after it still ends the
     // Wait below.
     const bool draining = drain_requested_.load();
-    {
-      std::lock_guard<std::mutex> lock(lanes_mu_);
-      lanes.clear();
-      for (const auto& lane : lanes_) lanes.push_back(lane.get());
-    }
-    // Min-seq merge: the lane whose head was admitted earliest goes
-    // first, reproducing the client's arrival order across streams.
-    Lane* best = nullptr;
-    uint64_t best_seq = 0;
-    for (Lane* lane : lanes) {
-      uint64_t seq = 0;
-      if (lane->queue.PeekSeq(&seq) &&
-          (best == nullptr || seq < best_seq)) {
-        best = lane;
-        best_seq = seq;
-      }
-    }
-    if (best == nullptr) {
+    popped_.clear();
+    if (!queue_.PopAll(&popped_)) {
       if (draining || stop_.load()) break;
       // Idle: write what the shards released since the last dispatch.
       // A release after this flush moves the epoch, ending the Wait.
@@ -522,55 +452,7 @@ void Session::WorkerLoop() {
       Abort();
       break;
     }
-
-    IngestItem item;
-    if (!best->queue.Pop(&item)) continue;
-    Status status;
-    // Adaptive sessions apply the admission-stamped tier at the item
-    // boundary, before the item itself is dispatched.
-    if (adaptive_ != nullptr) {
-      status = adaptive_->SetTier(item.tier);
-    }
-    if (!status.ok()) {
-      // fall through to the fatal-error path below
-    } else if (item.is_segment) {
-      status = adaptive_ != nullptr
-                   ? adaptive_->ProcessSegment(best->name,
-                                               std::move(item.segment))
-                   : client_->ProcessSegment(best->name,
-                                             std::move(item.segment));
-    } else {
-      batch.clear();
-      batch.push_back(std::move(item.tuple));
-      uint64_t last_seq = item.seq;
-      const size_t target = best->batcher.TargetBatchSize();
-      while (batch.size() < target) {
-        uint64_t seq = 0;
-        bool is_segment = false;
-        uint8_t tier = 0;
-        // Only items with *consecutive* session seqs may join the
-        // batch: a gap means another stream's item was admitted in
-        // between, and batching across it would reorder arrival order.
-        // A tier change is also a batch boundary: the whole batch must
-        // be processed under one precision tier.
-        if (!best->queue.PeekSeq(&seq, &is_segment, &tier) ||
-            seq != last_seq + 1 || is_segment || tier != item.tier) {
-          break;
-        }
-        IngestItem next;
-        if (!best->queue.Pop(&next)) break;
-        batch.push_back(std::move(next.tuple));
-        last_seq = seq;
-      }
-      status = adaptive_ != nullptr
-                   ? adaptive_->ProcessTuples(best->name, batch.data(),
-                                              batch.size())
-                   : client_->ProcessTuples(best->name, batch.data(),
-                                            batch.size());
-      c_batch_dispatched_->Increment();
-      c_batch_tuples_->Add(batch.size());
-    }
-    if (status.ok()) status = FlushOutputs();
+    const Status status = Dispatch(&popped_);
     if (!status.ok()) {
       RecordFatal(status);
       (void)WriteFrame(Frame::Error(status.message()));
@@ -596,6 +478,60 @@ void Session::WorkerLoop() {
   // Wakes a reader still blocked on a dead peer and signals EOF to the
   // client after kDrained.
   transport_->Close();
+}
+
+Status Session::Dispatch(std::vector<IngestItem>* items) {
+  size_t i = 0;
+  while (i < items->size() && !stop_.load()) {
+    IngestItem& head = (*items)[i];
+    const std::string& stream = valid_streams_[head.stream];
+    // Adaptive sessions apply the admission-stamped tier at the item
+    // boundary, before the item itself is dispatched.
+    if (adaptive_ != nullptr) {
+      PULSE_RETURN_IF_ERROR(adaptive_->SetTier(head.tier));
+    }
+    if (!head.segments.empty()) {
+      for (Segment& segment : head.segments) {
+        PULSE_RETURN_IF_ERROR(
+            adaptive_ != nullptr
+                ? adaptive_->ProcessSegment(stream, std::move(segment))
+                : client_->ProcessSegment(stream, std::move(segment)));
+        c_batch_segments_->Increment();
+      }
+      ++i;
+    } else {
+      // Frames join the run while they continue it: same stream, same
+      // tier, tuples only. A lone frame is dispatched from its own
+      // vector; a longer run is joined into run_ first.
+      size_t end = i + 1;
+      while (end < items->size() && (*items)[end].segments.empty() &&
+             (*items)[end].stream == head.stream &&
+             (*items)[end].tier == head.tier) {
+        ++end;
+      }
+      std::vector<Tuple>* batch = &head.tuples;
+      if (end - i > 1) {
+        run_.clear();
+        for (size_t k = i; k < end; ++k) {
+          for (Tuple& tuple : (*items)[k].tuples) {
+            run_.push_back(std::move(tuple));
+          }
+        }
+        batch = &run_;
+      }
+      PULSE_RETURN_IF_ERROR(
+          adaptive_ != nullptr
+              ? adaptive_->ProcessTuples(stream, batch->data(),
+                                         batch->size())
+              : client_->ProcessTuples(stream, batch->data(),
+                                       batch->size()));
+      c_batch_dispatched_->Increment();
+      c_batch_tuples_->Add(batch->size());
+      i = end;
+    }
+    PULSE_RETURN_IF_ERROR(FlushOutputs());
+  }
+  return Status::OK();
 }
 
 }  // namespace serve

@@ -7,12 +7,12 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/precision.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
-#include "serve/batcher.h"
 #include "serve/frame.h"
 #include "serve/ingest_queue.h"
 #include "serve/transport.h"
@@ -28,14 +28,14 @@ namespace serve {
 /// docs/SERVING.md walks through the policy trade-offs).
 struct SessionOptions {
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
-  /// Per-stream ingest queue capacity (items).
+  /// Session ingest queue capacity, in tuples plus segments. A frame
+  /// heavier than this still enters an empty queue.
   size_t queue_capacity = 256;
-  BatcherOptions batcher;
   AdmissionOptions admission;
   /// Precision stage ahead of load shedding (docs/PRECISION.md). When
   /// `precision.enabled`, the server gives each session a session-owned
   /// AdaptiveRuntime instead of a shard-pool slice, the reader stamps
-  /// every admitted item with the controller's tier, and the worker
+  /// every admitted frame with the controller's tier, and the worker
   /// emits provisional/confirm/retract frames alongside the settled
   /// output stream.
   PrecisionOptions precision;
@@ -43,25 +43,26 @@ struct SessionOptions {
   AdaptivePrecisionOptions precision_runtime;
 };
 
-/// One client connection: a protocol reader thread admitting frames
-/// into per-stream bounded queues, and a worker thread draining them in
-/// admission order into the server's shared shard pool.
+/// One client connection: a protocol reader thread admitting data
+/// frames into one bounded session queue, and a worker thread draining
+/// it in admission order into the server's shared shard pool.
 ///
-///   reader: transport -> FrameReader -> admission control -> queues
-///   worker: queues -> micro-batches -> ShardClient (key-routed to the
-///           shared shard pool) -> output segments -> transport, the
-///           outputs written as soon as the shards release them
+///   reader: transport -> FrameReader -> admission control -> queue,
+///           one IngestItem per data frame
+///   worker: queue -> runs of adjacent same-stream tuple frames ->
+///           ShardClient (key-routed to the shared shard pool) -> output
+///           segments -> transport, the outputs written as soon as the
+///           shards release them
 ///
-/// The reader is the single producer for all queues and stamps each
-/// admitted item with a session-global sequence number; the worker
-/// merges queues by minimum head seq, so dispatch order equals
-/// admission order regardless of how tuples interleave across streams
-/// or how the micro-batcher groups them. The ShardClient then restores
-/// that exact order on the output side (docs/SHARDING.md), so the
-/// end-to-end invariant the serving differential checks — outputs
-/// byte-identical to the batch replay path — survives the fan-out to
-/// shards. Sessions no longer own a runtime: each holds a thin routing
-/// handle onto the pool, so solver state is per shard, not per session.
+/// The queue holds frames of every stream in arrival order, so dispatch
+/// order is admission order however the client interleaves its streams
+/// and however the worker coalesces adjacent frames. The ShardClient
+/// then restores that exact order on the output side
+/// (docs/SHARDING.md), so the end-to-end invariant the serving
+/// differential checks — outputs byte-identical to the batch replay
+/// path — survives the fan-out to shards. Sessions do not own a
+/// runtime: each holds a thin routing handle onto the pool, so solver
+/// state is per shard, not per session.
 class Session {
  public:
   /// `serve_metrics` is the server-wide serve/* registry;
@@ -74,7 +75,7 @@ class Session {
   /// server when `options.precision.enabled`) switches the session to
   /// adaptive precision: the worker dispatches into it instead of the
   /// shard client, and the precision controller's tier stamps ride each
-  /// admitted item (docs/PRECISION.md).
+  /// admitted frame (docs/PRECISION.md).
   Session(uint64_t id, std::unique_ptr<Transport> transport,
           std::unique_ptr<shard::ShardClient> client, SessionOptions options,
           std::vector<std::string> valid_streams,
@@ -96,11 +97,12 @@ class Session {
   /// complete / Abort). Idempotent.
   void Join();
 
-  /// Server-initiated graceful drain: stop admitting, process
-  /// everything already accepted, deliver outputs, then close.
+  /// Graceful drain: stop admitting, process everything already
+  /// accepted, deliver outputs, then close. The server calls it; so do
+  /// the reader on kDrain and on its own exit.
   void BeginDrain();
 
-  /// Hard stop: close queues and transport, wake both threads. Items
+  /// Hard stop: close the queue and transport, wake both threads. Items
   /// not yet dispatched are discarded.
   void Abort();
 
@@ -109,36 +111,24 @@ class Session {
   std::string error() const;
 
  private:
-  struct Lane {
-    uint32_t stream_id = 0;
-    std::string name;
-    IngestQueue queue;
-    MicroBatcher batcher;
-    Lane(uint32_t id, std::string n, size_t capacity, WorkSignal* signal,
-         const BatcherOptions& batcher_options)
-        : stream_id(id),
-          name(std::move(n)),
-          queue(capacity, signal),
-          batcher(batcher_options) {}
-  };
-
   void ReaderLoop();
   void WorkerLoop();
   /// Dispatches one control/data frame; a returned error is fatal to
   /// the session (sent to the client as kError, then Abort).
   Status HandleFrame(Frame frame);
-  /// Admission control + enqueue for a data frame's items.
+  /// Admission control + enqueue for a data frame.
   Status AdmitData(Frame frame);
-  Status EnqueueItem(Lane* lane, IngestItem item);
+  /// Applies the backpressure policy to one admitted frame;
+  /// `stream_id` addresses the flow frames that report the outcome.
+  Status Enqueue(uint32_t stream_id, IngestItem item);
+  /// Dispatches `items` in order: each maximal run of adjacent tuple
+  /// items with one stream and tier as one ProcessTuples call, each
+  /// segment on its own.
+  Status Dispatch(std::vector<IngestItem>* items);
   Status WriteFrame(const Frame& frame);
   /// Moves the shard client's released output segments to the peer.
   Status FlushOutputs();
   void RecordFatal(const Status& status);
-
-  Lane* FindLane(uint32_t stream_id);
-  /// Aggregate depth/capacity over all lanes (admission signal).
-  void TotalDepth(size_t* depth, size_t* capacity);
-  void CloseLaneQueues();
 
   const uint64_t id_;
   std::unique_ptr<Transport> transport_;
@@ -155,6 +145,8 @@ class Session {
   /// the worker dispatches into client_ as before.
   std::unique_ptr<AdaptiveRuntime> adaptive_;
   const SessionOptions options_;
+  /// The query's declared input streams; an IngestItem's `stream`
+  /// indexes this table.
   const std::vector<std::string> valid_streams_;
   obs::MetricsRegistry* serve_metrics_;
   /// Shared durable log; nullptr in the default in-memory mode.
@@ -167,10 +159,10 @@ class Session {
   std::mutex join_mu_;
   bool joined_ = false;
 
-  // Lanes are appended by the reader (kOpenStream) and scanned by the
-  // worker; the mutex covers the vector, each lane's queue has its own.
-  std::mutex lanes_mu_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  IngestQueue queue_;
+  // Worker-only scratch: the popped items and a run's joined tuples.
+  std::vector<IngestItem> popped_;
+  std::vector<Tuple> run_;
 
   std::mutex write_mu_;
   std::string write_buf_;
@@ -178,9 +170,10 @@ class Session {
   mutable std::mutex error_mu_;
   std::string error_;
 
-  // Reader-only protocol state.
+  // Reader-only protocol state. `open_streams_` maps each opened
+  // client stream id to its index in valid_streams_.
   bool saw_hello_ = false;
-  uint64_t next_seq_ = 0;
+  std::unordered_map<uint32_t, uint32_t> open_streams_;
   bool admission_overloaded_prev_ = false;
 
   std::atomic<bool> accepting_{true};
@@ -199,6 +192,7 @@ class Session {
   obs::Gauge* g_depth_ = nullptr;
   obs::Counter* c_batch_dispatched_ = nullptr;
   obs::Counter* c_batch_tuples_ = nullptr;
+  obs::Counter* c_batch_segments_ = nullptr;
   obs::Counter* c_shed_queue_ = nullptr;
   obs::Counter* c_shed_latency_ = nullptr;
   obs::Counter* c_overloaded_ = nullptr;

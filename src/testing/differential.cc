@@ -259,8 +259,8 @@ Result<std::vector<Segment>> RunPulseSharded(const GeneratedCase& kase,
 }
 
 // Drives the same segment feed through the in-process serving stack:
-// frame codec (doubles as IEEE-754 bit patterns), session ingest
-// queues, the min-seq merging micro-batched worker, and drain. The
+// frame codec (doubles as IEEE-754 bit patterns), the session ingest
+// queue shared by every stream, the in-order worker, and drain. The
 // lossless configuration — kBlock backpressure, admission controller
 // off — must deliver outputs byte-identical to the direct
 // ProcessSegment replay above.
@@ -1187,7 +1187,7 @@ Result<DiffReport> RunDifferential(const GeneratedCase& kase,
   }
 
   // Serving-transport variant: same feed, pushed through the frame
-  // codec and a real session (queues, micro-batches, drain). The
+  // codec and a real session (queue, frame runs, drain). The
   // session multiplexes onto the server's shard pool, so this also
   // covers the tuple/segment routing path end to end.
   if (options.serving_variant) {

@@ -38,10 +38,10 @@ struct DiffOptions {
   /// would otherwise report one per grid point).
   size_t max_divergences = 8;
   /// Also push the segment feed through the in-process serving
-  /// transport (frame codec -> session queues -> micro-batched worker
-  /// -> drain; lossless kBlock configuration) and require the delivered
+  /// transport (frame codec -> session queue -> in-order worker ->
+  /// drain; lossless kBlock configuration) and require the delivered
   /// outputs to be byte-identical to the direct replay — proving
-  /// serving-layer batching/backpressure never change query answers,
+  /// serving-layer queueing/backpressure never change query answers,
   /// only admission (docs/SERVING.md).
   bool serving_variant = true;
   /// Kill-and-restore variant (docs/STORAGE.md): run the feed to a

@@ -116,13 +116,13 @@ TEST(TelemetryDifferential, DetectionEventsAreNotVacuous) {
 }
 
 // Regression: HAVING after min/max leaked stale envelope slices. The
-// eager changed-range protocol gives aggregate output streams override
-// semantics (a later segment replaces earlier coverage where ranges
-// overlap), but a downstream filter cannot retract a passing slice of a
-// piece that was later overridden by one that fails the predicate. Found
-// by this harness at the seeds below; fixed by the finalize emission
-// mode of PulseMinMaxAggregate (settled, append-only pieces), which
-// BuildPulsePlan now always enables.
+// aggregate's first, eager changed-range protocol gave its output stream
+// override semantics (a later segment replaced earlier coverage where
+// ranges overlapped), but a downstream filter cannot retract a passing
+// slice of a piece that was later overridden by one that fails the
+// predicate. Found by this harness at the seeds below; fixed by
+// PulseMinMaxAggregate's settled, append-only emission, now its only
+// protocol.
 TEST(Regression, EnvelopeHavingStaleOverride) {
   for (uint64_t seed : {1034u, 1084u, 1185u, 1191u}) RunSeed(seed);
 }

@@ -35,11 +35,17 @@ PulseAggregateOptions AvgOpts(double window, double slide = 1.0) {
   return o;
 }
 
+// Min/max emission is settled and append-only: an envelope piece is
+// emitted once later input (range.lo past the piece) settles it, or on
+// Flush.
+
 TEST(PulseMinMaxAggregate, FirstSegmentDefinesEnvelope) {
   PulseMinMaxAggregate agg("a", MinOpts());
   SegmentBatch out;
   ASSERT_TRUE(
       agg.Process(0, LinearSegment(1, 0.0, 10.0, 5.0, 0.0), &out).ok());
+  EXPECT_TRUE(out.empty()) << "nothing is settled before t = 10";
+  ASSERT_TRUE(agg.Flush(&out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].range.lo, 0.0);
   EXPECT_DOUBLE_EQ(out[0].range.hi, 10.0);
@@ -53,10 +59,13 @@ TEST(PulseMinMaxAggregate, HigherCandidateProducesNothing) {
   SegmentBatch out;
   ASSERT_TRUE(
       agg.Process(0, LinearSegment(1, 0.0, 10.0, 5.0, 0.0), &out).ok());
-  out.clear();
   ASSERT_TRUE(
       agg.Process(0, LinearSegment(2, 0.0, 10.0, 8.0, 0.0), &out).ok());
-  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(agg.Flush(&out).ok());
+  // The losing candidate leaves the first piece as it was.
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_DOUBLE_EQ(out[0].range.hi, 10.0);
+  EXPECT_DOUBLE_EQ(out[0].unmodeled.at("arg_key"), 1.0);
 }
 
 TEST(PulseMinMaxAggregate, CrossingCandidateEmitsWinningRange) {
@@ -65,15 +74,22 @@ TEST(PulseMinMaxAggregate, CrossingCandidateEmitsWinningRange) {
   SegmentBatch out;
   ASSERT_TRUE(
       agg.Process(0, LinearSegment(1, 0.0, 10.0, 10.0, -1.0), &out).ok());
-  out.clear();
   ASSERT_TRUE(
       agg.Process(0, LinearSegment(2, 0.0, 10.0, 0.0, 1.0), &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_NEAR(out[0].range.hi, 5.0, 1e-9);
-  EXPECT_DOUBLE_EQ(out[0].unmodeled.at("arg_key"), 2.0);
+  EXPECT_TRUE(out.empty());
   // Envelope state reflects the pointwise min.
   EXPECT_NEAR(*agg.state().Evaluate(2.0), 2.0, 1e-9);
   EXPECT_NEAR(*agg.state().Evaluate(8.0), 2.0, 1e-9);
+  // Later input starting at t = 10 settles both pieces.
+  ASSERT_TRUE(
+      agg.Process(0, LinearSegment(3, 10.0, 20.0, 100.0, 0.0), &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_DOUBLE_EQ(out[0].range.lo, 0.0);
+  EXPECT_NEAR(out[0].range.hi, 5.0, 1e-9);
+  EXPECT_DOUBLE_EQ(out[0].unmodeled.at("arg_key"), 2.0);
+  EXPECT_NEAR(out[1].range.lo, 5.0, 1e-9);
+  EXPECT_DOUBLE_EQ(out[1].range.hi, 10.0);
+  EXPECT_DOUBLE_EQ(out[1].unmodeled.at("arg_key"), 1.0);
 }
 
 TEST(PulseMinMaxAggregate, MaxAggregateKeepsUpperEnvelope) {
@@ -83,12 +99,15 @@ TEST(PulseMinMaxAggregate, MaxAggregateKeepsUpperEnvelope) {
   SegmentBatch out;
   ASSERT_TRUE(
       agg.Process(0, LinearSegment(1, 0.0, 10.0, 0.0, 1.0), &out).ok());
-  out.clear();
   ASSERT_TRUE(
       agg.Process(0, LinearSegment(2, 0.0, 10.0, 10.0, -1.0), &out).ok());
-  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(agg.Flush(&out).ok());
   // 10 - t beats t for t < 5.
+  ASSERT_EQ(out.size(), 2u);
   EXPECT_NEAR(out[0].range.hi, 5.0, 1e-9);
+  EXPECT_DOUBLE_EQ(out[0].unmodeled.at("arg_key"), 2.0);
+  EXPECT_DOUBLE_EQ(out[1].unmodeled.at("arg_key"), 1.0);
   EXPECT_NEAR(*agg.state().Evaluate(8.0), 8.0, 1e-9);
 }
 
@@ -97,13 +116,17 @@ TEST(PulseMinMaxAggregate, WindowExpiresEnvelope) {
   SegmentBatch out;
   ASSERT_TRUE(
       agg.Process(0, LinearSegment(1, 0.0, 1.0, 5.0, 0.0), &out).ok());
-  out.clear();
-  // Arrives at t=10 with window 2: old envelope is expired; the higher
-  // candidate now owns its full range.
+  // Arrives at t=10 with window 2: it settles the old piece, and since
+  // the old envelope is expired the higher candidate owns its full range.
   ASSERT_TRUE(
       agg.Process(0, LinearSegment(2, 10.0, 11.0, 50.0, 0.0), &out).ok());
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].range.lo, 10.0);
+  EXPECT_DOUBLE_EQ(out[0].range.hi, 1.0);
+  ASSERT_TRUE(agg.Flush(&out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_DOUBLE_EQ(out[1].range.lo, 10.0);
+  EXPECT_DOUBLE_EQ(out[1].range.hi, 11.0);
+  EXPECT_DOUBLE_EQ(out[1].attribute("agg")->Evaluate(10.5), 50.0);
 }
 
 TEST(PulseMinMaxAggregate, ComputeSlackAgainstEnvelope) {
@@ -123,6 +146,7 @@ TEST(PulseMinMaxAggregate, InvertBoundPassesMarginThrough) {
   SegmentBatch out;
   Segment in = LinearSegment(1, 0.0, 10.0, 5.0, 0.0);
   ASSERT_TRUE(agg.Process(0, in, &out).ok());
+  ASSERT_TRUE(agg.Flush(&out).ok());
   ASSERT_EQ(out.size(), 1u);
   EquiSplit split;
   Result<std::vector<AllocatedBound>> allocs =

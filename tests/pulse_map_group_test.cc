@@ -159,11 +159,14 @@ TEST(PulseGroupBy, RoutesByKeyAndRekeysOutput) {
   Segment b = Seg(2, 0.0, 10.0, {{"v", Polynomial({3.0})}});
   ASSERT_TRUE(g.Process(0, a, &out).ok());
   ASSERT_TRUE(g.Process(0, b, &out).ok());
+  ASSERT_TRUE(g.Flush(&out).ok());
   ASSERT_EQ(out.size(), 2u);
   // Each group has its own envelope: key 2's constant 3 does not displace
   // key 1's constant 5.
   EXPECT_EQ(out[0].key, 1);
+  EXPECT_DOUBLE_EQ(out[0].attribute("agg")->Evaluate(1.0), 5.0);
   EXPECT_EQ(out[1].key, 2);
+  EXPECT_DOUBLE_EQ(out[1].attribute("agg")->Evaluate(1.0), 3.0);
   EXPECT_EQ(g.num_groups(), 2u);
 }
 
@@ -173,17 +176,20 @@ TEST(PulseGroupBy, GroupStateIsolated) {
   ASSERT_TRUE(
       g.Process(0, Seg(1, 0.0, 10.0, {{"v", Polynomial({5.0})}}), &out)
           .ok());
-  out.clear();
-  // Higher value in the SAME group: no output.
+  // Higher value in the SAME group: the envelope keeps 5.
   ASSERT_TRUE(
       g.Process(0, Seg(1, 0.0, 10.0, {{"v", Polynomial({9.0})}}), &out)
           .ok());
-  EXPECT_TRUE(out.empty());
-  // Same value in a DIFFERENT group: fresh envelope, output produced.
+  // Same value in a DIFFERENT group: fresh envelope of its own.
   ASSERT_TRUE(
       g.Process(0, Seg(2, 0.0, 10.0, {{"v", Polynomial({9.0})}}), &out)
           .ok());
-  EXPECT_EQ(out.size(), 1u);
+  ASSERT_TRUE(g.Flush(&out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].key, 1);
+  EXPECT_DOUBLE_EQ(out[0].attribute("agg")->Evaluate(1.0), 5.0);
+  EXPECT_EQ(out[1].key, 2);
+  EXPECT_DOUBLE_EQ(out[1].attribute("agg")->Evaluate(1.0), 9.0);
 }
 
 TEST(PulseGroupBy, InvertBoundDelegates) {
@@ -192,6 +198,7 @@ TEST(PulseGroupBy, InvertBoundDelegates) {
   ASSERT_TRUE(
       g.Process(0, Seg(5, 0.0, 10.0, {{"v", Polynomial({5.0})}}), &out)
           .ok());
+  ASSERT_TRUE(g.Flush(&out).ok());
   ASSERT_EQ(out.size(), 1u);
   EquiSplit split;
   Result<std::vector<AllocatedBound>> allocs =
@@ -207,15 +214,14 @@ TEST(PulseGroupBy, InvertBoundDelegates) {
 
 // Flush walks the groups in ascending key order and appends each
 // group's tail after whatever `out` already holds, stamped with the
-// group's key. A finalize-mode min aggregate holds its envelope pieces
-// until Flush, so every output below comes from Flush.
+// group's key. A min aggregate holds its envelope pieces until later
+// input settles them, so every output below comes from Flush.
 TEST(PulseGroupBy, FlushEmitsGroupsInAscendingKeyOrder) {
   PulseGroupBy g("g", [](Key) -> Result<std::unique_ptr<PulseOperator>> {
     PulseAggregateOptions o;
     o.fn = AggFn::kMin;
     o.input_attribute = "v";
     o.window_seconds = 100.0;
-    o.finalize = true;
     return MakePulseAggregate("inner", o);
   });
   SegmentBatch processed;
@@ -230,7 +236,7 @@ TEST(PulseGroupBy, FlushEmitsGroupsInAscendingKeyOrder) {
                   &processed)
             .ok());
   }
-  EXPECT_TRUE(processed.empty()) << "finalize mode emits only on Flush";
+  EXPECT_TRUE(processed.empty()) << "nothing settles before Flush";
 
   SegmentBatch out;
   out.push_back(Seg(99, 0.0, 1.0, {{"v", Polynomial({0.0})}}));

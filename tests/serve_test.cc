@@ -1,15 +1,16 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/runtime.h"
-#include "model/fitting.h"
 #include "serve/admission.h"
-#include "serve/batcher.h"
 #include "serve/client.h"
 #include "serve/frame.h"
 #include "serve/ingest_queue.h"
@@ -239,50 +240,89 @@ TEST(FrameCodec, UnknownFrameTypeRejected) {
 }
 
 // ---------------------------------------------------------------------
-// Ingest queue policies.
+// Ingest queue policies: items are whole frames, capacity counts tuples.
 
-IngestItem Item(uint64_t seq) {
+// A frame item of `n` tuples, its first tuple stamped with `tag`.
+IngestItem FrameItem(size_t n, double tag) {
   IngestItem item;
-  item.seq = seq;
+  for (size_t i = 0; i < n; ++i) {
+    item.tuples.push_back(ObjectTuple(tag + 0.001 * i, 1, 0.0, 0.0));
+  }
   return item;
 }
 
+// The first-tuple tags of every queued item, in queue order.
+std::vector<double> PopTags(IngestQueue* q) {
+  std::vector<IngestItem> items;
+  q->PopAll(&items);
+  std::vector<double> tags;
+  for (const IngestItem& item : items) {
+    tags.push_back(item.tuples.front().timestamp);
+  }
+  return tags;
+}
+
 TEST(IngestQueue, ShedRejectsWhenFull) {
-  IngestQueue q(2, nullptr);
-  IngestItem a = Item(0), b = Item(1), c = Item(2);
+  IngestQueue q(8, nullptr);
+  IngestItem a = FrameItem(4, 0), b = FrameItem(4, 1), c = FrameItem(1, 2);
   EXPECT_EQ(q.TryPush(&a, BackpressurePolicy::kShed, nullptr),
             PushResult::kAccepted);
   EXPECT_EQ(q.TryPush(&b, BackpressurePolicy::kShed, nullptr),
             PushResult::kAccepted);
+  // One more tuple does not fit: the whole frame is rejected and left
+  // with the caller.
   EXPECT_EQ(q.TryPush(&c, BackpressurePolicy::kShed, nullptr),
             PushResult::kShed);
-  EXPECT_EQ(q.size(), 2u);
-  uint64_t seq = 99;
-  EXPECT_TRUE(q.PeekSeq(&seq));
-  EXPECT_EQ(seq, 0u);  // oldest survives under shed
+  EXPECT_EQ(c.tuples.size(), 1u);
+  EXPECT_EQ(q.weight(), 8u);
+  EXPECT_EQ(PopTags(&q), (std::vector<double>{0, 1}));  // oldest survive
+  EXPECT_EQ(q.weight(), 0u);
 }
 
 TEST(IngestQueue, DropOldestEvictsHead) {
-  IngestQueue q(2, nullptr);
-  IngestItem a = Item(0), b = Item(1), c = Item(2);
+  IngestQueue q(8, nullptr);
+  IngestItem a = FrameItem(3, 0), b = FrameItem(3, 1), c = FrameItem(4, 2);
   ASSERT_EQ(q.TryPush(&a, BackpressurePolicy::kDropOldest, nullptr),
             PushResult::kAccepted);
   ASSERT_EQ(q.TryPush(&b, BackpressurePolicy::kDropOldest, nullptr),
             PushResult::kAccepted);
+  // 3 + 3 + 4 > 8: the oldest frame goes whole, and `dropped` counts
+  // its tuples, not frames.
   uint64_t dropped = 0;
   EXPECT_EQ(q.TryPush(&c, BackpressurePolicy::kDropOldest, &dropped),
             PushResult::kDroppedOldest);
-  EXPECT_EQ(dropped, 1u);
-  uint64_t seq = 0;
-  EXPECT_TRUE(q.PeekSeq(&seq));
-  EXPECT_EQ(seq, 1u);  // newest survives under drop-oldest
-  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(dropped, 3u);
+  EXPECT_EQ(q.weight(), 7u);
+  // A 6-tuple frame needs both remaining frames gone.
+  IngestItem d = FrameItem(6, 3);
+  EXPECT_EQ(q.TryPush(&d, BackpressurePolicy::kDropOldest, &dropped),
+            PushResult::kDroppedOldest);
+  EXPECT_EQ(dropped, 7u);
+  EXPECT_EQ(PopTags(&q), (std::vector<double>{3}));  // newest survives
+}
+
+TEST(IngestQueue, OversizedFrameEntersEmptyQueue) {
+  IngestQueue q(4, nullptr);
+  IngestItem big = FrameItem(10, 0);
+  EXPECT_EQ(q.TryPush(&big, BackpressurePolicy::kShed, nullptr),
+            PushResult::kAccepted);
+  EXPECT_EQ(q.weight(), 10u);
+  // Over capacity now, so nothing else fits until the consumer pops.
+  IngestItem one = FrameItem(1, 1);
+  EXPECT_EQ(q.TryPush(&one, BackpressurePolicy::kShed, nullptr),
+            PushResult::kShed);
+  EXPECT_EQ(q.TryPush(&one, BackpressurePolicy::kBlock, nullptr),
+            PushResult::kWouldBlock);
+  EXPECT_EQ(PopTags(&q), (std::vector<double>{0}));
+  IngestItem again = FrameItem(10, 2);
+  EXPECT_EQ(q.TryPush(&again, BackpressurePolicy::kBlock, nullptr),
+            PushResult::kAccepted);
 }
 
 TEST(IngestQueue, BlockPolicyWaitsForConsumer) {
   WorkSignal signal;
-  IngestQueue q(1, &signal);
-  IngestItem a = Item(0), b = Item(1);
+  IngestQueue q(4, &signal);
+  IngestItem a = FrameItem(4, 0), b = FrameItem(2, 1);
   ASSERT_EQ(q.TryPush(&a, BackpressurePolicy::kBlock, nullptr),
             PushResult::kAccepted);
   EXPECT_EQ(q.TryPush(&b, BackpressurePolicy::kBlock, nullptr),
@@ -290,76 +330,43 @@ TEST(IngestQueue, BlockPolicyWaitsForConsumer) {
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
     uint64_t blocked_ns = 0;
-    EXPECT_TRUE(q.PushBlocking(Item(1), &blocked_ns));
+    EXPECT_TRUE(q.PushBlocking(std::move(b), &blocked_ns));
     pushed.store(true);
   });
-  IngestItem out;
-  ASSERT_TRUE(q.Pop(&out));
-  EXPECT_EQ(out.seq, 0u);
+  std::vector<IngestItem> out;
+  ASSERT_TRUE(q.PopAll(&out));
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out[0].tuples.front().timestamp, 0.0);
   producer.join();
   EXPECT_TRUE(pushed.load());
-  ASSERT_TRUE(q.Pop(&out));
-  EXPECT_EQ(out.seq, 1u);
+  ASSERT_TRUE(q.PopAll(&out));  // appends after what `out` holds
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].tuples.front().timestamp, 1.0);
+  EXPECT_EQ(out[1].weight(), 2u);
 }
 
 TEST(IngestQueue, CloseUnblocksProducerAndKeepsItemsPoppable) {
-  IngestQueue q(1, nullptr);
-  IngestItem a = Item(0);
+  IngestQueue q(4, nullptr);
+  IngestItem a = FrameItem(4, 0);
   ASSERT_EQ(q.TryPush(&a, BackpressurePolicy::kBlock, nullptr),
             PushResult::kAccepted);
   std::thread producer([&] {
-    EXPECT_FALSE(q.PushBlocking(Item(1), nullptr));  // closed while full
+    // Closed while full.
+    EXPECT_FALSE(q.PushBlocking(FrameItem(1, 1), nullptr));
   });
   // Give the producer a moment to block, then close.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Close();
   producer.join();
-  IngestItem out;
-  EXPECT_TRUE(q.Pop(&out));  // drain still sees the admitted item
-  EXPECT_EQ(out.seq, 0u);
-  IngestItem c = Item(2);
+  // Drain still sees the admitted frame.
+  EXPECT_EQ(PopTags(&q), (std::vector<double>{0}));
+  IngestItem c = FrameItem(1, 2);
   EXPECT_EQ(q.TryPush(&c, BackpressurePolicy::kBlock, nullptr),
             PushResult::kClosed);
 }
 
 // ---------------------------------------------------------------------
-// Micro-batcher and admission controller.
-
-TEST(MicroBatcher, TargetTracksArrivalRate) {
-  BatcherOptions options;
-  options.target_batch_ns = 1'000'000;  // 1 ms horizon
-  options.max_batch = 1000;
-  MicroBatcher batcher(options);
-  EXPECT_EQ(batcher.TargetBatchSize(), 1u);  // no estimate yet
-  // 10 us inter-arrival -> 100k tuples/s -> ~100 per 1 ms batch.
-  uint64_t now = 0;
-  for (int i = 0; i < 200; ++i) {
-    batcher.RecordArrival(now);
-    now += 10'000;
-  }
-  EXPECT_NEAR(static_cast<double>(batcher.TargetBatchSize()), 100.0, 2.0);
-  EXPECT_NEAR(batcher.ArrivalRatePerSec(), 1e5, 1e3);
-  // Slowing to 1 tuple/ms shrinks the target back toward min.
-  for (int i = 0; i < 200; ++i) {
-    batcher.RecordArrival(now);
-    now += 1'000'000;
-  }
-  EXPECT_LE(batcher.TargetBatchSize(), 2u);
-}
-
-TEST(MicroBatcher, ClampsToConfiguredBounds) {
-  BatcherOptions options;
-  options.min_batch = 4;
-  options.max_batch = 8;
-  options.target_batch_ns = 1'000'000'000;  // huge horizon
-  MicroBatcher batcher(options);
-  uint64_t now = 0;
-  for (int i = 0; i < 10; ++i) {
-    batcher.RecordArrival(now);
-    now += 10;
-  }
-  EXPECT_EQ(batcher.TargetBatchSize(), 8u);  // clamped to max
-}
+// Admission controller.
 
 TEST(AdmissionController, QueueWatermarkHysteresis) {
   AdmissionOptions options;
@@ -400,47 +407,6 @@ TEST(AdmissionController, DisabledAdmitsEverything) {
   options.enabled = false;
   AdmissionController controller(options, nullptr);
   EXPECT_EQ(controller.Admit(100, 100), AdmitDecision::kAdmit);
-}
-
-// ---------------------------------------------------------------------
-// Incremental fitter: the micro-batching invariance.
-
-TEST(IncrementalFitter, BatchSplitInvariance) {
-  std::vector<Sample> samples;
-  for (int i = 0; i < 50; ++i) {
-    const double t = 0.1 * i;
-    samples.push_back({t, 3.0 - 2.0 * t + 0.25 * t * t + 0.01 * i});
-  }
-  IncrementalFitter whole(2);
-  whole.AddBatch(samples);
-  IncrementalFitter split(2);
-  // Same order, arbitrary batch boundaries.
-  split.AddBatch(samples.data(), 7);
-  split.AddBatch(samples.data() + 7, 1);
-  split.AddBatch(samples.data() + 8, 42);
-  Result<Polynomial> a = whole.Fit();
-  Result<Polynomial> b = split.Fit();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->degree(), b->degree());
-  for (size_t k = 0; k <= a->degree(); ++k) {
-    // Bit-identical, not just close: the moments are the same ordered
-    // sums regardless of batch boundaries.
-    EXPECT_EQ(a->coeff(k), b->coeff(k)) << k;
-  }
-}
-
-TEST(IncrementalFitter, RecoversExactPolynomial) {
-  IncrementalFitter fitter(1);
-  for (int i = 0; i < 10; ++i) {
-    const double t = 0.5 * i;
-    fitter.Add({t, 2.0 + 3.0 * t});
-  }
-  Result<Polynomial> p = fitter.Fit();
-  ASSERT_TRUE(p.ok());
-  EXPECT_NEAR(p->coeff(0), 2.0, 1e-9);
-  EXPECT_NEAR(p->coeff(1), 3.0, 1e-9);
-  EXPECT_FALSE(IncrementalFitter(2).Fit().ok());  // too few samples
 }
 
 // ---------------------------------------------------------------------
@@ -587,11 +553,108 @@ TEST(Session, SegmentPushPathMatchesDirectReplay) {
   (*server)->Drain();
 }
 
+// Segment frames weigh one apiece: the queue counters count segments
+// like tuples, and serve/batch/segments counts their dispatch, so the
+// conservation identities hold for segment streams too.
+TEST(Session, SegmentFramesConserveAccounting) {
+  ServerOptions options = ObjectsServerOptions(BackpressurePolicy::kBlock);
+  Result<std::unique_ptr<StreamServer>> server =
+      StreamServer::Make(std::move(options));
+  ASSERT_TRUE(server.ok());
+  Result<std::unique_ptr<Transport>> conn = (*server)->ConnectInProcess();
+  ASSERT_TRUE(conn.ok());
+  ServeClient client(std::move(*conn));
+  ASSERT_TRUE(client.Hello().ok());
+  ASSERT_TRUE(client.OpenStream(1, "objects").ok());
+  constexpr int kSegments = 10;
+  for (int i = 0; i < kSegments; ++i) {
+    Segment seg(1 + i % 3, Interval::ClosedOpen(i, i + 1.0));
+    seg.set_attribute("x", Polynomial({50.0 * i, 1.0}));
+    seg.set_attribute("y", Polynomial());
+    ASSERT_TRUE(client.SendSegment(1, seg).ok());
+  }
+  Result<ServeClient::DrainResult> drained = client.Drain();
+  ASSERT_TRUE(drained.ok());
+  (*server)->Drain();
+  // x < 100 holds on the first two segments only.
+  EXPECT_EQ(drained->output_segments.size(), 2u);
+  obs::MetricsSnapshot snapshot = (*server)->metrics()->Snapshot();
+  EXPECT_EQ(snapshot.counters["serve/queue/accepted"], kSegments);
+  EXPECT_EQ(snapshot.counters["serve/queue/shed"], 0u);
+  EXPECT_EQ(snapshot.counters["serve/batch/segments"], kSegments);
+  EXPECT_EQ(snapshot.counters["serve/batch/tuples"], 0u);
+  EXPECT_EQ(snapshot.counters["serve/batch/dispatched"], 0u);
+}
+
+// Both conservation identities, in tuples, under every policy. The
+// 400-tuple frame is heavier than the whole queue, so it enters the
+// empty queue whole; the run of 4-tuple frames against a 4-tuple queue
+// puts shed and drop-oldest under pressure.
 TEST(Session, PolicyAccountingConservesTuples) {
+  const std::vector<Tuple> trace = PiecewiseTrace(400);
   for (const BackpressurePolicy policy :
-       {BackpressurePolicy::kDropOldest, BackpressurePolicy::kShed}) {
-    ServerOptions options = ObjectsServerOptions(policy);
-    options.session.queue_capacity = 4;  // force pressure
+       {BackpressurePolicy::kBlock, BackpressurePolicy::kDropOldest,
+        BackpressurePolicy::kShed}) {
+    for (const size_t frame_tuples : {size_t{400}, size_t{4}}) {
+      SCOPED_TRACE(std::string(BackpressurePolicyToString(policy)) +
+                   ", frames of " + std::to_string(frame_tuples));
+      ServerOptions options = ObjectsServerOptions(policy);
+      options.session.queue_capacity = 4;  // force pressure
+      Result<std::unique_ptr<StreamServer>> server =
+          StreamServer::Make(std::move(options));
+      ASSERT_TRUE(server.ok());
+      Result<std::unique_ptr<Transport>> conn =
+          (*server)->ConnectInProcess();
+      ASSERT_TRUE(conn.ok());
+      ServeClient client(std::move(*conn));
+      ASSERT_TRUE(client.Hello().ok());
+      ASSERT_TRUE(client.OpenStream(1, "objects").ok());
+      for (size_t i = 0; i < trace.size(); i += frame_tuples) {
+        ASSERT_TRUE(client
+                        .SendBatch(1, std::vector<Tuple>(
+                                          trace.begin() + i,
+                                          trace.begin() + i + frame_tuples))
+                        .ok());
+      }
+      Result<ServeClient::DrainResult> drained = client.Drain();
+      ASSERT_TRUE(drained.ok());
+      (*server)->Drain();
+
+      obs::MetricsSnapshot snapshot = (*server)->metrics()->Snapshot();
+      const uint64_t accepted = snapshot.counters["serve/queue/accepted"];
+      const uint64_t shed = snapshot.counters["serve/queue/shed"];
+      const uint64_t dropped = snapshot.counters["serve/queue/dropped"];
+      // Conservation: every sent tuple was either accepted or shed, and
+      // every accepted-minus-evicted tuple was dispatched to the runtime.
+      EXPECT_EQ(accepted + shed, trace.size());
+      EXPECT_EQ(snapshot.counters["serve/batch/tuples"], accepted - dropped);
+      // The client saw the same story via flow frames.
+      EXPECT_EQ(drained->shed, shed);
+      EXPECT_EQ(drained->dropped, dropped);
+      if (policy != BackpressurePolicy::kDropOldest) {
+        EXPECT_EQ(dropped, 0u);
+      }
+      if (policy == BackpressurePolicy::kBlock || frame_tuples == 400) {
+        EXPECT_EQ(accepted, trace.size());
+      }
+    }
+  }
+}
+
+// The reader pushes once per data frame, so a blocked frame costs one
+// kPaused/kResumed pair however many tuples it carries. Every 64-tuple
+// frame outweighs the 1-tuple queue and so waits for the worker to pop
+// the frame before it.
+TEST(Session, BlockedFramePausesOnce) {
+  constexpr size_t kFrames = 100;
+  constexpr size_t kFrameTuples = 64;
+  const std::vector<Tuple> trace = PiecewiseTrace(kFrames * kFrameTuples);
+  uint64_t paused = 0;
+  // Whether a frame blocks depends on thread timing; a few sessions make
+  // at least one blocked frame all but certain.
+  for (int attempt = 0; attempt < 10 && paused == 0; ++attempt) {
+    ServerOptions options = ObjectsServerOptions(BackpressurePolicy::kBlock);
+    options.session.queue_capacity = 1;
     Result<std::unique_ptr<StreamServer>> server =
         StreamServer::Make(std::move(options));
     ASSERT_TRUE(server.ok());
@@ -600,26 +663,123 @@ TEST(Session, PolicyAccountingConservesTuples) {
     ServeClient client(std::move(*conn));
     ASSERT_TRUE(client.Hello().ok());
     ASSERT_TRUE(client.OpenStream(1, "objects").ok());
-    const std::vector<Tuple> trace = PiecewiseTrace(400);
-    ASSERT_TRUE(client.SendBatch(1, trace).ok());
+    for (size_t i = 0; i < trace.size(); i += kFrameTuples) {
+      ASSERT_TRUE(client
+                      .SendBatch(1, std::vector<Tuple>(
+                                        trace.begin() + i,
+                                        trace.begin() + i + kFrameTuples))
+                      .ok());
+    }
     Result<ServeClient::DrainResult> drained = client.Drain();
     ASSERT_TRUE(drained.ok());
     (*server)->Drain();
-
-    obs::MetricsSnapshot snapshot = (*server)->metrics()->Snapshot();
-    const uint64_t accepted = snapshot.counters["serve/queue/accepted"];
-    const uint64_t shed = snapshot.counters["serve/queue/shed"];
-    const uint64_t dropped = snapshot.counters["serve/queue/dropped"];
-    // Conservation: every sent tuple was either accepted or shed, and
-    // every accepted-minus-evicted tuple was dispatched to the runtime.
-    EXPECT_EQ(accepted + shed, trace.size());
-    EXPECT_EQ(snapshot.counters["serve/batch/tuples"], accepted - dropped);
-    // The client saw the same story via flow frames.
-    EXPECT_EQ(drained->shed, shed);
-    EXPECT_EQ(drained->dropped, dropped);
-    if (policy == BackpressurePolicy::kShed) {
-      EXPECT_EQ(dropped, 0u);
+    uint64_t resumed = 0;
+    for (const Frame& flow : drained->flow_frames) {
+      if (flow.flow_event == FlowEvent::kPaused) {
+        EXPECT_EQ(paused, resumed) << "kPaused before the last kResumed";
+        ++paused;
+      } else if (flow.flow_event == FlowEvent::kResumed) {
+        ++resumed;
+        EXPECT_EQ(paused, resumed) << "kResumed without a kPaused";
+      }
     }
+    EXPECT_EQ(paused, resumed);
+    EXPECT_LE(paused, kFrames);
+    EXPECT_EQ(drained->shed, 0u);
+    EXPECT_EQ((*server)->metrics()->Snapshot().counters["serve/batch/tuples"],
+              trace.size());
+  }
+  EXPECT_GT(paused, 0u) << "no frame blocked in 10 sessions";
+}
+
+// Frame boundaries and cross-stream interleaving never change answers:
+// a two-stream key-matched join fed as frames of 1, 7, 64 and 400 tuples,
+// alternating streams frame by frame, delivers exactly what a direct
+// HistoricalRuntime replay of the same arrival order produces. The
+// worker coalesces adjacent frames of one stream only, so this also
+// pins the arrival order across streams.
+TEST(Session, FrameSplitDoesNotChangeAnswers) {
+  ServerOptions options = ObjectsServerOptions(BackpressurePolicy::kBlock);
+  options.num_shards = 2;
+  options.spec = QuerySpec();
+  for (const char* name : {"left", "right"}) {
+    ASSERT_TRUE(options.spec
+                    .AddStream(MovingObjectGenerator::MakeStreamSpec(name,
+                                                                     5.0))
+                    .ok());
+  }
+  JoinSpec join;
+  join.predicate = Predicate::Comparison(ComparisonTerm::Simple(
+      AttrRef::Left("x"), CmpOp::kLt,
+      Operand::Attribute(AttrRef::Right("x"))));
+  join.window_seconds = 100.0;
+  join.match_keys = true;
+  options.spec.AddJoin("j", QuerySpec::Input::Stream("left"),
+                       QuerySpec::Input::Stream("right"), join);
+
+  // Four keys per stream. Left x zig-zags with period 3 s, right x
+  // slowly rises, so the join's answer flips many times per key.
+  std::vector<Tuple> left;
+  std::vector<Tuple> right;
+  for (int step = 0; step < 200; ++step) {
+    const double t = step * 0.05;
+    const double phase = std::fmod(t, 3.0);
+    const double zig = phase < 1.5 ? 4.0 * phase : 12.0 - 4.0 * phase;
+    for (int key = 1; key <= 4; ++key) {
+      left.push_back(ObjectTuple(t, key, zig + key, 0.0));
+      right.push_back(ObjectTuple(t, key, 2.0 + 0.5 * t + key, 0.0));
+    }
+  }
+
+  for (const size_t frame_tuples :
+       {size_t{1}, size_t{7}, size_t{64}, size_t{400}}) {
+    SCOPED_TRACE("frames of " + std::to_string(frame_tuples));
+    // Arrival order: frames alternate left, right, left, ...
+    struct Sent {
+      uint32_t stream_id;
+      std::vector<Tuple> tuples;
+    };
+    std::vector<Sent> frames;
+    for (size_t i = 0; i < left.size(); i += frame_tuples) {
+      const size_t end = std::min(left.size(), i + frame_tuples);
+      frames.push_back({1, std::vector<Tuple>(left.begin() + i,
+                                              left.begin() + end)});
+      frames.push_back({2, std::vector<Tuple>(right.begin() + i,
+                                              right.begin() + end)});
+    }
+
+    Result<HistoricalRuntime> direct =
+        HistoricalRuntime::Make(options.spec, options.runtime);
+    ASSERT_TRUE(direct.ok());
+    for (const Sent& frame : frames) {
+      for (const Tuple& t : frame.tuples) {
+        ASSERT_TRUE(
+            direct->ProcessTuple(frame.stream_id == 1 ? "left" : "right", t)
+                .ok());
+      }
+    }
+    ASSERT_TRUE(direct->Finish().ok());
+    const std::vector<Segment> expected = direct->TakeOutputSegments();
+    ASSERT_FALSE(expected.empty());
+
+    Result<std::unique_ptr<StreamServer>> server =
+        StreamServer::Make(options);
+    ASSERT_TRUE(server.ok());
+    Result<std::unique_ptr<Transport>> conn = (*server)->ConnectInProcess();
+    ASSERT_TRUE(conn.ok());
+    ServeClient client(std::move(*conn));
+    ASSERT_TRUE(client.Hello().ok());
+    ASSERT_TRUE(client.OpenStream(1, "left").ok());
+    ASSERT_TRUE(client.OpenStream(2, "right").ok());
+    for (Sent& frame : frames) {
+      ASSERT_TRUE(
+          client.SendBatch(frame.stream_id, std::move(frame.tuples)).ok());
+    }
+    Result<ServeClient::DrainResult> drained = client.Drain();
+    ASSERT_TRUE(drained.ok());
+    EXPECT_EQ(drained->shed, 0u);
+    ExpectSameSegments(expected, drained->output_segments);
+    (*server)->Drain();
   }
 }
 
