@@ -5,6 +5,9 @@
 //             [--mode predictive|historical] [--bound attr=0.01]
 //             [--sample-rate HZ] [--show K]
 //
+// --sample-rate samples predictive outputs into tuples; it is an
+// argument error in every other mode.
+//
 // Examples:
 //   pulse_cli --workload nyse --tuples 50000 --bound s.ap=0.01 --query \
 //     "select symbol, s.ap - l.ap as diff from (select symbol, avg(price) \
@@ -91,7 +94,7 @@ int Usage(const char* argv0) {
       "usage: %s --query SQL [--workload objects|nyse|ais|telemetry] "
       "[--tuples N]\n"
       "          [--mode predictive|historical|serve] [--bound attr=frac]...\n"
-      "          [--sample-rate HZ] [--show K]\n"
+      "          [--sample-rate HZ (predictive only)] [--show K]\n"
       "          [--policy block|drop_oldest|shed] [--rate TPS] [--port P]\n"
       "          [--precision static|adaptive] [--tier N]\n"
       "          [--store-dir DIR] [--recover]\n",
@@ -184,6 +187,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
 int main(int argc, char** argv) {
   CliOptions options;
   if (!ParseArgs(argc, argv, &options)) return Usage(argv[0]);
+  if (options.sample_rate != 0.0 &&
+      (options.mode != "predictive" || options.recover)) {
+    std::fprintf(stderr, "--sample-rate applies to --mode predictive only\n");
+    return Usage(argv[0]);
+  }
 
   // Declare the chosen workload's stream and build a tuple source.
   QuerySpec spec;

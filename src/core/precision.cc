@@ -45,10 +45,8 @@ Result<std::unique_ptr<AdaptiveRuntime>> AdaptiveRuntime::Make(
   runtime->metrics_ = std::make_unique<obs::MetricsRegistry>();
 
   // Settlement compares against collected outputs, so collection is
-  // mandatory; the observer does not apply here (the adaptive runtime is
-  // session-owned, docs/PRECISION.md).
+  // mandatory.
   exact.collect_outputs = true;
-  exact.output_observer = nullptr;
   exact.metrics = runtime->metrics_.get();
   PULSE_ASSIGN_OR_RETURN(HistoricalRuntime rt,
                          HistoricalRuntime::Make(spec, exact));
@@ -63,7 +61,6 @@ Status AdaptiveRuntime::StartEpisode(size_t tier) {
   HistoricalRuntime::Options coarse = exact_template_;
   coarse.segmentation.max_error *= rung.error_scale;
   coarse.collect_outputs = true;
-  coarse.output_observer = nullptr;
   // Both runtimes report through the shared registry, so the
   // span/runtime/push_segment histogram the precision controller reads
   // tracks whichever side is currently live.

@@ -120,9 +120,10 @@ struct PrecisionStats {
 class AdaptiveRuntime {
  public:
   /// `exact` is the static-precision configuration (the fields metrics /
-  /// output_observer are overridden: the adaptive runtime owns a
+  /// collect_outputs are overridden: the adaptive runtime owns a
   /// registry shared by the exact and coarse runtimes so
-  /// span/runtime/push_segment reflects whichever side is live).
+  /// span/runtime/push_segment reflects whichever side is live, and
+  /// settlement needs collected outputs).
   static Result<std::unique_ptr<AdaptiveRuntime>> Make(
       const QuerySpec& spec, HistoricalRuntime::Options exact,
       AdaptivePrecisionOptions precision = {});

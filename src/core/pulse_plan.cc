@@ -125,7 +125,6 @@ Status PulseExecutor::RunNode(PulsePlan::NodeId id, size_t port,
 
 void PulseExecutor::DeliverToSink(const Segment& segment) {
   ++total_output_;
-  if (callback_) callback_(segment);
   if (!discard_output_) output_.push_back(segment);
 }
 

@@ -1,7 +1,6 @@
 #ifndef PULSE_CORE_PULSE_PLAN_H_
 #define PULSE_CORE_PULSE_PLAN_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,9 +71,6 @@ class PulseExecutor {
   std::vector<Segment> TakeOutput();
   uint64_t total_output() const { return total_output_; }
 
-  void set_output_callback(std::function<void(const Segment&)> cb) {
-    callback_ = std::move(cb);
-  }
   void set_discard_output(bool discard) { discard_output_ = discard; }
 
   /// Publishes every operator's counters into `registry` under the
@@ -103,7 +99,6 @@ class PulseExecutor {
   std::vector<PulsePlan::NodeId> topo_order_;
   std::vector<Segment> output_;
   uint64_t total_output_ = 0;
-  std::function<void(const Segment&)> callback_;
   bool discard_output_ = false;
   obs::MetricsRegistry* registry_ = nullptr;
   obs::ViewGroup views_;

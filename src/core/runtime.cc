@@ -75,27 +75,120 @@ std::set<std::string> CollectStreamAttributes(const QuerySpec& spec,
 
 namespace pulse {
 
+RuntimeCore::Counters RuntimeCore::Counters::Bind(
+    obs::MetricsRegistry* registry, Mode mode) {
+  Counters c;
+  c.tuples_in = registry->GetCounter("runtime/tuples_in");
+  c.segments_pushed = registry->GetCounter("runtime/segments_pushed");
+  c.output_segments = registry->GetCounter("runtime/output_segments");
+  if (mode == Mode::kPredictive) {
+    c.tuples_validated = registry->GetCounter("runtime/tuples_validated");
+    c.violations = registry->GetCounter("runtime/violations");
+    c.output_tuples = registry->GetCounter("runtime/output_tuples");
+    c.inversions = registry->GetCounter("runtime/inversions");
+  }
+  return c;
+}
+
+RuntimeStats RuntimeCore::Counters::Read() const {
+  auto read = [](const obs::Counter* c) -> uint64_t {
+    return c == nullptr ? 0 : c->value();
+  };
+  RuntimeStats s;
+  s.tuples_in = read(tuples_in);
+  s.tuples_validated = read(tuples_validated);
+  s.violations = read(violations);
+  s.segments_pushed = read(segments_pushed);
+  s.output_segments = read(output_segments);
+  s.output_tuples = read(output_tuples);
+  s.inversions = read(inversions);
+  return s;
+}
+
+Result<RuntimeCore> RuntimeCore::Make(const QuerySpec& spec, Mode mode,
+                                      obs::MetricsRegistry* metrics,
+                                      bool discard_output) {
+  RuntimeCore core;
+  PULSE_ASSIGN_OR_RETURN(TransformedPlan transformed, BuildPulsePlan(spec));
+  PULSE_ASSIGN_OR_RETURN(PulseExecutor exec,
+                         PulseExecutor::Make(std::move(transformed.plan)));
+  core.executor_ = std::make_unique<PulseExecutor>(std::move(exec));
+  core.executor_->set_discard_output(discard_output);
+  if (metrics != nullptr) {
+    core.metrics_ = metrics;
+  } else {
+    core.owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    core.metrics_ = core.owned_metrics_.get();
+  }
+  core.executor_->set_metrics_registry(core.metrics_);
+  core.counters_ = Counters::Bind(core.metrics_, mode);
+  for (const auto& [name, stream] : spec.streams()) {
+    core.streams_.push_back(name);
+  }
+  return core;
+}
+
+void RuntimeCore::SortFinishTail(std::vector<Segment>* outputs,
+                                 size_t from) {
+  std::stable_sort(
+      outputs->begin() + static_cast<std::ptrdiff_t>(from), outputs->end(),
+      [](const Segment& a, const Segment& b) { return a.key < b.key; });
+}
+
+Result<size_t> RuntimeCore::AcceptTuples(const std::string& stream,
+                                         size_t n) {
+  if (memo_stream_ >= streams_.size() || streams_[memo_stream_] != stream) {
+    auto it = std::find(streams_.begin(), streams_.end(), stream);
+    if (it == streams_.end()) {
+      return Status::NotFound("stream '" + stream + "' not declared");
+    }
+    memo_stream_ = static_cast<size_t>(it - streams_.begin());
+  }
+  counters_.tuples_in->Add(n);
+  return memo_stream_;
+}
+
+Status RuntimeCore::PushSegment(const std::string& stream,
+                                Segment segment) {
+  const uint64_t before = executor_->total_output();
+  {
+    // Scope spans fired inside the push (PULSE_SPAN sites in the
+    // executor and operators) to this runtime's registry.
+    obs::ScopedMetricsRegistry scoped(metrics_);
+    PULSE_SPAN("runtime/push_segment");
+    PULSE_RETURN_IF_ERROR(
+        executor_->PushSegment(stream, std::move(segment)));
+  }
+  counters_.segments_pushed->Increment();
+  counters_.output_segments->Add(executor_->total_output() - before);
+  return Status::OK();
+}
+
+Status RuntimeCore::Finish(size_t finish_tail) {
+  const uint64_t before = executor_->total_output();
+  {
+    obs::ScopedMetricsRegistry scoped(metrics_);
+    PULSE_RETURN_IF_ERROR(executor_->Finish());
+  }
+  counters_.output_segments->Add(executor_->total_output() - before);
+  SortFinishTail(&executor_->output(), finish_tail);
+  return Status::OK();
+}
+
 Result<PredictiveRuntime> PredictiveRuntime::Make(const QuerySpec& spec,
                                                   Options options) {
-  PredictiveRuntime rt;
-  rt.spec_ = spec;
+  // The executor keeps every output even when collection is off: bound
+  // inversion reads each one (HandleOutputs drops them afterwards).
+  PULSE_ASSIGN_OR_RETURN(
+      RuntimeCore core,
+      RuntimeCore::Make(spec, RuntimeCore::Mode::kPredictive,
+                        options.metrics, /*discard_output=*/false));
+  PredictiveRuntime rt(std::move(core));
   rt.options_ = std::move(options);
   if (rt.options_.split == nullptr) {
     rt.options_.split = std::make_shared<EquiSplit>();
   }
-  PULSE_ASSIGN_OR_RETURN(TransformedPlan transformed, BuildPulsePlan(spec));
-  PULSE_ASSIGN_OR_RETURN(PulseExecutor exec,
-                         PulseExecutor::Make(std::move(transformed.plan)));
-  rt.executor_ = std::make_unique<PulseExecutor>(std::move(exec));
-  if (rt.options_.metrics != nullptr) {
-    rt.metrics_ = rt.options_.metrics;
-  } else {
-    rt.owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    rt.metrics_ = rt.owned_metrics_.get();
-  }
-  rt.executor_->set_metrics_registry(rt.metrics_);
-  rt.BindRuntimeCounters();
-  rt.inverter_ = std::make_unique<QueryInverter>(&rt.executor_->plan(),
+  rt.inverter_ = std::make_unique<QueryInverter>(&rt.core_.plan(),
                                                  rt.options_.split);
   rt.bound_registry_ = std::make_unique<BoundRegistry>();
   rt.validator_ =
@@ -118,34 +211,12 @@ Result<PredictiveRuntime> PredictiveRuntime::Make(const QuerySpec& spec,
       if (!idx.ok()) continue;  // not observable: cannot validate
       state.clauses.push_back(ValidationClause{&clause, *idx});
     }
-    rt.streams_.emplace(name, std::move(state));
+    rt.streams_.push_back(std::move(state));
   }
   if (rt.options_.sample_rate > 0.0) {
     rt.sampler_.emplace(SamplerOptions{rt.options_.sample_rate, 0.0});
   }
   return rt;
-}
-
-void PredictiveRuntime::BindRuntimeCounters() {
-  c_tuples_in_ = metrics_->GetCounter("runtime/tuples_in");
-  c_tuples_validated_ = metrics_->GetCounter("runtime/tuples_validated");
-  c_violations_ = metrics_->GetCounter("runtime/violations");
-  c_segments_pushed_ = metrics_->GetCounter("runtime/segments_pushed");
-  c_output_segments_ = metrics_->GetCounter("runtime/output_segments");
-  c_output_tuples_ = metrics_->GetCounter("runtime/output_tuples");
-  c_inversions_ = metrics_->GetCounter("runtime/inversions");
-}
-
-RuntimeStats PredictiveRuntime::stats() const {
-  RuntimeStats s;
-  s.tuples_in = c_tuples_in_->value();
-  s.tuples_validated = c_tuples_validated_->value();
-  s.violations = c_violations_->value();
-  s.segments_pushed = c_segments_pushed_->value();
-  s.output_segments = c_output_segments_->value();
-  s.output_tuples = c_output_tuples_->value();
-  s.inversions = c_inversions_->value();
-  return s;
 }
 
 namespace {
@@ -219,18 +290,21 @@ double EdgeSlack(const PulsePlan& plan, const PulsePlan::Edge& e,
 double PredictiveRuntime::SourceSlack(const std::string& stream,
                                       const Segment& segment) {
   double slack = std::numeric_limits<double>::infinity();
-  const PulsePlan& plan = executor_->plan();
+  const PulsePlan& plan = core_.plan();
   for (const PulsePlan::Edge& e : plan.source_bindings(stream)) {
     slack = std::min(slack, EdgeSlack(plan, e, segment, 0));
   }
   return slack;
 }
 
-Status PredictiveRuntime::HandleOutputs(std::vector<Segment> outputs) {
-  const PulsePlan& plan = executor_->plan();
+Status PredictiveRuntime::HandleOutputs(size_t from) {
+  std::vector<Segment>& outputs = core_.outputs();
+  if (from == outputs.size()) return Status::OK();
+  const RuntimeCore::Counters& counters = core_.counters();
+  const PulsePlan& plan = core_.plan();
   const std::vector<PulsePlan::NodeId> sinks = plan.SinkNodes();
-  for (const Segment& out : outputs) {
-    c_output_segments_->Increment();
+  for (size_t i = from; i < outputs.size(); ++i) {
+    const Segment& out = outputs[i];
     // Invert each user bound through whichever sink produced this
     // segment (identified by lineage ownership).
     for (const BoundSpec& spec : options_.bounds) {
@@ -240,7 +314,7 @@ Status PredictiveRuntime::HandleOutputs(std::vector<Segment> outputs) {
         }
         Status st = inverter_->InvertForOutput(sink, out, spec,
                                                bound_registry_.get());
-        if (st.ok()) c_inversions_->Increment();
+        if (st.ok()) counters.inversions->Increment();
         break;
       }
     }
@@ -248,17 +322,16 @@ Status PredictiveRuntime::HandleOutputs(std::vector<Segment> outputs) {
       std::vector<std::string> attrs;
       for (const auto& [name, _] : out.attributes) attrs.push_back(name);
       std::vector<Tuple> sampled = sampler_->Sample(out, attrs);
-      c_output_tuples_->Add(sampled.size());
+      counters.output_tuples->Add(sampled.size());
       if (options_.collect_outputs) {
         output_tuples_.insert(output_tuples_.end(), sampled.begin(),
                               sampled.end());
       }
     }
   }
-  if (options_.collect_outputs) {
-    output_segments_.insert(output_segments_.end(),
-                            std::make_move_iterator(outputs.begin()),
-                            std::make_move_iterator(outputs.end()));
+  if (!options_.collect_outputs) {
+    outputs.erase(outputs.begin() + static_cast<std::ptrdiff_t>(from),
+                  outputs.end());
   }
   return Status::OK();
 }
@@ -285,23 +358,23 @@ void PredictiveRuntime::RefreshMargins(const StreamState& state, Key key,
   model->margin_version = bound_registry_->version();
 }
 
-PredictiveRuntime::StreamState* PredictiveRuntime::FindStream(
-    const std::string& name) {
-  if (memo_state_ != nullptr && *memo_name_ == name) return memo_state_;
-  auto it = streams_.find(name);
-  if (it == streams_.end()) return nullptr;
-  memo_name_ = &it->first;
-  memo_state_ = &it->second;
-  return memo_state_;
-}
-
 Status PredictiveRuntime::ProcessTuple(const std::string& stream,
                                        const Tuple& tuple) {
-  c_tuples_in_->Increment();
-  StreamState* state = FindStream(stream);
-  if (state == nullptr) {
-    return Status::NotFound("stream '" + stream + "' not declared");
+  PULSE_ASSIGN_OR_RETURN(size_t index, core_.AcceptTuples(stream, 1));
+  return ProcessAccepted(index, tuple);
+}
+
+Status PredictiveRuntime::ProcessTuples(const std::string& stream,
+                                        const Tuple* tuples, size_t n) {
+  PULSE_ASSIGN_OR_RETURN(size_t index, core_.AcceptTuples(stream, n));
+  for (size_t i = 0; i < n; ++i) {
+    PULSE_RETURN_IF_ERROR(ProcessAccepted(index, tuples[i]));
   }
+  return Status::OK();
+}
+
+Status PredictiveRuntime::ProcessAccepted(size_t index, const Tuple& tuple) {
+  StreamState* state = &streams_[index];
   const SegmentModelBuilder& builder = state->builder;
   const Key key = builder.KeyOf(tuple);
 
@@ -335,10 +408,10 @@ Status PredictiveRuntime::ProcessTuple(const std::string& stream,
       }
     }
     if (explained) {
-      c_tuples_validated_->Increment();
+      core_.counters().tuples_validated->Increment();
       return Status::OK();
     }
-    c_violations_->Increment();
+    core_.counters().violations->Increment();
   }
 
   // Rebuild the model from this tuple and reprocess.
@@ -357,18 +430,11 @@ Status PredictiveRuntime::ProcessTuple(const std::string& stream,
   model.segment = segment;
   BindModel(*state, &model);
   RefreshMargins(*state, key, &model);
-  {
-    // Scope spans fired inside the push (PULSE_SPAN sites in the
-    // executor and operators) to this runtime's registry.
-    obs::ScopedMetricsRegistry scoped(metrics_);
-    PULSE_SPAN("runtime/push_segment");
-    PULSE_RETURN_IF_ERROR(
-        executor_->PushSegment(stream, std::move(segment)));
-  }
-  c_segments_pushed_->Increment();
-  std::vector<Segment> outputs = executor_->TakeOutput();
-  const bool produced = !outputs.empty();
-  PULSE_RETURN_IF_ERROR(HandleOutputs(std::move(outputs)));
+  const std::string& stream = core_.stream_name(index);
+  const size_t from = core_.outputs().size();
+  PULSE_RETURN_IF_ERROR(core_.PushSegment(stream, std::move(segment)));
+  const bool produced = core_.outputs().size() > from;
+  PULSE_RETURN_IF_ERROR(HandleOutputs(from));
   if (produced) {
     model.mode = ValidationMode::kAccuracy;
     model.slack = 0.0;
@@ -384,29 +450,10 @@ Status PredictiveRuntime::ProcessTuple(const std::string& stream,
   return Status::OK();
 }
 
-Status PredictiveRuntime::ProcessTuples(const std::string& stream,
-                                        const Tuple* tuples, size_t n) {
-  // The per-tuple stream lookup is already memoized across consecutive
-  // same-stream calls, so the loop form is the batch form; the batch
-  // entry point exists for call-site symmetry with HistoricalRuntime.
-  for (size_t i = 0; i < n; ++i) {
-    PULSE_RETURN_IF_ERROR(ProcessTuple(stream, tuples[i]));
-  }
-  return Status::OK();
-}
-
 Status PredictiveRuntime::Finish() {
-  {
-    obs::ScopedMetricsRegistry scoped(metrics_);
-    PULSE_RETURN_IF_ERROR(executor_->Finish());
-  }
-  return HandleOutputs(executor_->TakeOutput());
-}
-
-std::vector<Segment> PredictiveRuntime::TakeOutputSegments() {
-  std::vector<Segment> out = std::move(output_segments_);
-  output_segments_.clear();
-  return out;
+  const size_t tail = core_.outputs().size();
+  PULSE_RETURN_IF_ERROR(core_.Finish(tail));
+  return HandleOutputs(tail);
 }
 
 std::vector<Tuple> PredictiveRuntime::TakeOutputTuples() {
@@ -609,151 +656,41 @@ Result<std::vector<Segment>> MultiAttributeSegmenter::Flush() {
 
 Result<HistoricalRuntime> HistoricalRuntime::Make(const QuerySpec& spec,
                                                   Options options) {
-  HistoricalRuntime rt;
-  rt.spec_ = spec;
-  rt.options_ = std::move(options);
-  PULSE_ASSIGN_OR_RETURN(TransformedPlan transformed, BuildPulsePlan(spec));
-  PULSE_ASSIGN_OR_RETURN(PulseExecutor exec,
-                         PulseExecutor::Make(std::move(transformed.plan)));
-  rt.executor_ = std::make_unique<PulseExecutor>(std::move(exec));
-  rt.executor_->set_discard_output(!rt.options_.collect_outputs);
-  if (rt.options_.metrics != nullptr) {
-    rt.metrics_ = rt.options_.metrics;
-  } else {
-    rt.owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    rt.metrics_ = rt.owned_metrics_.get();
-  }
-  rt.executor_->set_metrics_registry(rt.metrics_);
-  rt.BindRuntimeCounters();
+  PULSE_ASSIGN_OR_RETURN(
+      RuntimeCore core,
+      RuntimeCore::Make(spec, RuntimeCore::Mode::kHistorical,
+                        options.metrics, !options.collect_outputs));
+  HistoricalRuntime rt(std::move(core));
   for (const auto& [name, stream] : spec.streams()) {
-    rt.segmenters_.emplace(name,
-                           std::make_unique<MultiAttributeSegmenter>(
-                               stream, rt.options_.segmentation));
+    rt.segmenters_.emplace_back(stream, options.segmentation);
   }
   return rt;
 }
 
-MultiAttributeSegmenter* HistoricalRuntime::FindSegmenter(
-    const std::string& name) {
-  if (memo_segmenter_ != nullptr && *memo_segmenter_name_ == name) {
-    return memo_segmenter_;
-  }
-  auto it = segmenters_.find(name);
-  if (it == segmenters_.end()) return nullptr;
-  memo_segmenter_name_ = &it->first;
-  memo_segmenter_ = it->second.get();
-  return memo_segmenter_;
-}
-
-Status HistoricalRuntime::ProcessTuple(const std::string& stream,
-                                       const Tuple& tuple) {
-  c_tuples_in_->Increment();
-  MultiAttributeSegmenter* segmenter = FindSegmenter(stream);
-  if (segmenter == nullptr) {
-    return Status::NotFound("stream '" + stream + "' not declared");
-  }
-  PULSE_ASSIGN_OR_RETURN(std::optional<Segment> seg, segmenter->Add(tuple));
-  if (seg.has_value()) {
-    PULSE_RETURN_IF_ERROR(ProcessSegment(stream, std::move(*seg)));
-  }
-  return Status::OK();
-}
-
 Status HistoricalRuntime::ProcessTuples(const std::string& stream,
                                         const Tuple* tuples, size_t n) {
-  if (n == 0) return Status::OK();
-  MultiAttributeSegmenter* segmenter = FindSegmenter(stream);
-  if (segmenter == nullptr) {
-    return Status::NotFound("stream '" + stream + "' not declared");
-  }
-  c_tuples_in_->Add(n);
+  PULSE_ASSIGN_OR_RETURN(size_t index, core_.AcceptTuples(stream, n));
+  MultiAttributeSegmenter& segmenter = segmenters_[index];
   for (size_t i = 0; i < n; ++i) {
     PULSE_ASSIGN_OR_RETURN(std::optional<Segment> seg,
-                           segmenter->Add(tuples[i]));
+                           segmenter.Add(tuples[i]));
     if (seg.has_value()) {
-      PULSE_RETURN_IF_ERROR(ProcessSegment(stream, std::move(*seg)));
-    }
-  }
-  return Status::OK();
-}
-
-void HistoricalRuntime::BindRuntimeCounters() {
-  c_tuples_in_ = metrics_->GetCounter("runtime/tuples_in");
-  c_segments_pushed_ = metrics_->GetCounter("runtime/segments_pushed");
-  c_output_segments_ = metrics_->GetCounter("runtime/output_segments");
-}
-
-RuntimeStats HistoricalRuntime::stats() const {
-  RuntimeStats s;
-  s.tuples_in = c_tuples_in_->value();
-  s.segments_pushed = c_segments_pushed_->value();
-  s.output_segments = c_output_segments_->value();
-  return s;
-}
-
-Status HistoricalRuntime::ProcessSegment(const std::string& stream,
-                                         Segment segment) {
-  const size_t before = executor_->total_output();
-  const bool observing = options_.output_observer != nullptr &&
-                         options_.collect_outputs && !finishing_;
-  const size_t observed_before = observing ? executor_->output().size() : 0;
-  {
-    // Scope spans fired inside the push (PULSE_SPAN sites in the
-    // executor and operators) to this runtime's registry.
-    obs::ScopedMetricsRegistry scoped(metrics_);
-    PULSE_SPAN("runtime/push_segment");
-    PULSE_RETURN_IF_ERROR(
-        executor_->PushSegment(stream, std::move(segment)));
-  }
-  c_segments_pushed_->Increment();
-  c_output_segments_->Add(executor_->total_output() - before);
-  if (observing) {
-    const std::vector<Segment>& out = executor_->output();
-    for (size_t i = observed_before; i < out.size(); ++i) {
-      options_.output_observer(out[i]);
+      PULSE_RETURN_IF_ERROR(core_.PushSegment(stream, std::move(*seg)));
     }
   }
   return Status::OK();
 }
 
 Status HistoricalRuntime::Finish() {
-  const size_t finish_tail = executor_->output().size();
-  // Flush-phase outputs land inside the sorted finish tail below, so
-  // the observer must not see them yet (its contract is
-  // TakeOutputSegments order).
-  finishing_ = true;
-  for (auto& [stream, segmenter] : segmenters_) {
-    PULSE_ASSIGN_OR_RETURN(std::vector<Segment> segs, segmenter->Flush());
+  const size_t tail = core_.outputs().size();
+  for (size_t i = 0; i < segmenters_.size(); ++i) {
+    PULSE_ASSIGN_OR_RETURN(std::vector<Segment> segs, segmenters_[i].Flush());
     for (Segment& s : segs) {
-      PULSE_RETURN_IF_ERROR(ProcessSegment(stream, std::move(s)));
+      PULSE_RETURN_IF_ERROR(
+          core_.PushSegment(core_.stream_name(i), std::move(s)));
     }
   }
-  {
-    obs::ScopedMetricsRegistry scoped(metrics_);
-    PULSE_RETURN_IF_ERROR(executor_->Finish());
-  }
-  // Canonical finish order: the flush above interleaves keys in
-  // segmenter hash order, which is an implementation accident. Sorting
-  // the finish-phase outputs stably by key makes the tail order a
-  // *contract* — and because every key's outputs keep their relative
-  // order, a key-partitioned run (docs/SHARDING.md) can reproduce it
-  // exactly by concatenating per-shard finish outputs and applying the
-  // same stable sort.
-  std::vector<Segment>& out = executor_->output();
-  std::stable_sort(
-      out.begin() + static_cast<std::ptrdiff_t>(finish_tail), out.end(),
-      [](const Segment& a, const Segment& b) { return a.key < b.key; });
-  finishing_ = false;
-  if (options_.output_observer != nullptr && options_.collect_outputs) {
-    for (size_t i = finish_tail; i < out.size(); ++i) {
-      options_.output_observer(out[i]);
-    }
-  }
-  return Status::OK();
-}
-
-std::vector<Segment> HistoricalRuntime::TakeOutputSegments() {
-  return executor_->TakeOutput();
+  return core_.Finish(tail);
 }
 
 }  // namespace pulse

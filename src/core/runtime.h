@@ -1,7 +1,6 @@
 #ifndef PULSE_CORE_RUNTIME_H_
 #define PULSE_CORE_RUNTIME_H_
 
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <memory>
@@ -41,6 +40,92 @@ struct RuntimeStats {
   uint64_t output_segments = 0;
   uint64_t output_tuples = 0;
   uint64_t inversions = 0;
+};
+
+/// What both processing modes share (paper Section II-A: predictive and
+/// historical processing run the same transformed plan through the same
+/// solver and differ only in how tuples become segments). The core owns
+/// the executor, the metrics registry (owned or borrowed), the runtime/*
+/// counters, the declared-stream table, and the output buffer with its
+/// canonical finish order; HistoricalRuntime and PredictiveRuntime are
+/// two front-ends on it.
+class RuntimeCore {
+ public:
+  /// The front-end a core serves. It fixes which runtime/* counters the
+  /// registry exports: historical the 3 it can move, predictive all 7.
+  enum class Mode { kHistorical, kPredictive };
+
+  /// Handles into a registry (stable for its lifetime); the counters a
+  /// mode does not export stay nullptr and Read() as 0. Bind is the one
+  /// place the runtime/* names are spelled.
+  struct Counters {
+    obs::Counter* tuples_in = nullptr;
+    obs::Counter* tuples_validated = nullptr;
+    obs::Counter* violations = nullptr;
+    obs::Counter* segments_pushed = nullptr;
+    obs::Counter* output_segments = nullptr;
+    obs::Counter* output_tuples = nullptr;
+    obs::Counter* inversions = nullptr;
+
+    static Counters Bind(obs::MetricsRegistry* registry, Mode mode);
+    RuntimeStats Read() const;
+  };
+
+  /// `metrics` nullptr gives the core a private registry, so counters
+  /// from concurrent runtimes in one process never mix. With
+  /// `discard_output` the executor counts outputs without keeping them.
+  static Result<RuntimeCore> Make(const QuerySpec& spec, Mode mode,
+                                  obs::MetricsRegistry* metrics,
+                                  bool discard_output);
+
+  /// Canonical finish order: sorts (*outputs)[from, end) stably by key.
+  /// Residual flushes interleave keys in hash order, an implementation
+  /// accident; the sort makes the finish tail's order a contract. Every
+  /// key keeps its relative order, so a key-partitioned run
+  /// (docs/SHARDING.md) reproduces the serial tail by concatenating its
+  /// per-shard finish outputs and applying the same sort.
+  static void SortFinishTail(std::vector<Segment>* outputs, size_t from);
+
+  /// Declared streams in QuerySpec order; front-ends keep their
+  /// per-stream state as vectors over this dense index.
+  const std::string& stream_name(size_t index) const {
+    return streams_[index];
+  }
+
+  /// Admits `n` tuples of `stream`: returns its dense index (memoized
+  /// across consecutive same-stream calls) and counts the tuples into
+  /// runtime/tuples_in. An undeclared stream is NotFound and counts
+  /// nothing.
+  Result<size_t> AcceptTuples(const std::string& stream, size_t n);
+
+  /// Pushes one segment through the plan under the runtime/push_segment
+  /// span; its outputs append to outputs().
+  Status PushSegment(const std::string& stream, Segment segment);
+
+  /// End of input: flushes the executor, then sorts the outputs from
+  /// `finish_tail` (where the caller's finish phase began) on.
+  Status Finish(size_t finish_tail);
+
+  /// Outputs not yet taken (always empty with discard_output).
+  std::vector<Segment>& outputs() { return executor_->output(); }
+  std::vector<Segment> TakeOutputSegments() { return executor_->TakeOutput(); }
+
+  const Counters& counters() const { return counters_; }
+  RuntimeStats stats() const { return counters_.Read(); }
+  obs::MetricsRegistry* metrics() const { return metrics_; }
+  const PulsePlan& plan() const { return executor_->plan(); }
+
+ private:
+  RuntimeCore() = default;
+
+  // Declared before the executor: its view bindings must release before
+  // the registry they point into dies.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  std::unique_ptr<PulseExecutor> executor_;
+  Counters counters_;
+  std::vector<std::string> streams_;
+  size_t memo_stream_ = 0;
 };
 
 /// Online predictive processing (paper Section II-A): models of unseen
@@ -84,39 +169,30 @@ class PredictiveRuntime {
   Status Finish();
 
   /// Point-in-time view over the registry counters (see RuntimeStats).
-  RuntimeStats stats() const;
+  RuntimeStats stats() const { return core_.stats(); }
 
   /// The registry this runtime reports through (owned unless
   /// Options::metrics was set).
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  obs::MetricsRegistry* metrics() const { return core_.metrics(); }
 
-  std::vector<Segment> TakeOutputSegments();
+  std::vector<Segment> TakeOutputSegments() {
+    return core_.TakeOutputSegments();
+  }
   std::vector<Tuple> TakeOutputTuples();
 
-  const PulsePlan& plan() const { return executor_->plan(); }
+  const PulsePlan& plan() const { return core_.plan(); }
   const BoundRegistry& bounds() const { return *bound_registry_; }
   const AlternatingValidator& validator() const { return *validator_; }
 
  private:
-  PredictiveRuntime() = default;
+  explicit PredictiveRuntime(RuntimeCore core) : core_(std::move(core)) {}
 
-  // Slack of `segment` against the plan's source operators for `stream`.
-  double SourceSlack(const std::string& stream, const Segment& segment);
-  // Inverts bounds / samples a freshly produced batch of sink outputs and
-  // stores it (when collection is enabled).
-  Status HandleOutputs(std::vector<Segment> outputs);
-  // Resolves the runtime/... counter handles out of metrics_.
-  void BindRuntimeCounters();
-
-  QuerySpec spec_;
-  Options options_;
   // Per-stream runtime state. The tuple hot path touches this once per
   // tuple, so everything it needs is pre-resolved: the validated model
   // clauses (only the attributes the query actually references — others
   // cannot influence results and need no validation), the observed-field
   // indices, and per-key caches of model polynomials, margins, and the
-  // accuracy/slack mode. The stream lookup is memoized across
-  // consecutive same-stream tuples.
+  // accuracy/slack mode.
   struct ValidationClause {
     const ModelClause* clause = nullptr;
     size_t observed_index = 0;  // tuple field holding the observed value
@@ -139,37 +215,29 @@ class PredictiveRuntime {
     std::map<Key, ActiveModel> current;
   };
 
-  StreamState* FindStream(const std::string& name);
+  // ProcessTuple past the core's stream lookup.
+  Status ProcessAccepted(size_t index, const Tuple& tuple);
+  // Slack of `segment` against the plan's source operators for `stream`.
+  double SourceSlack(const std::string& stream, const Segment& segment);
+  // Inverts bounds through / samples the core's outputs from `from` on,
+  // then drops them again unless collection is enabled.
+  Status HandleOutputs(size_t from);
   // Rebuilds the polynomial pointers after (re)installing a segment.
   static void BindModel(const StreamState& state, ActiveModel* model);
   // Refreshes cached margins from the bound registry.
   void RefreshMargins(const StreamState& state, Key key,
                       ActiveModel* model) const;
 
-  // Declared before the executor: the executor's view bindings must
-  // release before the registry they point into dies.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<PulseExecutor> executor_;
+  RuntimeCore core_;
+  Options options_;
   std::unique_ptr<QueryInverter> inverter_;
-  std::map<std::string, StreamState> streams_;
-  StreamState* memo_state_ = nullptr;
-  const std::string* memo_name_ = nullptr;
+  std::vector<StreamState> streams_;  // by the core's stream index
   // Heap-allocated so the registry's address is stable across moves of
   // the runtime (the validator holds a pointer to it).
   std::unique_ptr<BoundRegistry> bound_registry_;
   std::unique_ptr<AlternatingValidator> validator_;
   std::optional<Sampler> sampler_;
-  std::vector<Segment> output_segments_;
   std::vector<Tuple> output_tuples_;
-  // Hot-path counter handles into metrics_ (stable for its lifetime).
-  obs::Counter* c_tuples_in_ = nullptr;
-  obs::Counter* c_tuples_validated_ = nullptr;
-  obs::Counter* c_violations_ = nullptr;
-  obs::Counter* c_segments_pushed_ = nullptr;
-  obs::Counter* c_output_segments_ = nullptr;
-  obs::Counter* c_output_tuples_ = nullptr;
-  obs::Counter* c_inversions_ = nullptr;
 };
 
 /// Joint multi-attribute online segmentation: one piece breaks when ANY
@@ -251,19 +319,13 @@ class HistoricalRuntime {
  public:
   struct Options {
     SegmentationOptions segmentation;
-    double sample_rate = 0.0;
+    /// Keep outputs for TakeOutputSegments. false counts them only.
     bool collect_outputs = true;
     /// Registry all runtime/operator counters report through. Must
     /// outlive the runtime. nullptr (the default) gives the runtime a
     /// private registry, so counters from concurrent runtimes in one
     /// process never mix; pass a shared registry to aggregate instead.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Invoked once per output segment, in exactly the order
-    /// TakeOutputSegments returns them (finish-phase outputs are
-    /// observed after the canonical key sort). Requires
-    /// collect_outputs. The durable store's delivered-output watermark
-    /// (src/store/) hangs off this hook.
-    std::function<void(const Segment&)> output_observer;
   };
 
   static Result<HistoricalRuntime> Make(const QuerySpec& spec,
@@ -271,7 +333,9 @@ class HistoricalRuntime {
 
   /// Feeds one historical tuple into the modeler; pushes any completed
   /// segment through the plan.
-  Status ProcessTuple(const std::string& stream, const Tuple& tuple);
+  Status ProcessTuple(const std::string& stream, const Tuple& tuple) {
+    return ProcessTuples(stream, &tuple, 1);
+  }
 
   /// Batch feed: result-equivalent to calling ProcessTuple on each
   /// element in order, with the segmenter lookup amortized across the
@@ -281,44 +345,31 @@ class HistoricalRuntime {
 
   /// Pushes an already-fitted segment (segment replay mode — the paper's
   /// "processing segments alone (without modelling)" series in Fig. 9i).
-  Status ProcessSegment(const std::string& stream, Segment segment);
+  Status ProcessSegment(const std::string& stream, Segment segment) {
+    return core_.PushSegment(stream, std::move(segment));
+  }
 
+  /// End of input: closes every pending piece, flushes the plan, and
+  /// puts the finish-phase outputs in canonical key order.
   Status Finish();
 
   /// Point-in-time view over the registry counters (see RuntimeStats).
-  RuntimeStats stats() const;
+  RuntimeStats stats() const { return core_.stats(); }
 
   /// The registry this runtime reports through (owned unless
   /// Options::metrics was set).
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  obs::MetricsRegistry* metrics() const { return core_.metrics(); }
 
-  std::vector<Segment> TakeOutputSegments();
-  const PulsePlan& plan() const { return executor_->plan(); }
+  std::vector<Segment> TakeOutputSegments() {
+    return core_.TakeOutputSegments();
+  }
+  const PulsePlan& plan() const { return core_.plan(); }
 
  private:
-  HistoricalRuntime() = default;
+  explicit HistoricalRuntime(RuntimeCore core) : core_(std::move(core)) {}
 
-  QuerySpec spec_;
-  Options options_;
-  /// True while Finish() runs: segmenter-flush outputs are part of the
-  /// finish tail, observed only after the canonical sort.
-  bool finishing_ = false;
-  MultiAttributeSegmenter* FindSegmenter(const std::string& name);
-  void BindRuntimeCounters();
-
-  // Declared before the executor: its view bindings must release before
-  // the registry they point into dies.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<PulseExecutor> executor_;
-  std::map<std::string, std::unique_ptr<MultiAttributeSegmenter>>
-      segmenters_;
-  MultiAttributeSegmenter* memo_segmenter_ = nullptr;
-  const std::string* memo_segmenter_name_ = nullptr;
-  // Hot-path counter handles into metrics_ (stable for its lifetime).
-  obs::Counter* c_tuples_in_ = nullptr;
-  obs::Counter* c_segments_pushed_ = nullptr;
-  obs::Counter* c_output_segments_ = nullptr;
+  RuntimeCore core_;
+  std::vector<MultiAttributeSegmenter> segmenters_;  // by stream index
 };
 
 }  // namespace pulse

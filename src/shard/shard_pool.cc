@@ -403,22 +403,18 @@ Status ShardClient::Finish() {
   state_->cv.wait(lock, [&] { return state_->finish_remaining == 0; });
   // Every record of this client was dispatched before its shard's
   // sentinel (FIFO per exchange queue), so the data merge is complete.
-  // Canonical finish merge: concatenate per-shard finish tails, then
-  // the same stable key sort the serial Finish applies. Each key lives
-  // on exactly one shard, so same-key relative order is the shard's ==
-  // the serial runtime's, and the sort makes cross-key order identical.
-  std::vector<Segment> finish;
+  // Canonical finish merge: append the per-shard finish tails, then
+  // the core's finish sort the serial Finish applies. Each key lives on
+  // exactly one shard, so same-key relative order is the shard's == the
+  // serial runtime's, and the sort makes cross-key order identical.
+  std::vector<Segment>& ready = state_->ready;
+  const size_t tail = ready.size();
   for (std::vector<Segment>& part : state_->finish_outputs) {
-    finish.insert(finish.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
+    ready.insert(ready.end(), std::make_move_iterator(part.begin()),
+                 std::make_move_iterator(part.end()));
     part.clear();
   }
-  std::stable_sort(
-      finish.begin(), finish.end(),
-      [](const Segment& a, const Segment& b) { return a.key < b.key; });
-  state_->ready.insert(state_->ready.end(),
-                       std::make_move_iterator(finish.begin()),
-                       std::make_move_iterator(finish.end()));
+  RuntimeCore::SortFinishTail(&ready, tail);
   if (!state_->error.empty()) {
     return Status::Internal("shard worker failed: " + state_->error);
   }

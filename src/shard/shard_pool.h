@@ -101,7 +101,7 @@ struct ShardPoolOptions {
 /// ability), a client's output is byte-identical for every num_shards,
 /// including 1 — the call-sequence and position merge in ShardClient
 /// restores the exact serial data-phase order, and the canonical
-/// finish-phase key sort (HistoricalRuntime::Finish) makes the finish
+/// finish-phase key sort (RuntimeCore::SortFinishTail) makes the finish
 /// tail shard-count-invariant. Non-partitionable plans route every key to
 /// shard 0 and are trivially identical.
 class ShardPool {
@@ -210,8 +210,9 @@ class ShardClient {
 
   /// End of input: pushes a finish sentinel down every shard lane,
   /// waits for all of them to flush, then appends the canonically
-  /// merged finish outputs (concatenate per shard, stable-sort by key —
-  /// byte-identical to the serial finish tail). Blocks; returns the
+  /// merged finish outputs (concatenate per shard, then
+  /// RuntimeCore::SortFinishTail — byte-identical to the serial finish
+  /// tail). Blocks; returns the
   /// first error any shard hit.
   Status Finish();
 

@@ -25,12 +25,13 @@ RuntimeStats ShardedRuntime::stats() const {
   // sums are exactly this runtime's counts.
   RuntimeStats sum;
   for (size_t i = 0; i < pool_->num_shards(); ++i) {
-    obs::MetricsRegistry* registry = pool_->shard_metrics(i);
-    sum.tuples_in += registry->GetCounter("runtime/tuples_in")->value();
-    sum.segments_pushed +=
-        registry->GetCounter("runtime/segments_pushed")->value();
-    sum.output_segments +=
-        registry->GetCounter("runtime/output_segments")->value();
+    const RuntimeStats s =
+        RuntimeCore::Counters::Bind(pool_->shard_metrics(i),
+                                    RuntimeCore::Mode::kHistorical)
+            .Read();
+    sum.tuples_in += s.tuples_in;
+    sum.segments_pushed += s.segments_pushed;
+    sum.output_segments += s.output_segments;
   }
   return sum;
 }

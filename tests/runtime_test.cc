@@ -1,9 +1,14 @@
 #include "core/runtime.h"
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "shard/sharded_runtime.h"
 #include "workload/moving_object.h"
 #include "workload/nyse.h"
 
@@ -225,12 +230,126 @@ TEST(HistoricalRuntime, DirectSegmentReplay) {
 }
 
 TEST(HistoricalRuntime, UnknownStreamFails) {
-  HistoricalRuntime::Options opts;
-  Result<HistoricalRuntime> rt =
-      HistoricalRuntime::Make(FilterQuerySpec(5.0), std::move(opts));
+  // An undeclared stream fails on every entry point of both runtimes and
+  // counts nothing: runtime/tuples_in is "tuples accepted".
+  const Tuple tuples[] = {ObjectTuple(0.0, 1, 0.0, 0.0),
+                          ObjectTuple(0.1, 1, 0.1, 0.0)};
+  Result<HistoricalRuntime> hist = HistoricalRuntime::Make(
+      FilterQuerySpec(5.0), HistoricalRuntime::Options{});
+  ASSERT_TRUE(hist.ok());
+  EXPECT_FALSE(hist->ProcessTuple("zzz", tuples[0]).ok());
+  EXPECT_FALSE(hist->ProcessTuples("zzz", tuples, 2).ok());
+  EXPECT_EQ(hist->stats().tuples_in, 0u);
+
+  PredictiveRuntime::Options popts;
+  popts.bounds = {BoundSpec::Absolute("x", 0.5)};
+  Result<PredictiveRuntime> pred =
+      PredictiveRuntime::Make(FilterQuerySpec(5.0), std::move(popts));
+  ASSERT_TRUE(pred.ok());
+  EXPECT_FALSE(pred->ProcessTuple("zzz", tuples[0]).ok());
+  EXPECT_FALSE(pred->ProcessTuples("zzz", tuples, 2).ok());
+  EXPECT_EQ(pred->stats().tuples_in, 0u);
+
+  // A declared stream after the failures is still found and counted.
+  ASSERT_TRUE(hist->ProcessTuples("objects", tuples, 2).ok());
+  ASSERT_TRUE(pred->ProcessTuple("objects", tuples[0]).ok());
+  EXPECT_EQ(hist->stats().tuples_in, 2u);
+  EXPECT_EQ(pred->stats().tuples_in, 1u);
+}
+
+TEST(PredictiveRuntime, FinishTailIsKeySorted) {
+  // Per-key running max of x: each key's envelope piece stays pending
+  // until its own next segment settles it, so Finish emits one settled
+  // piece per key. The keys arrive out of order; the finish tail must
+  // come out in ascending key order.
+  QuerySpec spec;
+  ASSERT_TRUE(spec.AddStream(MovingObjectGenerator::MakeStreamSpec(
+                                 "objects", 5.0))
+                  .ok());
+  AggregateSpec agg;
+  agg.fn = AggFn::kMax;
+  agg.attribute = "x";
+  agg.window_seconds = 10.0;
+  agg.per_key = true;
+  spec.AddAggregate("max_x", QuerySpec::Input::Stream("objects"), agg);
+  PredictiveRuntime::Options opts;
+  opts.bounds = {BoundSpec::Absolute("agg", 0.5)};
+  Result<PredictiveRuntime> rt =
+      PredictiveRuntime::Make(spec, std::move(opts));
   ASSERT_TRUE(rt.ok());
-  EXPECT_FALSE(
-      rt->ProcessTuple("zzz", ObjectTuple(0.0, 1, 0.0, 0.0)).ok());
+  const int64_t keys[] = {4, 2, 7, 1};
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(rt->ProcessTuple("objects",
+                                 ObjectTuple(0.1 * static_cast<double>(i),
+                                             keys[i], 10.0 * keys[i], 1.0))
+                    .ok());
+  }
+  (void)rt->TakeOutputSegments();
+  ASSERT_TRUE(rt->Finish().ok());
+  const std::vector<Segment> tail = rt->TakeOutputSegments();
+  std::set<Key> distinct;
+  for (const Segment& s : tail) distinct.insert(s.key);
+  EXPECT_GE(distinct.size(), 3u);
+  for (size_t i = 1; i < tail.size(); ++i) {
+    EXPECT_LE(tail[i - 1].key, tail[i].key) << "finish output " << i;
+  }
+}
+
+// Pins the runtime/* counter names each runtime registers: historical
+// exports the 3 it can move, predictive all 7, and a sharded runtime the
+// historical 3 in every shard registry. Checked-in metrics blocks and
+// per-shard mirrors rely on the set not growing.
+TEST(Runtime, ExportedCountersUnchanged) {
+  auto runtime_counters = [](const obs::MetricsRegistry& registry) {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : registry.Snapshot().counters) {
+      if (name.rfind("runtime/", 0) == 0) names.push_back(name);
+    }
+    return names;
+  };
+  const std::vector<std::string> historical = {
+      "runtime/output_segments", "runtime/segments_pushed",
+      "runtime/tuples_in"};
+  const std::vector<std::string> predictive = {
+      "runtime/inversions",      "runtime/output_segments",
+      "runtime/output_tuples",   "runtime/segments_pushed",
+      "runtime/tuples_in",       "runtime/tuples_validated",
+      "runtime/violations"};
+  const Tuple tuple = ObjectTuple(0.0, 1, 0.0, 1.0);
+
+  Result<HistoricalRuntime> hist = HistoricalRuntime::Make(
+      FilterQuerySpec(100.0), HistoricalRuntime::Options{});
+  ASSERT_TRUE(hist.ok());
+  ASSERT_TRUE(hist->ProcessTuple("objects", tuple).ok());
+  ASSERT_TRUE(hist->Finish().ok());
+  EXPECT_EQ(runtime_counters(*hist->metrics()), historical);
+
+  PredictiveRuntime::Options popts;
+  popts.bounds = {BoundSpec::Absolute("x", 0.5)};
+  Result<PredictiveRuntime> pred =
+      PredictiveRuntime::Make(FilterQuerySpec(100.0), std::move(popts));
+  ASSERT_TRUE(pred.ok());
+  ASSERT_TRUE(pred->ProcessTuple("objects", tuple).ok());
+  ASSERT_TRUE(pred->Finish().ok());
+  EXPECT_EQ(runtime_counters(*pred->metrics()), predictive);
+
+  shard::ShardedRuntimeOptions sopts;
+  sopts.num_shards = 1;
+  Result<shard::ShardedRuntime> sharded =
+      shard::ShardedRuntime::Make(FilterQuerySpec(100.0), std::move(sopts));
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_TRUE(sharded->ProcessTuple("objects", tuple).ok());
+  ASSERT_TRUE(sharded->Finish().ok());
+  EXPECT_EQ(sharded->stats().tuples_in, 1u);
+  EXPECT_EQ(runtime_counters(*sharded->pool().shard_metrics(0)), historical);
+  sharded->SyncMetrics();
+  for (const auto& [name, value] : sharded->metrics()->Snapshot().counters) {
+    if (name.find("runtime/") == std::string::npos) continue;
+    const std::string suffix = name.substr(name.find("runtime/"));
+    EXPECT_NE(std::find(historical.begin(), historical.end(), suffix),
+              historical.end())
+        << name;
+  }
 }
 
 }  // namespace
