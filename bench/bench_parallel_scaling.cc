@@ -96,8 +96,7 @@ RunResult RunSharded(const std::vector<Tuple>& trace, size_t num_shards) {
     (void)rt->Finish();
   });
   result.tuples_per_sec = static_cast<double>(trace.size()) / result.seconds;
-  rt->SyncMetrics();
-  result.metrics = rt->metrics()->Snapshot();
+  result.metrics = rt->Snapshot();
   // Solves summed across shards from the rollup (the sharded runtime has
   // no single plan to walk; the op/<node>/solves rollup is the same
   // number aggregated by the metrics layer).

@@ -158,7 +158,7 @@ PolicyResult RunPolicy(serve::BackpressurePolicy policy,
     (*server)->Drain();
   });
 
-  result.metrics = (*server)->metrics()->Snapshot();
+  result.metrics = (*server)->Snapshot();
   result.accepted = result.metrics.counters["serve/queue/accepted"];
   result.dropped = result.metrics.counters["serve/queue/dropped"];
   result.shed = result.metrics.counters["serve/queue/shed"];

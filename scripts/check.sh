@@ -77,7 +77,8 @@ else
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$repo/build-tsan/tests/serve_test"
   # shard_router_test drives the sharded runtime end to end (router,
-  # exchange, per-shard metrics mirroring) with live worker threads.
+  # exchange, snapshots read from the live shard registries) with live
+  # worker threads.
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$repo/build-tsan/tests/shard_router_test"
   # The telemetry family: epoch/distinct operators plus the detection
@@ -456,9 +457,10 @@ else
   # transient load skew is absorbed by up to 3 attempts.
   cmake --build "$repo/build" -j "$jobs" --target bench_solver_hotpath
   cmake -B "$repo/build-nometrics" -S "$repo" -DPULSE_NO_METRICS=ON
-  # precision_test rides along: the adaptive-precision stage mirrors its
-  # state into the registry, and the compiled-out build must still
-  # compile and pass (the mirrors become no-ops, the contract does not).
+  # precision_test rides along: the adaptive-precision stage counts its
+  # verdicts into the server registry, and the compiled-out build must
+  # still compile and pass (the counters become no-ops, the contract
+  # does not).
   cmake --build "$repo/build-nometrics" -j "$jobs" \
     --target bench_solver_hotpath precision_test
   "$repo/build-nometrics/tests/precision_test" --gtest_brief=1

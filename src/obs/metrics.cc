@@ -177,6 +177,18 @@ void ViewGroup::Release() {
 }
 
 // ---------------------------------------------------------------------
+// MetricsSnapshot
+
+void MetricsSnapshot::Merge(const MetricsSnapshot& other,
+                            const std::string& prefix) {
+  for (const auto& [name, v] : other.counters) counters[prefix + name] = v;
+  for (const auto& [name, v] : other.gauges) gauges[prefix + name] = v;
+  for (const auto& [name, v] : other.histograms) {
+    histograms[prefix + name] = v;
+  }
+}
+
+// ---------------------------------------------------------------------
 // MetricsRegistry
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
@@ -254,8 +266,8 @@ namespace {
 
 /// Raw histogram state lifted out of a registry while its mutex is
 /// held, applied to the destination after release (two registries'
-/// mutexes are never held at once, so MirrorInto/Rollup cannot
-/// deadlock against each other or against Get*).
+/// mutexes are never held at once, so Rollup cannot deadlock against
+/// Get*).
 struct RawHistogram {
   std::array<uint64_t, Histogram::kNumBuckets> buckets{};
   uint64_t count = 0;
@@ -264,51 +276,6 @@ struct RawHistogram {
 };
 
 }  // namespace
-
-void MetricsRegistry::MirrorInto(MetricsRegistry* dst,
-                                 const std::string& prefix) const {
-  if constexpr (!kMetricsEnabled) return;
-  if (dst == this || dst == nullptr) return;
-  std::vector<std::pair<std::string, uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, RawHistogram>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    counters.reserve(counters_.size() + views_.size());
-    for (const auto& [name, c] : counters_) {
-      counters.emplace_back(name, c.value());
-    }
-    for (const auto& [name, g] : gauges_) {
-      gauges.emplace_back(name, g.value());
-    }
-    for (const auto& [name, h] : histograms_) {
-      RawHistogram raw;
-      raw.buckets = h.BucketCounts();
-      raw.count = h.count();
-      raw.sum = h.sum();
-      raw.max = h.max();
-      histograms.emplace_back(name, raw);
-    }
-    for (const auto& [name, view] : views_) {
-      const uint64_t v = view.source->value();
-      if (view.is_gauge) {
-        gauges.emplace_back(name, static_cast<double>(v));
-      } else {
-        counters.emplace_back(name, v);
-      }
-    }
-  }
-  for (const auto& [name, v] : counters) {
-    dst->GetCounter(prefix + name)->Store(v);
-  }
-  for (const auto& [name, v] : gauges) {
-    dst->GetGauge(prefix + name)->Set(v);
-  }
-  for (const auto& [name, raw] : histograms) {
-    dst->GetHistogram(prefix + name)
-        ->SetTo(raw.buckets, raw.count, raw.sum, raw.max);
-  }
-}
 
 void MetricsRegistry::Rollup(
     const std::vector<const MetricsRegistry*>& sources,

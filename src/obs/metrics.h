@@ -30,8 +30,8 @@ inline constexpr bool kMetricsEnabled = true;
 /// Monotonic counter. The hot path is one relaxed fetch_add — safe and
 /// truthful when exporters read it from other threads (same contract as
 /// RelaxedCounter, see util/atomic_counter.h). Store() exists for
-/// mirroring cumulative counts maintained elsewhere (registry roll-ups,
-/// the adaptive-precision accounting) into the registry namespace.
+/// MetricsRegistry::Rollup, which writes sums assembled from other
+/// registries into a scratch registry at read time.
 class Counter {
  public:
   void Add(uint64_t delta) {
@@ -109,11 +109,9 @@ class Histogram {
   std::array<uint64_t, kNumBuckets> BucketCounts() const;
 
   /// Overwrites this histogram with an externally assembled state
-  /// (mirror/rollup targets: the shard pool periodically SetTo()s the
-  /// sum of its per-shard histograms into the pool registry). Readers
-  /// that difference successive observations (interval percentiles)
-  /// stay correct as long as every SetTo source is itself monotone —
-  /// a sum of monotone histograms is monotone.
+  /// (the rollup target: MetricsRegistry::Rollup SetTo()s the bucket-wise
+  /// sum of the source histograms into a scratch registry when a
+  /// snapshot is taken).
   void SetTo(const std::array<uint64_t, kNumBuckets>& buckets,
              uint64_t count, uint64_t sum, uint64_t max);
 
@@ -153,6 +151,10 @@ struct MetricsSnapshot {
   bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
+
+  /// Copies every series of `other` in under `prefix + name`,
+  /// overwriting same-named entries.
+  void Merge(const MetricsSnapshot& other, const std::string& prefix = "");
 };
 
 class MetricsRegistry;
@@ -222,20 +224,12 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Copies every metric of this registry into `dst` under
-  /// `prefix + name` (counters and counter-views via Store, gauges and
-  /// gauge-views via Set, histograms via SetTo — last-write-wins
-  /// overwrite semantics). This is how per-shard registries surface as
-  /// `shard/<i>/...` families in a server-wide registry without the hot
-  /// path ever touching two registries (docs/SHARDING.md). Safe against
-  /// concurrent mutation on either side; `dst` must not be `this`.
-  void MirrorInto(MetricsRegistry* dst, const std::string& prefix) const;
-
   /// Element-wise sum of `sources` written into `dst` under the plain
   /// (unprefixed) metric names: counters and counter-views sum into
   /// counters, gauges and gauge-views into gauges, histograms sum
-  /// bucket-wise (max of maxes). Used for the merged cross-shard
-  /// rollups; sources must not contain `dst`.
+  /// bucket-wise (max of maxes). ShardPool::Snapshot builds the merged
+  /// cross-shard series this way, into a scratch `dst`; sources must not
+  /// contain `dst`.
   static void Rollup(const std::vector<const MetricsRegistry*>& sources,
                      MetricsRegistry* dst);
 

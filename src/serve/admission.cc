@@ -1,18 +1,28 @@
 #include "serve/admission.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace pulse {
 namespace serve {
 
 IntervalLatencySampler::IntervalLatencySampler(
-    const obs::Histogram* histogram)
-    : histogram_(histogram) {}
+    std::vector<const obs::Histogram*> histograms)
+    : histograms_(std::move(histograms)) {
+  histograms_.erase(
+      std::remove(histograms_.begin(), histograms_.end(), nullptr),
+      histograms_.end());
+}
 
 double IntervalLatencySampler::Sample() {
-  if (histogram_ == nullptr) return 0.0;
-  const auto buckets = histogram_->BucketCounts();
-  const uint64_t count = histogram_->count();
+  if (histograms_.empty()) return 0.0;
+  std::array<uint64_t, obs::Histogram::kNumBuckets> buckets{};
+  uint64_t count = 0;
+  for (const obs::Histogram* histogram : histograms_) {
+    const auto counts = histogram->BucketCounts();
+    for (size_t i = 0; i < buckets.size(); ++i) buckets[i] += counts[i];
+    count += histogram->count();
+  }
   if (count <= last_count_) {
     // No new observations since the last sample: the latency signal is
     // stale, not elevated.
@@ -31,9 +41,9 @@ double IntervalLatencySampler::Sample() {
   return p99_ns_;
 }
 
-AdmissionController::AdmissionController(AdmissionOptions options,
-                                         const obs::Histogram* latency)
-    : options_(options), sampler_(latency) {
+AdmissionController::AdmissionController(
+    AdmissionOptions options, std::vector<const obs::Histogram*> latency)
+    : options_(options), sampler_(std::move(latency)) {
   if (options_.queue_low_watermark > options_.queue_high_watermark) {
     options_.queue_low_watermark = options_.queue_high_watermark;
   }
@@ -81,7 +91,7 @@ AdmitDecision AdmissionController::Admit(size_t total_depth,
 
 PrecisionController::PrecisionController(PrecisionOptions options,
                                          const obs::Histogram* latency)
-    : options_(options), sampler_(latency) {
+    : options_(options), sampler_({latency}) {
   if (options_.tighten_queue_watermark > options_.widen_queue_watermark) {
     options_.tighten_queue_watermark = options_.widen_queue_watermark;
   }

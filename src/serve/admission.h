@@ -4,24 +4,27 @@
 #include <array>
 #include <cstdint>
 #include <cstddef>
+#include <vector>
 
 #include "obs/metrics.h"
 
 namespace pulse {
 namespace serve {
 
-/// Interval-p99 view over a (possibly shared) latency histogram: each
-/// Sample() takes the delta of the bucket counts since the previous
-/// sample, so recovery shows up immediately instead of being averaged
-/// away by the cumulative distribution. When no new observations arrived
-/// the signal reads 0 (stale, not elevated) — an idle solver must never
-/// pin a controller in its degraded state. Shared by the load-shed
-/// admission controller and the precision controller below.
+/// Interval-p99 view over a set of (possibly shared) latency
+/// histograms, read as their bucket-wise sum: each Sample() takes the
+/// delta of the summed bucket counts since the previous sample, so
+/// recovery shows up immediately instead of being averaged away by the
+/// cumulative distribution. When no new observations arrived the signal
+/// reads 0 (stale, not elevated) — an idle solver must never pin a
+/// controller in its degraded state. Shared by the load-shed admission
+/// controller and the precision controller below.
 class IntervalLatencySampler {
  public:
-  /// `histogram` may be null (no latency signal); it must outlive the
-  /// sampler.
-  explicit IntervalLatencySampler(const obs::Histogram* histogram);
+  /// Null entries are ignored; none, or an empty list, means no latency
+  /// signal. The histograms must outlive the sampler.
+  explicit IntervalLatencySampler(
+      std::vector<const obs::Histogram*> histograms);
 
   /// Re-reads the histogram; returns the fresh interval p99 (ns).
   double Sample();
@@ -29,7 +32,7 @@ class IntervalLatencySampler {
   double p99_ns() const { return p99_ns_; }
 
  private:
-  const obs::Histogram* histogram_;
+  std::vector<const obs::Histogram*> histograms_;
   std::array<uint64_t, obs::Histogram::kNumBuckets> last_buckets_{};
   uint64_t last_count_ = 0;
   double p99_ns_ = 0.0;
@@ -46,8 +49,9 @@ struct AdmissionOptions {
   /// Queue-depth signal: fraction of the session's total queue capacity.
   double queue_high_watermark = 0.90;
   double queue_low_watermark = 0.50;
-  /// Solver-latency signal: interval p99 of the session runtime's
-  /// span/runtime/push_segment histogram, in nanoseconds.
+  /// Solver-latency signal: interval p99 of the solver's
+  /// span/runtime/push_segment histograms (summed over the shards), in
+  /// nanoseconds.
   uint64_t latency_high_ns = 50'000'000;  // 50 ms
   uint64_t latency_low_ns = 10'000'000;   // 10 ms
   /// Admissions between latency re-samples (sampling reads 2 KiB of
@@ -70,10 +74,10 @@ enum class AdmitDecision : uint8_t {
 /// maintains). Single-threaded: called only from the session reader.
 class AdmissionController {
  public:
-  /// `latency` may be null (no latency signal, queue depth only); it
-  /// must outlive the controller.
+  /// `latency` may be empty (no latency signal, queue depth only); the
+  /// histograms must outlive the controller.
   AdmissionController(AdmissionOptions options,
-                      const obs::Histogram* latency);
+                      std::vector<const obs::Histogram*> latency);
 
   /// Decision for one arriving frame given current aggregate depth.
   AdmitDecision Admit(size_t total_depth, size_t total_capacity);

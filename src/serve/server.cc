@@ -38,9 +38,7 @@ Result<std::unique_ptr<StreamServer>> StreamServer::Make(
       server->options_.num_shards != 0
           ? server->options_.num_shards
           : std::max<size_t>(1, std::thread::hardware_concurrency());
-  pool_options.exchange_capacity = server->options_.exchange_capacity;
   pool_options.runtime = server->options_.runtime;
-  pool_options.metrics = server->metrics_;
   PULSE_ASSIGN_OR_RETURN(
       server->pool_,
       shard::ShardPool::Make(server->options_.spec, std::move(pool_options)));
@@ -50,21 +48,21 @@ Result<std::unique_ptr<StreamServer>> StreamServer::Make(
 StreamServer::~StreamServer() { Shutdown(); }
 
 Status StreamServer::AddSession(std::unique_ptr<Transport> transport) {
-  // A session is a thin router: it gets a ShardClient handle onto the
-  // shared pool, not a runtime of its own. Per-client solver state is
-  // created inside the pool, one slice per shard.
-  PULSE_ASSIGN_OR_RETURN(std::unique_ptr<shard::ShardClient> client,
-                         pool_->AddClient());
-  // Adaptive-precision sessions dispatch into a session-owned runtime
-  // (the tier lever needs a single sequential call stream to defer and
-  // replay; docs/PRECISION.md), so each one gets its own AdaptiveRuntime
-  // instead of using its slice of the shared shard pool.
+  // A static session is a thin router: it gets a ShardClient handle onto
+  // the shared pool, not a runtime of its own. Per-client solver state
+  // is created inside the pool, one slice per shard. Adaptive-precision
+  // sessions dispatch into a session-owned runtime instead (the tier
+  // lever needs a single sequential call stream to defer and replay;
+  // docs/PRECISION.md), so they take no slice of the pool.
+  std::unique_ptr<shard::ShardClient> client;
   std::unique_ptr<AdaptiveRuntime> adaptive;
   if (options_.session.precision.enabled) {
     PULSE_ASSIGN_OR_RETURN(
         adaptive,
         AdaptiveRuntime::Make(options_.spec, options_.runtime,
                               options_.session.precision_runtime));
+  } else {
+    PULSE_ASSIGN_OR_RETURN(client, pool_->AddClient());
   }
   std::vector<std::string> streams;
   for (const auto& [name, spec] : options_.spec.streams()) {
@@ -192,6 +190,12 @@ size_t StreamServer::active_sessions() const {
     if (!session->finished()) ++active;
   }
   return active;
+}
+
+obs::MetricsSnapshot StreamServer::Snapshot() const {
+  obs::MetricsSnapshot snap = metrics_->Snapshot();
+  snap.Merge(pool_->Snapshot());
+  return snap;
 }
 
 uint64_t StreamServer::sessions_opened() const {

@@ -34,13 +34,10 @@ struct ServerOptions {
   /// Shard (worker thread) count for the shared pool. 0 means auto:
   /// one shard per hardware thread — the shard-per-core shape.
   size_t num_shards = 0;
-  /// Per-shard exchange queue capacity, in tuples (a segment counts as
-  /// one; see shard::ShardPoolOptions::exchange_capacity).
-  size_t exchange_capacity = 256;
   /// Registry for the server-wide serve/* metric families
-  /// (docs/SERVING.md lists them) and the pool's shard/<i>/* mirrors
-  /// plus rollups. nullptr: the server owns a private one, reachable
-  /// via metrics().
+  /// (docs/SERVING.md lists them). The shard pool's series stay in the
+  /// shards' own registries; Snapshot() reads both. nullptr: the server
+  /// owns a private one, reachable via metrics().
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional durable mode: every session appends admitted input to
   /// this shared segment store before dispatch, delivered outputs
@@ -90,7 +87,12 @@ class StreamServer {
   /// Sessions ever accepted.
   uint64_t sessions_opened() const;
 
+  /// The serve/* registry alone.
   obs::MetricsRegistry* metrics() const { return metrics_; }
+  /// Every exported series, read now: the serve/* registry's plus the
+  /// shard pool's (`shard/<i>/...` and the plain-name rollups; see
+  /// shard::ShardPool::Snapshot).
+  obs::MetricsSnapshot Snapshot() const;
 
   /// The shared shard pool all sessions route into.
   const shard::ShardPool& pool() const { return *pool_; }
@@ -113,8 +115,9 @@ class StreamServer {
   obs::Counter* c_closed_ = nullptr;
   obs::Gauge* g_active_ = nullptr;
 
-  // Declared before sessions_: sessions hold ShardClients into the
-  // pool, so they must be destroyed first (reverse declaration order).
+  // Declared before sessions_: static sessions hold ShardClients into
+  // the pool, so they must be destroyed first (reverse declaration
+  // order).
   std::unique_ptr<shard::ShardPool> pool_;
 
   mutable std::mutex mu_;

@@ -26,6 +26,24 @@ PrecisionOptions EffectivePrecision(const SessionOptions& options,
   return precision;
 }
 
+// The solver-latency signal the controllers sample. An adaptive session
+// reads its own runtime's span. A static session reads every shard's,
+// summed when sampled: sessions share the shard pool, so overload is a
+// property of the pool, not of one session.
+std::vector<const obs::Histogram*> SolverLatency(
+    const shard::ShardClient* client, const AdaptiveRuntime* adaptive) {
+  if (adaptive != nullptr) {
+    return {adaptive->metrics()->GetHistogram("span/runtime/push_segment")};
+  }
+  std::vector<const obs::Histogram*> histograms;
+  const shard::ShardPool& pool = *client->pool();
+  for (size_t i = 0; i < pool.num_shards(); ++i) {
+    histograms.push_back(
+        pool.shard_metrics(i)->GetHistogram("span/runtime/push_segment"));
+  }
+  return histograms;
+}
+
 }  // namespace
 
 Session::Session(uint64_t id, std::unique_ptr<Transport> transport,
@@ -43,18 +61,8 @@ Session::Session(uint64_t id, std::unique_ptr<Transport> transport,
       valid_streams_(std::move(valid_streams)),
       serve_metrics_(serve_metrics),
       store_(store),
-      // The latency signal is the pool-level rollup of every shard's
-      // solver span: sessions share the shard pool, so overload is a
-      // property of the pool, not of one session's private runtime.
-      // AdmitData refreshes the rollup (throttled) before sampling.
-      // Adaptive sessions own their runtime, so both controllers read
-      // its private registry instead.
       admission_(options.admission,
-                 adaptive_ != nullptr
-                     ? adaptive_->metrics()->GetHistogram(
-                           "span/runtime/push_segment")
-                     : client_->pool()->metrics()->GetHistogram(
-                           "span/runtime/push_segment")),
+                 SolverLatency(client_.get(), adaptive_.get())),
       precision_ctl_(EffectivePrecision(options, adaptive_.get()),
                      adaptive_ != nullptr
                          ? adaptive_->metrics()->GetHistogram(
@@ -64,7 +72,7 @@ Session::Session(uint64_t id, std::unique_ptr<Transport> transport,
   // The worker sleeps on signal_ when its queue is empty; the pool
   // wakes it there when the shards release outputs, so they are written
   // without waiting for the next admission.
-  client_->SetReleaseSignal(&signal_);
+  if (client_ != nullptr) client_->SetReleaseSignal(&signal_);
   c_accepted_ = serve_metrics_->GetCounter("serve/queue/accepted");
   c_dropped_ = serve_metrics_->GetCounter("serve/queue/dropped");
   c_shed_ = serve_metrics_->GetCounter("serve/queue/shed");
@@ -127,7 +135,7 @@ void Session::Abort() {
   accepting_.store(false);
   queue_.Close();
   // Drop this session's queued shard work too — hard stop discards.
-  client_->Abort();
+  if (client_ != nullptr) client_->Abort();
   transport_->Close();
   signal_.Notify();
 }
@@ -157,6 +165,14 @@ Status Session::FlushOutputs() {
     outputs = adaptive_->TakeSettledOutputs();
     provisionals = adaptive_->TakeProvisionals();
     verdicts = adaptive_->TakeVerdicts();
+    // The runtime-side events since the last flush, added to the
+    // server-wide counters so that they sum over sessions.
+    const PrecisionStats& stats = adaptive_->stats();
+    c_widened_->Add(stats.widen_events - flushed_stats_.widen_events);
+    c_tightened_->Add(stats.tighten_events - flushed_stats_.tighten_events);
+    c_deferred_->Add(stats.deferred_items - flushed_stats_.deferred_items);
+    c_replayed_->Add(stats.replayed_items - flushed_stats_.replayed_items);
+    flushed_stats_ = stats;
     if (outputs.empty() && provisionals.empty() && verdicts.empty()) {
       return Status::OK();
     }
@@ -195,24 +211,22 @@ Status Session::FlushOutputs() {
     for (const Segment& segment : outputs) store_->NoteDelivered(segment);
   }
   if (adaptive_ != nullptr) {
+    c_provisional_->Add(provisionals.size());
     for (const VerdictRecord& verdict : verdicts) {
-      if (!verdict.confirmed) {
+      if (verdict.confirmed) {
+        c_confirmed_->Increment();
+      } else {
+        c_retracted_->Increment();
         (verdict.reason == RetractReason::kDeviation
              ? c_retract_deviation_
              : c_retract_spurious_)
             ->Increment();
       }
     }
-    const PrecisionStats& stats = adaptive_->stats();
-    c_provisional_->Store(stats.provisional);
-    c_confirmed_->Store(stats.confirmed);
-    c_retracted_->Store(stats.retracted);
-    c_widened_->Store(stats.widen_events);
-    c_tightened_->Store(stats.tighten_events);
-    c_deferred_->Store(stats.deferred_items);
-    c_replayed_->Store(stats.replayed_items);
+    // One session's levels: with several adaptive sessions these gauges
+    // show whichever flushed last (docs/PRECISION.md).
     g_tier_->Set(static_cast<double>(adaptive_->tier()));
-    g_open_->Set(static_cast<double>(stats.open()));
+    g_open_->Set(static_cast<double>(adaptive_->stats().open()));
   }
   return Status::OK();
 }
@@ -337,10 +351,6 @@ Status Session::AdmitData(Frame frame) {
   const std::string& stream = valid_streams_[open->second];
 
   PULSE_SPAN("serve/admit");
-  // Refresh the pool rollup the latency signal reads (throttled inside
-  // the pool; most calls are a single relaxed load). Adaptive sessions
-  // read their own runtime's registry, which needs no sync.
-  if (adaptive_ == nullptr) client_->pool()->SyncMetrics();
   const size_t depth = queue_.weight();
   const size_t capacity = queue_.capacity();
   const AdmitDecision decision = admission_.Admit(depth, capacity);

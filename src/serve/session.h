@@ -73,8 +73,8 @@ class Session {
   /// dispatched, and delivered outputs advance the store's checkpoint
   /// watermark (docs/STORAGE.md). `adaptive` (optional, built by the
   /// server when `options.precision.enabled`) switches the session to
-  /// adaptive precision: the worker dispatches into it instead of the
-  /// shard client, and the precision controller's tier stamps ride each
+  /// adaptive precision: the worker dispatches into it, `client` is
+  /// null, and the precision controller's tier stamps ride each
   /// admitted frame (docs/PRECISION.md).
   Session(uint64_t id, std::unique_ptr<Transport> transport,
           std::unique_ptr<shard::ShardClient> client, SessionOptions options,
@@ -137,12 +137,13 @@ class Session {
   // client (and the signal's registration with the pool) dies first.
   WorkSignal signal_;
   // Declared before admission_/precision_ctl_: the controllers' latency
-  // signal is a histogram reached through one of these handles (the
-  // adaptive runtime's own registry when present, the pool-level rollup
-  // otherwise).
+  // signal is read through one of these handles (the adaptive runtime's
+  // own registry when present, every shard's registry otherwise).
+  // client_ is the routing handle onto the shard pool; it is null for an
+  // adaptive session, which never touches the pool.
   std::unique_ptr<shard::ShardClient> client_;
   /// Session-owned adaptive runtime; nullptr = static precision, and
-  /// the worker dispatches into client_ as before.
+  /// the worker dispatches into client_.
   std::unique_ptr<AdaptiveRuntime> adaptive_;
   const SessionOptions options_;
   /// The query's declared input streams; an IngestItem's `stream`
@@ -197,8 +198,9 @@ class Session {
   obs::Counter* c_shed_latency_ = nullptr;
   obs::Counter* c_overloaded_ = nullptr;
 
-  // precision/* + retract/* handles (adaptive sessions only; cumulative
-  // runtime stats are mirrored with Counter::Store after each flush).
+  // precision/* + retract/* handles (adaptive sessions only). Each
+  // flush adds what it wrote and the runtime's events since the last
+  // flush, so the counters sum over sessions.
   obs::Counter* c_provisional_ = nullptr;
   obs::Counter* c_confirmed_ = nullptr;
   obs::Counter* c_retracted_ = nullptr;
@@ -210,6 +212,8 @@ class Session {
   obs::Counter* c_retract_spurious_ = nullptr;
   obs::Gauge* g_tier_ = nullptr;
   obs::Gauge* g_open_ = nullptr;
+  /// adaptive_->stats() at the previous flush (worker-only).
+  PrecisionStats flushed_stats_;
 };
 
 }  // namespace serve

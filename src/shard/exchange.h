@@ -77,6 +77,12 @@ struct ExchangeRecord {
   }
 };
 
+/// Capacity of every shard's exchange queue, in tuples (a segment or a
+/// finish sentinel counts as one). Producers block when it is full:
+/// the exchange is lossless, and loss policies live at the serving
+/// admission edge, not inside the engine.
+inline constexpr size_t kExchangeCapacity = 256;
+
 /// Bounded FIFO feeding one shard worker, counted in tuples rather than
 /// records so that batching leaves the memory in flight unchanged. Many
 /// producers (one per client), one consumer (the shard's worker).

@@ -1,22 +1,10 @@
 #include "shard/shard_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace pulse {
 namespace shard {
-
-namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------
 // ShardPool
@@ -27,9 +15,6 @@ Result<std::unique_ptr<ShardPool>> ShardPool::Make(const QuerySpec& spec,
   pool->spec_ = spec;
   pool->options_ = std::move(options);
   if (pool->options_.num_shards == 0) pool->options_.num_shards = 1;
-  if (pool->options_.exchange_capacity == 0) {
-    pool->options_.exchange_capacity = 1;
-  }
   pool->partition_ = AnalyzePartitionability(spec);
   // A non-partitionable plan degrades to one engine shard (all keys ->
   // shard 0); worker threads beyond the first would sit idle.
@@ -44,17 +29,9 @@ Result<std::unique_ptr<ShardPool>> ShardPool::Make(const QuerySpec& spec,
     pool->stream_key_index_.push_back(key_index);
   }
 
-  if (pool->options_.metrics != nullptr) {
-    pool->metrics_ = pool->options_.metrics;
-  } else {
-    pool->owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    pool->metrics_ = pool->owned_metrics_.get();
-  }
-
   for (size_t i = 0; i < effective; ++i) {
     auto s = std::make_unique<Shard>();
-    s->queue =
-        std::make_unique<ExchangeQueue>(pool->options_.exchange_capacity);
+    s->queue = std::make_unique<ExchangeQueue>(kExchangeCapacity);
     s->registry = std::make_unique<obs::MetricsRegistry>();
     s->c_records = s->registry->GetCounter("shard/exchange/records");
     s->c_tuples = s->registry->GetCounter("shard/exchange/tuples");
@@ -84,6 +61,21 @@ void ShardPool::Shutdown() {
 
 obs::MetricsRegistry* ShardPool::shard_metrics(size_t i) const {
   return i < shards_.size() ? shards_[i]->registry.get() : nullptr;
+}
+
+obs::MetricsSnapshot ShardPool::Snapshot() const {
+  obs::MetricsSnapshot snap;
+  std::vector<const obs::MetricsRegistry*> sources;
+  sources.reserve(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    snap.Merge(shards_[i]->registry->Snapshot(),
+               "shard/" + std::to_string(i) + "/");
+    sources.push_back(shards_[i]->registry.get());
+  }
+  obs::MetricsRegistry rollup;
+  obs::MetricsRegistry::Rollup(sources, &rollup);
+  snap.Merge(rollup.Snapshot());
+  return snap;
 }
 
 Result<std::unique_ptr<ShardClient>> ShardPool::AddClient() {
@@ -227,26 +219,6 @@ void ShardPool::Dispatch(size_t shard_index, ExchangeRecord record) {
     client->release_signal->Notify();
   }
   client->cv.notify_all();
-}
-
-void ShardPool::SyncMetrics(bool force) {
-  if constexpr (!obs::kMetricsEnabled) return;
-  const uint64_t now = NowNs();
-  uint64_t last = last_sync_ns_.load(std::memory_order_relaxed);
-  if (!force && now - last < options_.metrics_sync_interval_ns) return;
-  if (!last_sync_ns_.compare_exchange_strong(last, now,
-                                             std::memory_order_relaxed)) {
-    if (!force) return;  // another caller is refreshing right now
-  }
-  std::lock_guard<std::mutex> lock(sync_mu_);
-  std::vector<const obs::MetricsRegistry*> sources;
-  sources.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->registry->MirrorInto(metrics_,
-                                     "shard/" + std::to_string(i) + "/");
-    sources.push_back(shards_[i]->registry.get());
-  }
-  obs::MetricsRegistry::Rollup(sources, metrics_);
 }
 
 // ---------------------------------------------------------------------

@@ -71,31 +71,18 @@ struct ShardPoolOptions {
   /// Worker shards; clamped to at least 1. The shard-per-core shape is
   /// num_shards == hardware_concurrency.
   size_t num_shards = 1;
-  /// Per-shard exchange queue capacity, in tuples (a segment or a
-  /// sentinel counts as one). Producers block when full (lossless; loss
-  /// policies live at the serving admission edge, not inside the
-  /// engine). A call's part larger than the whole capacity is still
-  /// admitted into an empty queue.
-  size_t exchange_capacity = 256;
   /// Template for every client runtime the pool creates. `metrics` is
   /// overridden per shard.
   HistoricalRuntime::Options runtime;
-  /// Registry the pool's SyncMetrics publishes into: per-shard mirrors
-  /// under `shard/<i>/...` plus merged rollups under the plain names.
-  /// nullptr: the pool owns a private one, reachable via metrics().
-  obs::MetricsRegistry* metrics = nullptr;
-  /// SyncMetrics throttle: refreshes closer together than this are
-  /// dropped (callers may invoke it on hot paths).
-  uint64_t metrics_sync_interval_ns = 2'000'000;
 };
 
 /// Key-partitioned shard-per-core engine (docs/SHARDING.md): N worker
 /// threads, each owning one shard — a MetricsRegistry and, per client,
 /// a HistoricalRuntime holding exactly the keys the ShardRouter maps to
 /// that shard. Producers (ShardClient routers) send one ExchangeRecord
-/// per (call, shard) over a tuple-bounded ExchangeQueue per shard;
-/// workers never block on output, so a full exchange queue surfaces as
-/// producer backpressure, never deadlock.
+/// per (call, shard) over an ExchangeQueue per shard, bounded at
+/// kExchangeCapacity tuples; workers never block on output, so a full
+/// exchange queue surfaces as producer backpressure, never deadlock.
 ///
 /// Determinism contract: for a partitionable plan (AnalyzePartition-
 /// ability), a client's output is byte-identical for every num_shards,
@@ -126,18 +113,15 @@ class ShardPool {
   const PartitionAnalysis& partition() const { return partition_; }
   const ShardRouter& router() const { return router_; }
 
-  /// The pool-level registry (mirrors + rollups target).
-  obs::MetricsRegistry* metrics() const { return metrics_; }
   /// Shard `i`'s own registry (every client runtime on that shard
   /// reports here, so its runtime/* counters sum over all clients).
   obs::MetricsRegistry* shard_metrics(size_t i) const;
 
-  /// Publishes per-shard registries into metrics() as `shard/<i>/...`
-  /// mirrors plus merged rollups under the plain names (the rollup
-  /// `span/runtime/push_segment` histogram is the serving admission
-  /// controller's latency signal). Throttled by
-  /// metrics_sync_interval_ns unless `force`.
-  void SyncMetrics(bool force = false);
+  /// Reads the live shard registries: every shard-`i` metric under
+  /// `shard/<i>/<name>`, plus the cross-shard sums (MetricsRegistry::
+  /// Rollup) under the plain names. Nothing is copied between
+  /// registries; each call reads the counts as they are at that moment.
+  obs::MetricsSnapshot Snapshot() const;
 
  private:
   friend class ShardClient;
@@ -174,16 +158,10 @@ class ShardPool {
   std::vector<std::string> stream_names_;
   std::vector<size_t> stream_key_index_;
 
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<uint64_t> next_client_id_{1};
   std::atomic<bool> shutdown_{false};
-
-  std::mutex sync_mu_;
-  std::atomic<uint64_t> last_sync_ns_{0};
 };
 
 /// One producer's handle onto the pool: splits each call by key into

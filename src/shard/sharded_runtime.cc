@@ -9,9 +9,7 @@ Result<ShardedRuntime> ShardedRuntime::Make(const QuerySpec& spec,
                                             ShardedRuntimeOptions options) {
   ShardPoolOptions pool_options;
   pool_options.num_shards = options.num_shards;
-  pool_options.exchange_capacity = options.exchange_capacity;
   pool_options.runtime = std::move(options.runtime);
-  pool_options.metrics = options.metrics;
   ShardedRuntime rt;
   PULSE_ASSIGN_OR_RETURN(rt.pool_,
                          ShardPool::Make(spec, std::move(pool_options)));

@@ -17,14 +17,8 @@ namespace shard {
 struct ShardedRuntimeOptions {
   /// Shard (worker thread) count; clamped to at least 1.
   size_t num_shards = 1;
-  /// Per-shard exchange queue capacity, in tuples (see
-  /// ShardPoolOptions::exchange_capacity).
-  size_t exchange_capacity = 256;
   /// Template for the per-shard runtimes (see ShardPoolOptions).
   HistoricalRuntime::Options runtime;
-  /// Pool-level registry (`shard/<i>/...` mirrors + rollups). nullptr:
-  /// privately owned, reachable via metrics().
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Single-client convenience over ShardPool with the HistoricalRuntime
@@ -66,9 +60,8 @@ class ShardedRuntime {
   /// The runtime/* counters summed over the per-shard registries.
   RuntimeStats stats() const;
 
-  /// Pool-level registry. Call SyncMetrics() first for fresh mirrors.
-  obs::MetricsRegistry* metrics() const { return pool_->metrics(); }
-  void SyncMetrics() { pool_->SyncMetrics(/*force=*/true); }
+  /// The shard registries' series and rollups (ShardPool::Snapshot).
+  obs::MetricsSnapshot Snapshot() const { return pool_->Snapshot(); }
 
   size_t num_shards() const { return pool_->num_shards(); }
   bool partitionable() const { return pool_->partition().partitionable; }

@@ -195,9 +195,9 @@ TEST(CheckedInBenchJsonTest, ServingThroughputMatchesGateSchema) {
     if (row.Find("num_shards")->as_number() > 1.0) saw_sharded = true;
   }
   EXPECT_TRUE(saw_sharded) << "no multi-shard serving scenario checked in";
-  // The shard pool publishes per-shard mirrors plus plain-name rollups
-  // into the server registry; the attached metrics block must show the
-  // shard/<i>/... naming contract of docs/SHARDING.md.
+  // The attached metrics block is StreamServer::Snapshot: the serve/*
+  // series plus the shard registries read as shard/<i>/... series and
+  // plain-name rollups (the naming contract of docs/SHARDING.md).
   const json::Value* metrics = doc.Find("metrics");
   ASSERT_NE(metrics, nullptr) << "metrics block missing";
   const json::Value* counters = metrics->Find("counters");
@@ -207,7 +207,13 @@ TEST(CheckedInBenchJsonTest, ServingThroughputMatchesGateSchema) {
     if (name.rfind("shard/0/", 0) == 0) saw_shard_metric = true;
   }
   EXPECT_TRUE(saw_shard_metric)
-      << "no shard/0/... mirror counters in the metrics block";
+      << "no shard/0/... counters in the metrics block";
+  // Read after the drain, the runtime saw every dispatched tuple.
+  const json::Value* tuples_in = counters->Find("runtime/tuples_in");
+  const json::Value* batch_tuples = counters->Find("serve/batch/tuples");
+  ASSERT_NE(tuples_in, nullptr);
+  ASSERT_NE(batch_tuples, nullptr);
+  EXPECT_EQ(tuples_in->as_number(), batch_tuples->as_number());
 }
 
 TEST(CheckedInBenchJsonTest, ParallelScalingMatchesGateSchema) {

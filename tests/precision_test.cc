@@ -645,6 +645,48 @@ TEST(AdaptiveSession, SettledStreamMatchesStaticSessionOverTheWire) {
   }
 }
 
+// The precision/* counters are server-wide: each session adds what it
+// wrote, so with two sessions they hold the sum of both clients'
+// verdict streams, not whichever session flushed last. An adaptive
+// session also takes no client of the shard pool, so the shards build
+// no runtime for it and export no runtime/* series.
+TEST(AdaptiveSession, ServerCountersSumOverSessions) {
+  Result<std::unique_ptr<serve::StreamServer>> server =
+      serve::StreamServer::Make(AdaptiveServerOptions(1));
+  ASSERT_TRUE(server.ok());
+  uint64_t provisional = 0;
+  uint64_t confirmed = 0;
+  uint64_t retracted = 0;
+  for (const int n : {400, 200}) {
+    const std::vector<Tuple> trace = PiecewiseTrace(n);
+    Result<std::unique_ptr<serve::Transport>> conn =
+        (*server)->ConnectInProcess();
+    ASSERT_TRUE(conn.ok());
+    serve::ServeClient client(std::move(*conn));
+    ASSERT_TRUE(client.Hello().ok());
+    ASSERT_TRUE(client.OpenStream(1, "objects").ok());
+    for (const Tuple& t : trace) {
+      ASSERT_TRUE(client.SendTuple(1, t).ok());
+    }
+    Result<serve::ServeClient::DrainResult> drained = client.Drain();
+    ASSERT_TRUE(drained.ok());
+    ASSERT_FALSE(drained->provisionals.empty());
+    provisional += drained->provisionals.size();
+    confirmed += drained->confirmed.size();
+    retracted += drained->retracted.size();
+  }
+  (*server)->Drain();
+  if (!obs::kMetricsEnabled) return;
+  obs::MetricsSnapshot snapshot = (*server)->Snapshot();
+  EXPECT_EQ(snapshot.counters["precision/provisional"], provisional);
+  EXPECT_EQ(snapshot.counters["precision/confirmed"], confirmed);
+  EXPECT_EQ(snapshot.counters["precision/retracted"], retracted);
+  EXPECT_EQ(snapshot.counters.count("runtime/tuples_in"), 0u);
+  EXPECT_EQ((*server)->pool().shard_metrics(0)->Snapshot().counters.count(
+                "runtime/tuples_in"),
+            0u);
+}
+
 TEST(AdaptiveSession, DisabledPrecisionEmitsNoSideBand) {
   const std::vector<Tuple> trace = PiecewiseTrace(100);
   serve::ServerOptions options = AdaptiveServerOptions(0);

@@ -298,7 +298,7 @@ TEST(PredictiveRuntime, FinishTailIsKeySorted) {
 // Pins the runtime/* counter names each runtime registers: historical
 // exports the 3 it can move, predictive all 7, and a sharded runtime the
 // historical 3 in every shard registry. Checked-in metrics blocks and
-// per-shard mirrors rely on the set not growing.
+// the per-shard series rely on the set not growing.
 TEST(Runtime, ExportedCountersUnchanged) {
   auto runtime_counters = [](const obs::MetricsRegistry& registry) {
     std::vector<std::string> names;
@@ -342,8 +342,7 @@ TEST(Runtime, ExportedCountersUnchanged) {
   ASSERT_TRUE(sharded->Finish().ok());
   EXPECT_EQ(sharded->stats().tuples_in, 1u);
   EXPECT_EQ(runtime_counters(*sharded->pool().shard_metrics(0)), historical);
-  sharded->SyncMetrics();
-  for (const auto& [name, value] : sharded->metrics()->Snapshot().counters) {
+  for (const auto& [name, value] : sharded->Snapshot().counters) {
     if (name.find("runtime/") == std::string::npos) continue;
     const std::string suffix = name.substr(name.find("runtime/"));
     EXPECT_NE(std::find(historical.begin(), historical.end(), suffix),

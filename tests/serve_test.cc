@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -372,7 +373,7 @@ TEST(AdmissionController, QueueWatermarkHysteresis) {
   AdmissionOptions options;
   options.queue_high_watermark = 0.8;
   options.queue_low_watermark = 0.4;
-  AdmissionController controller(options, nullptr);
+  AdmissionController controller(options, {});
   EXPECT_EQ(controller.Admit(10, 100), AdmitDecision::kAdmit);
   EXPECT_EQ(controller.Admit(90, 100), AdmitDecision::kShedQueue);
   // Still above the low watermark: keeps shedding (hysteresis).
@@ -382,30 +383,43 @@ TEST(AdmissionController, QueueWatermarkHysteresis) {
   EXPECT_FALSE(controller.overloaded());
 }
 
+// The signal is the sum over every histogram the controller reads (one
+// per shard when serving), so slow samples on only one of two shards
+// still trip it.
 TEST(AdmissionController, LatencySignalShedsAndRecovers) {
-  obs::MetricsRegistry registry;
-  obs::Histogram* h = registry.GetHistogram("span/runtime/push_segment");
-  AdmissionOptions options;
-  options.latency_high_ns = 1000;
-  options.latency_low_ns = 100;
-  options.sample_every = 1;  // resample on every admission
-  AdmissionController controller(options, h);
-  EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kAdmit);
-  // Slow solver: p99 over the next interval far above the threshold.
-  for (int i = 0; i < 100; ++i) h->Record(50'000);
-  EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kShedLatency);
-  EXPECT_TRUE(controller.overloaded());
-  // Fast again: interval p99 drops under the low threshold.
-  for (int i = 0; i < 100; ++i) h->Record(10);
-  EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kAdmit);
-  // Idle solver (no new samples): stays recovered.
-  EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kAdmit);
+  for (const size_t histograms : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(std::to_string(histograms) + " histogram(s)");
+    obs::MetricsRegistry registry;
+    std::vector<const obs::Histogram*> latency;
+    for (size_t i = 0; i < histograms; ++i) {
+      latency.push_back(registry.GetHistogram(
+          "shard/" + std::to_string(i) + "/span/runtime/push_segment"));
+    }
+    obs::Histogram* h = registry.GetHistogram(
+        "shard/" + std::to_string(histograms - 1) +
+        "/span/runtime/push_segment");
+    AdmissionOptions options;
+    options.latency_high_ns = 1000;
+    options.latency_low_ns = 100;
+    options.sample_every = 1;  // resample on every admission
+    AdmissionController controller(options, latency);
+    EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kAdmit);
+    // Slow solver: p99 over the next interval far above the threshold.
+    for (int i = 0; i < 100; ++i) h->Record(50'000);
+    EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kShedLatency);
+    EXPECT_TRUE(controller.overloaded());
+    // Fast again: interval p99 drops under the low threshold.
+    for (int i = 0; i < 100; ++i) h->Record(10);
+    EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kAdmit);
+    // Idle solver (no new samples): stays recovered.
+    EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kAdmit);
+  }
 }
 
 TEST(AdmissionController, DisabledAdmitsEverything) {
   AdmissionOptions options;
   options.enabled = false;
-  AdmissionController controller(options, nullptr);
+  AdmissionController controller(options, {});
   EXPECT_EQ(controller.Admit(100, 100), AdmitDecision::kAdmit);
 }
 
@@ -881,6 +895,69 @@ TEST(Session, ServerDrainFinishesInFlightSessions) {
 
 // ---------------------------------------------------------------------
 // TCP transport.
+
+// StreamServer::Snapshot reads the live shard registries, so an export
+// taken after Drain agrees with the serve/* counts: the runtime saw
+// exactly the tuples the sessions dispatched, and each rollup is the sum
+// of its shard/<i>/ series.
+TEST(StreamServer, SnapshotAfterDrainIsConsistent) {
+  std::vector<Tuple> trace;
+  for (int i = 0; i < 400; ++i) {
+    const double t = (i / 8) * 0.05;
+    trace.push_back(ObjectTuple(t, i % 8, 2.0 * t + (i % 8), 0.0));
+  }
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    ServerOptions options = ObjectsServerOptions(BackpressurePolicy::kBlock);
+    options.num_shards = shards;
+    Result<std::unique_ptr<StreamServer>> server =
+        StreamServer::Make(std::move(options));
+    ASSERT_TRUE(server.ok());
+    std::vector<std::thread> sessions;
+    for (int c = 0; c < 2; ++c) {
+      Result<std::unique_ptr<Transport>> conn = (*server)->ConnectInProcess();
+      ASSERT_TRUE(conn.ok());
+      sessions.emplace_back([&trace, conn = std::move(*conn)]() mutable {
+        ServeClient client(std::move(conn));
+        ASSERT_TRUE(client.Hello().ok());
+        ASSERT_TRUE(client.OpenStream(1, "objects").ok());
+        for (size_t i = 0; i < trace.size(); i += 40) {
+          ASSERT_TRUE(client
+                          .SendBatch(1, std::vector<Tuple>(
+                                            trace.begin() + i,
+                                            trace.begin() + i + 40))
+                          .ok());
+        }
+        ASSERT_TRUE(client.Drain().ok());
+      });
+    }
+    for (std::thread& t : sessions) t.join();
+    (*server)->Drain();
+
+    const obs::MetricsSnapshot snap = (*server)->Snapshot();
+    if (!obs::kMetricsEnabled) continue;
+    EXPECT_EQ(snap.counters.at("serve/queue/accepted"), 2 * trace.size());
+    EXPECT_EQ(snap.counters.at("runtime/tuples_in"),
+              snap.counters.at("serve/batch/tuples"));
+    EXPECT_EQ(snap.counters.at("serve/batch/tuples"),
+              snap.counters.at("serve/queue/accepted"));
+    // Sum each counter's shard/<i>/ series, keyed by the plain name.
+    std::map<std::string, uint64_t> shard_sums;
+    for (size_t i = 0; i < (*server)->num_shards(); ++i) {
+      const std::string prefix = "shard/" + std::to_string(i) + "/";
+      for (const auto& [name, value] : snap.counters) {
+        if (name.rfind(prefix, 0) == 0) {
+          shard_sums[name.substr(prefix.size())] += value;
+        }
+      }
+    }
+    EXPECT_TRUE(shard_sums.count("runtime/tuples_in") > 0);
+    for (const auto& [name, sum] : shard_sums) {
+      ASSERT_EQ(snap.counters.count(name), 1u) << name;
+      EXPECT_EQ(snap.counters.at(name), sum) << name;
+    }
+  }
+}
 
 TEST(TcpTransport, EndToEndSessionOverLoopback) {
   Result<std::unique_ptr<StreamServer>> server =

@@ -230,31 +230,29 @@ TEST(ShardedRuntime, ShardMetricsNamesPublished) {
   options.runtime.collect_outputs = true;
   auto rt = ShardedRuntime::Make(kase->spec, std::move(options));
   ASSERT_TRUE(rt.ok()) << rt.status().message();
+  uint64_t fed = 0;
   for (size_t i = 0; i < kase->workloads.size(); ++i) {
     for (const Segment& s : kase->workloads[i].ToSegments()) {
       ASSERT_TRUE(
           rt->ProcessSegment(kase->workloads[i].name, s).ok());
+      ++fed;
     }
   }
   ASSERT_TRUE(rt->Finish().ok());
-  rt->SyncMetrics();
-  const obs::MetricsSnapshot snap = rt->metrics()->Snapshot();
+  const obs::MetricsSnapshot snap = rt->Snapshot();
   if (!obs::kMetricsEnabled) return;
-  // Per-shard mirrors for every effective shard, plus the plain-name
-  // rollup the serving admission controller reads.
+  // Per-shard series for every effective shard, and a plain-name rollup
+  // that is their sum: here, every segment fed.
+  uint64_t per_shard_sum = 0;
   for (size_t shard = 0; shard < rt->num_shards(); ++shard) {
-    const std::string prefix = "shard/" + std::to_string(shard) + "/";
-    bool found = false;
-    for (const auto& [name, value] : snap.counters) {
-      if (name.rfind(prefix, 0) == 0) {
-        found = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(found) << "no counters under " << prefix;
+    const std::string name =
+        "shard/" + std::to_string(shard) + "/runtime/segments_pushed";
+    ASSERT_EQ(snap.counters.count(name), 1u) << name;
+    per_shard_sum += snap.counters.at(name);
   }
-  EXPECT_TRUE(snap.histograms.count("span/runtime/push_segment") > 0 ||
-              snap.counters.count("runtime/segments_in") > 0);
+  ASSERT_EQ(snap.counters.count("runtime/segments_pushed"), 1u);
+  EXPECT_EQ(snap.counters.at("runtime/segments_pushed"), per_shard_sum);
+  EXPECT_EQ(per_shard_sum, fed);
 }
 
 // ---------------------------------------------------------------------
@@ -474,16 +472,16 @@ TEST(ShardedRuntime, MixedCallSizesMatchSerialAtEveryShardCount) {
     EXPECT_EQ(got.second, expected.second) << shards << " shards";
     if (obs::kMetricsEnabled && shards > 1) {
       // Batched: far fewer records crossed than tuples.
-      rt->SyncMetrics();
-      obs::MetricsSnapshot snap = rt->metrics()->Snapshot();
+      obs::MetricsSnapshot snap = rt->Snapshot();
       EXPECT_EQ(snap.counters["shard/exchange/tuples"], trace.size());
       EXPECT_LT(snap.counters["shard/exchange/records"], trace.size() / 4);
     }
   }
 }
 
-// A 1,000-tuple call at the default 256-tuple bound completes.
+// A 1,000-tuple call against the 256-tuple exchange bound completes.
 TEST(ShardedRuntime, CallLargerThanExchangeCapacityCompletes) {
+  static_assert(kExchangeCapacity < 1000, "the call must outweigh the bound");
   const std::vector<Tuple> trace = ObjectsTrace(1000, 1, 3);
   auto serial = HistoricalRuntime::Make(ObjectsFilterSpec(),
                                         ObjectsRuntimeOptions());
@@ -493,7 +491,6 @@ TEST(ShardedRuntime, CallLargerThanExchangeCapacityCompletes) {
 
   ShardedRuntimeOptions options;
   options.num_shards = 2;
-  options.exchange_capacity = 256;
   options.runtime = ObjectsRuntimeOptions();
   auto rt = ShardedRuntime::Make(ObjectsFilterSpec(), std::move(options));
   ASSERT_TRUE(rt.ok());
