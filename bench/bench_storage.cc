@@ -5,10 +5,11 @@
 // Scenarios:
 //   recover      — a store directory holding N logged segments is
 //                  reopened with SegmentStore::Recover (scan + torn-tail
-//                  check + checkpoint reconcile + timeline/tree
-//                  rebuild). One row per log size; the interesting shape
-//                  is records_per_sec staying flat as the log grows
-//                  (recovery is a linear replay).
+//                  check + checkpoint reconcile + timeline rebuild; the
+//                  trees wait for a series' first query). One row per
+//                  log size; the interesting shape is records_per_sec
+//                  staying flat as the log grows (recovery is a linear
+//                  replay).
 //   replay_query — the baseline a store without the tree would run: a
 //                  linear scan over the full per-key timeline per range
 //                  query, clipping each overlapping segment exactly

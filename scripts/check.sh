@@ -92,8 +92,10 @@ else
     "$repo/build-tsan/tests/telemetry_test"
   # store_recovery_test's kill-and-restore scenarios run the sharded
   # runtime (live worker threads + Barrier) against the shared durable
-  # store, and differential_test above runs the kill-restore variant of
-  # every generated case — both must be race-free.
+  # store, its concurrent-append test queries the store's trees while
+  # another thread appends, and differential_test above runs the
+  # kill-restore variant of every generated case — all must be
+  # race-free.
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$repo/build-tsan/tests/store_recovery_test"
   # precision_test runs an adaptive session against a static session over

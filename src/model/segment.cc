@@ -43,21 +43,21 @@ std::string Segment::ToString() const {
   return os.str();
 }
 
-void ApplySegmentUpdate(std::vector<Segment>* timeline, Segment incoming) {
-  if (incoming.range.IsEmpty()) return;
+bool ApplySegmentUpdate(std::vector<Segment>* timeline, Segment incoming) {
+  if (incoming.range.IsEmpty()) return false;
   // Fast path for the dominant in-order append: the timeline is sorted
   // and disjoint, so a segment starting at or after the last one's end
   // cannot overlap anything and keeps the ordering by plain push_back.
   if (timeline->empty()) {
     timeline->push_back(std::move(incoming));
-    return;
+    return true;
   }
   const Interval& last = timeline->back().range;
   if (incoming.range.lo > last.hi ||
       (incoming.range.lo == last.hi &&
        (last.hi_open || incoming.range.lo_open))) {
     timeline->push_back(std::move(incoming));
-    return;
+    return true;
   }
   // Successor wins the overlap: truncate any earlier segment that extends
   // past the newcomer's start; drop segments fully covered.
@@ -86,6 +86,7 @@ void ApplySegmentUpdate(std::vector<Segment>* timeline, Segment incoming) {
     return !a.range.lo_open && b.range.lo_open;
   });
   *timeline = std::move(kept);
+  return false;
 }
 
 }  // namespace pulse

@@ -78,8 +78,11 @@ using SegmentBatch = std::vector<Segment>;
 /// per-key timeline: when a successor segment overlaps its predecessors
 /// temporally, the successor acts as an update for the overlap — earlier
 /// segments are truncated to end where the newcomer begins. `timeline`
-/// must be ordered by arrival; `incoming` is appended.
-void ApplySegmentUpdate(std::vector<Segment>* timeline, Segment incoming);
+/// must be ordered by arrival; `incoming` is appended. Returns true when
+/// `incoming` took the in-order fast path (pushed at the end, no
+/// predecessor touched); false when it was dropped as empty or rewrote
+/// the timeline.
+bool ApplySegmentUpdate(std::vector<Segment>* timeline, Segment incoming);
 
 }  // namespace pulse
 

@@ -208,18 +208,16 @@ Result<SegmentLogWriter> SegmentLogWriter::Open(const std::string& path) {
   return writer;
 }
 
-Result<uint64_t> SegmentLogWriter::Append(const LogRecord& record) {
+Status SegmentLogWriter::Append(std::string_view framed) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("log writer is closed");
   }
-  scratch_.clear();
-  EncodeLogRecord(record, &scratch_);
-  if (std::fwrite(scratch_.data(), 1, scratch_.size(), file_.get()) !=
-      scratch_.size()) {
+  if (std::fwrite(framed.data(), 1, framed.size(), file_.get()) !=
+      framed.size()) {
     return Errno("append log record", path_);
   }
-  size_ += scratch_.size();
-  return size_;
+  size_ += framed.size();
+  return Status::OK();
 }
 
 Status SegmentLogWriter::Sync() {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/tuple.h"
@@ -109,8 +110,9 @@ class SegmentLogWriter {
   SegmentLogWriter(SegmentLogWriter&&) = default;
   SegmentLogWriter& operator=(SegmentLogWriter&&) = default;
 
-  /// Appends one record; returns the file size after the append.
-  Result<uint64_t> Append(const LogRecord& record);
+  /// Appends one framed record image: EncodeLogRecord's output, so a
+  /// caller can encode outside its own lock.
+  Status Append(std::string_view framed);
 
   /// Flushes buffered writes and fsyncs to the device.
   Status Sync();
@@ -128,7 +130,6 @@ class SegmentLogWriter {
   std::unique_ptr<std::FILE, FileCloser> file_;
   std::string path_;
   uint64_t size_ = 0;
-  std::string scratch_;
 };
 
 }  // namespace store

@@ -58,52 +58,47 @@ RangeAggregate AggregatePolynomial(const Polynomial& p, double lo,
   return agg;
 }
 
-void SegmentTree::Build(std::vector<Leaf> leaves) {
+void SegmentTree::Build(std::vector<Leaf> leaves, const PolyOf& poly_of) {
   leaves_ = std::move(leaves);
   cap_ = 1;
-  while (cap_ < std::max<size_t>(leaves_.size(), 1)) cap_ *= 2;
-  Rebuild();
-}
-
-void SegmentTree::Rebuild() {
+  while (cap_ < leaves_.size()) cap_ *= 2;
   nodes_.assign(2 * cap_, RangeAggregate{});
   for (size_t i = 0; i < leaves_.size(); ++i) {
-    nodes_[cap_ + i] =
-        AggregatePolynomial(leaves_[i].poly, leaves_[i].lo, leaves_[i].hi);
+    const Leaf& leaf = leaves_[i];
+    nodes_[cap_ + i] = AggregatePolynomial(poly_of(leaf.ref), leaf.lo, leaf.hi);
   }
+  CombineInterior();
+}
+
+void SegmentTree::CombineInterior() {
   for (size_t i = cap_ - 1; i >= 1; --i) {
     nodes_[i] = nodes_[2 * i];
     nodes_[i].Combine(nodes_[2 * i + 1]);
   }
 }
 
-void SegmentTree::UpdatePath(size_t slot) {
-  size_t node = cap_ + slot;
-  nodes_[node] =
-      AggregatePolynomial(leaves_[slot].poly, leaves_[slot].lo,
-                          leaves_[slot].hi);
+void SegmentTree::Append(const Leaf& leaf, const Polynomial& poly) {
+  leaves_.push_back(leaf);
+  if (leaves_.size() > cap_) {
+    // Double the capacity: the leaf payloads move to the new bottom row
+    // as they are, and only the interior is recombined.
+    const size_t old_cap = cap_;
+    cap_ = std::max<size_t>(1, 2 * cap_);
+    std::vector<RangeAggregate> nodes(2 * cap_);
+    std::copy(nodes_.begin() + old_cap, nodes_.end(), nodes.begin() + cap_);
+    nodes_ = std::move(nodes);
+    CombineInterior();
+  }
+  size_t node = cap_ + leaves_.size() - 1;
+  nodes_[node] = AggregatePolynomial(poly, leaf.lo, leaf.hi);
   for (node /= 2; node >= 1; node /= 2) {
     nodes_[node] = nodes_[2 * node];
     nodes_[node].Combine(nodes_[2 * node + 1]);
   }
 }
 
-void SegmentTree::Append(Leaf leaf) {
-  if (cap_ == 0) cap_ = 1;
-  leaves_.push_back(std::move(leaf));
-  if (leaves_.size() > cap_) {
-    while (cap_ < leaves_.size()) cap_ *= 2;
-    Rebuild();
-    return;
-  }
-  if (nodes_.size() != 2 * cap_) {
-    Rebuild();
-    return;
-  }
-  UpdatePath(leaves_.size() - 1);
-}
-
 RangeAggregate SegmentTree::Query(double lo, double hi,
+                                  const PolyOf& poly_of,
                                   TreeQueryStats* stats) const {
   RangeAggregate out;
   if (leaves_.empty() || hi < lo) return out;
@@ -130,7 +125,7 @@ RangeAggregate SegmentTree::Query(double lo, double hi,
     const double a = std::max(leaf.lo, lo);
     const double b = std::min(leaf.hi, hi);
     if (b < a) return;
-    out.Combine(AggregatePolynomial(leaf.poly, a, b));
+    out.Combine(AggregatePolynomial(poly_of(leaf.ref), a, b));
     if (stats != nullptr) ++stats->edge_leaves;
   };
   edge(first);

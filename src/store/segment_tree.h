@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -66,24 +67,33 @@ struct TreeQueryStats {
 /// Query(lo, hi) combines O(log n) node payloads and recomputes at
 /// most the two leaves the range edges cut through (exact fallback to
 /// the leaf models; docs/STORAGE.md).
+///
+/// The tree holds no polynomial. A leaf carries its time bounds and a
+/// caller-owned `ref` (the store uses the segment's timeline
+/// position); each leaf's exact payload is computed once, when the
+/// leaf enters, and a query resolves the two edge leaves' models
+/// through the caller's `PolyOf`.
 class SegmentTree {
  public:
   struct Leaf {
     double lo = 0.0;
     double hi = 0.0;
-    Polynomial poly;
+    size_t ref = 0;
   };
+  /// Resolves a leaf's `ref` to its model.
+  using PolyOf = std::function<const Polynomial&(size_t ref)>;
 
   /// Replaces the contents; `leaves` must be sorted by `lo` and
   /// non-overlapping.
-  void Build(std::vector<Leaf> leaves);
+  void Build(std::vector<Leaf> leaves, const PolyOf& poly_of);
 
-  /// Appends one leaf at the end of modeled time (amortized O(log n);
-  /// doubles capacity and rebuilds interior nodes when full).
-  void Append(Leaf leaf);
+  /// Appends one leaf, modeled by `poly`, at the end of modeled time:
+  /// amortized O(log n). When capacity doubles, the existing leaf
+  /// payloads are copied and only interior nodes are recombined.
+  void Append(const Leaf& leaf, const Polynomial& poly);
 
   /// Aggregate over modeled time ∩ [lo, hi].
-  RangeAggregate Query(double lo, double hi,
+  RangeAggregate Query(double lo, double hi, const PolyOf& poly_of,
                        TreeQueryStats* stats = nullptr) const;
 
   size_t size() const { return leaves_.size(); }
@@ -91,8 +101,7 @@ class SegmentTree {
   const std::vector<Leaf>& leaves() const { return leaves_; }
 
  private:
-  void Rebuild();
-  void UpdatePath(size_t slot);
+  void CombineInterior();
   void QueryRange(size_t node, size_t node_lo, size_t node_hi, size_t l,
                   size_t r, RangeAggregate* out, TreeQueryStats* stats) const;
 

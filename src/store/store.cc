@@ -100,53 +100,90 @@ Result<SegmentStore> SegmentStore::Open(StoreOptions options) {
   return store;
 }
 
-Status SegmentStore::AppendRecord(const LogRecord& record) {
-  const uint64_t before = writer_.size_bytes();
-  PULSE_ASSIGN_OR_RETURN(uint64_t size, writer_.Append(record));
+Status SegmentStore::AppendRecord(std::string_view framed) {
+  PULSE_RETURN_IF_ERROR(writer_.Append(framed));
   if (options_.sync_each_append) {
     PULSE_RETURN_IF_ERROR(writer_.Sync());
   }
   ++log_records_;
   c_appends_->Increment();
-  c_append_bytes_->Add(size - before);
+  c_append_bytes_->Add(framed.size());
   return Status::OK();
 }
 
-void SegmentStore::Index(const std::string& stream, const Segment& segment) {
-  Series& series = series_[stream][segment.key];
-  ApplySegmentUpdate(&series.timeline, segment);
-  series.dirty = true;
+namespace {
+
+/// The model of timeline position `ref` for one attribute's tree.
+SegmentTree::PolyOf TimelinePolys(const std::vector<Segment>& timeline,
+                                  const std::string& attribute) {
+  return [&timeline, &attribute](size_t ref) -> const Polynomial& {
+    return timeline[ref].attributes.at(attribute);
+  };
 }
+
+}  // namespace
+
+SegmentStore::Series* SegmentStore::UpdateTimeline(const std::string& stream,
+                                                   Segment segment,
+                                                   bool* in_order) {
+  if (segment.range.IsEmpty()) return nullptr;
+  Series& series = series_[stream][segment.key];
+  *in_order = ApplySegmentUpdate(&series.timeline, std::move(segment));
+  return &series;
+}
+
+void SegmentStore::Index(const std::string& stream, Segment segment) {
+  bool in_order = false;
+  Series* series = UpdateTimeline(stream, std::move(segment), &in_order);
+  if (series == nullptr || series->dirty) return;
+  if (!in_order) {
+    series->dirty = true;
+    return;
+  }
+  const size_t ref = series->timeline.size() - 1;
+  const Segment& last = series->timeline.back();
+  for (const auto& [attr, poly] : last.attributes) {
+    series->trees[attr].Append(
+        SegmentTree::Leaf{last.range.lo, last.range.hi, ref}, poly);
+  }
+}
+
+// The append paths build and encode their record before taking the
+// lock that QueryRange shares; the lock covers only the buffered write,
+// the counters and the indexing.
 
 Status SegmentStore::AppendSegment(const std::string& stream,
                                    const Segment& segment) {
-  std::lock_guard<std::mutex> lock(*mu_);
   obs::ScopedMetricsRegistry scoped(metrics_);
   PULSE_SPAN("store/append");
   LogRecord record;
   record.type = LogRecordType::kSegment;
   record.stream = stream;
   record.segment = segment;
-  PULSE_RETURN_IF_ERROR(AppendRecord(record));
-  Index(stream, segment);
+  std::string framed;
+  EncodeLogRecord(record, &framed);
+  std::lock_guard<std::mutex> lock(*mu_);
+  PULSE_RETURN_IF_ERROR(AppendRecord(framed));
+  Index(stream, std::move(record.segment));
   return Status::OK();
 }
 
 Status SegmentStore::AppendTuple(const std::string& stream,
                                  const Tuple& tuple) {
-  std::lock_guard<std::mutex> lock(*mu_);
   obs::ScopedMetricsRegistry scoped(metrics_);
   PULSE_SPAN("store/append");
   LogRecord record;
   record.type = LogRecordType::kTuple;
   record.stream = stream;
   record.tuple = tuple;
-  return AppendRecord(record);
+  std::string framed;
+  EncodeLogRecord(record, &framed);
+  std::lock_guard<std::mutex> lock(*mu_);
+  return AppendRecord(framed);
 }
 
 Result<BackfillResult> SegmentStore::Backfill(const std::string& stream,
                                               const Segment& patch) {
-  std::lock_guard<std::mutex> lock(*mu_);
   obs::ScopedMetricsRegistry scoped(metrics_);
   PULSE_SPAN("store/append");
   if (patch.range.IsEmpty()) {
@@ -156,8 +193,11 @@ Result<BackfillResult> SegmentStore::Backfill(const std::string& stream,
   record.type = LogRecordType::kBackfill;
   record.stream = stream;
   record.segment = patch;
-  PULSE_RETURN_IF_ERROR(AppendRecord(record));
-  Index(stream, patch);
+  std::string framed;
+  EncodeLogRecord(record, &framed);
+  std::lock_guard<std::mutex> lock(*mu_);
+  PULSE_RETURN_IF_ERROR(AppendRecord(framed));
+  Index(stream, std::move(record.segment));
   c_backfills_->Increment();
   BackfillResult result;
   result.affected = patch.range;
@@ -186,7 +226,8 @@ std::vector<EpochAggregate> SegmentStore::RepublishEpochs(
       epoch.lo = static_cast<double>(e) * len;
       epoch.hi = epoch.lo + len;
       epoch.attribute = attr;
-      epoch.aggregate = tree.Query(epoch.lo, epoch.hi);
+      epoch.aggregate =
+          tree.Query(epoch.lo, epoch.hi, TimelinePolys(series->timeline, attr));
       c_tree_queries_->Increment();
       out.push_back(std::move(epoch));
     }
@@ -242,14 +283,16 @@ const SegmentStore::Series* SegmentStore::FindSeries(
 void SegmentStore::RebuildTrees(Series* series) {
   series->trees.clear();
   std::map<std::string, std::vector<SegmentTree::Leaf>> leaves;
-  for (const Segment& s : series->timeline) {
-    for (const auto& [attr, poly] : s.attributes) {
+  const std::vector<Segment>& timeline = series->timeline;
+  for (size_t i = 0; i < timeline.size(); ++i) {
+    for (const auto& [attr, poly] : timeline[i].attributes) {
       leaves[attr].push_back(
-          SegmentTree::Leaf{s.range.lo, s.range.hi, poly});
+          SegmentTree::Leaf{timeline[i].range.lo, timeline[i].range.hi, i});
     }
   }
   for (auto& [attr, attr_leaves] : leaves) {
-    series->trees[attr].Build(std::move(attr_leaves));
+    series->trees[attr].Build(std::move(attr_leaves),
+                              TimelinePolys(timeline, attr));
   }
   series->dirty = false;
   c_tree_rebuilds_->Increment();
@@ -268,7 +311,8 @@ RangeAggregate SegmentStore::QueryRange(const std::string& stream, Key key,
   if (series->dirty) RebuildTrees(series);
   auto it = series->trees.find(attribute);
   if (it == series->trees.end()) return RangeAggregate{};
-  return it->second.Query(lo, hi, stats);
+  return it->second.Query(lo, hi, TimelinePolys(series->timeline, it->first),
+                          stats);
 }
 
 std::vector<Key> SegmentStore::KeysOf(const std::string& stream) const {
@@ -350,10 +394,14 @@ Result<RecoveredStore> SegmentStore::Recover(StoreOptions options) {
   {
     obs::ScopedMetricsRegistry scoped(store.metrics_);
     PULSE_SPAN("store/recover");
+    // Timelines only: each series builds its trees once, on its first
+    // query, and appends keep them current from there.
     for (const LogRecord& record : recovered.records) {
-      if (record.type != LogRecordType::kTuple) {
-        store.Index(record.stream, record.segment);
-      }
+      if (record.type == LogRecordType::kTuple) continue;
+      bool in_order = false;
+      Series* series =
+          store.UpdateTimeline(record.stream, record.segment, &in_order);
+      if (series != nullptr) series->dirty = true;
     }
   }
   store.metrics_->GetCounter("store/recovered_records")

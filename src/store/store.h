@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/tuple.h"
@@ -154,8 +155,9 @@ class SegmentStore {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Reopens a store directory: scans the log, truncates any torn
-  /// tail, reconciles the checkpoint, rebuilds timelines and trees,
-  /// and reopens the log for append at the consistent prefix. Always
+  /// tail, reconciles the checkpoint, rebuilds the timelines (each
+  /// series builds its trees on its first query), and reopens the log
+  /// for append at the consistent prefix. Always
   /// structured: corruption surfaces in the report, never as a crash.
   static Result<RecoveredStore> Recover(StoreOptions options);
 
@@ -164,20 +166,31 @@ class SegmentStore {
 
   SegmentStore() = default;
 
-  Status AppendRecord(const LogRecord& record);
-  /// Indexes a segment/backfill record into timeline + dirty trees.
-  void Index(const std::string& stream, const Segment& segment);
-  std::vector<EpochAggregate> RepublishEpochs(const std::string& stream,
-                                              const Segment& patch);
-
   struct Series {
     std::vector<Segment> timeline;
-    /// Trees per attribute, rebuilt lazily from the timeline after
-    /// mutations (dirty flag): appends stay O(1), queries O(log n)
-    /// once the tree is warm.
+    /// Trees per attribute over the timeline. An in-order segment
+    /// appends one leaf to each tree it models (amortized O(log n));
+    /// a segment that rewrites the timeline (truncating overlap or
+    /// backfill) marks the series dirty, and the next query rebuilds
+    /// every tree once. Leaves reference timeline positions.
     std::map<std::string, SegmentTree> trees;
-    bool dirty = true;
+    bool dirty = false;
   };
+
+  /// Writes one framed record (encoded before the caller took the
+  /// lock) and counts it.
+  Status AppendRecord(std::string_view framed);
+  /// Applies a segment/backfill record to its key's timeline. Returns
+  /// the series, or nullptr for a segment covering no time (logged, but
+  /// no modeled history); `in_order` reports ApplySegmentUpdate's fast
+  /// path.
+  Series* UpdateTimeline(const std::string& stream, Segment segment,
+                         bool* in_order);
+  /// UpdateTimeline, then keeps the series' trees current: appends the
+  /// leaves of an in-order segment, marks the series dirty otherwise.
+  void Index(const std::string& stream, Segment segment);
+  std::vector<EpochAggregate> RepublishEpochs(const std::string& stream,
+                                              const Segment& patch);
 
   Series* FindSeries(const std::string& stream, Key key);
   const Series* FindSeries(const std::string& stream, Key key) const;

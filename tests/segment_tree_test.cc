@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,12 +27,33 @@ void ExpectNearRel(double expected, double actual, const char* what) {
   EXPECT_NEAR(expected, actual, tol) << what;
 }
 
+// Leaves and the models they reference: leaf i has ref i. The tree
+// keeps no polynomial, so the test owns them the way the store's
+// timeline does.
+struct Series {
+  std::vector<SegmentTree::Leaf> leaves;
+  std::vector<Polynomial> polys;
+
+  void Add(double lo, double hi, Polynomial poly) {
+    leaves.push_back(SegmentTree::Leaf{lo, hi, polys.size()});
+    polys.push_back(std::move(poly));
+  }
+  SegmentTree::PolyOf poly_of() const {
+    return [this](size_t ref) -> const Polynomial& { return polys[ref]; };
+  }
+};
+
+SegmentTree BuildTree(const Series& series) {
+  SegmentTree tree;
+  tree.Build(series.leaves, series.poly_of());
+  return tree;
+}
+
 // The brute-force oracle: clip every leaf against [lo, hi] exactly the
 // way the tree's edge fallback does, and combine linearly.
-RangeAggregate BruteForce(const std::vector<SegmentTree::Leaf>& leaves,
-                          double lo, double hi) {
+RangeAggregate BruteForce(const Series& series, double lo, double hi) {
   RangeAggregate out;
-  for (const auto& leaf : leaves) {
+  for (const auto& leaf : series.leaves) {
     const double a = std::max(leaf.lo, lo);
     const double b = std::min(leaf.hi, hi);
     if (b < a) continue;
@@ -39,14 +61,14 @@ RangeAggregate BruteForce(const std::vector<SegmentTree::Leaf>& leaves,
     // boundary contributes a point value from the leaf owning it, but
     // the leaf *ending* there (hi <= lo) is excluded.
     if (leaf.hi <= lo) continue;
-    out.Combine(AggregatePolynomial(leaf.poly, a, b));
+    out.Combine(AggregatePolynomial(series.polys[leaf.ref], a, b));
   }
   return out;
 }
 
-std::vector<SegmentTree::Leaf> RandomLeaves(uint64_t seed, size_t n) {
+Series RandomLeaves(uint64_t seed, size_t n) {
   Rng rng(seed);
-  std::vector<SegmentTree::Leaf> leaves;
+  Series series;
   double t = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const double len = rng.Uniform(0.1, 2.0);
@@ -65,10 +87,10 @@ std::vector<SegmentTree::Leaf> RandomLeaves(uint64_t seed, size_t n) {
                            rng.Uniform(-0.5, 0.5), rng.Uniform(-0.1, 0.1)});
         break;
     }
-    leaves.push_back(SegmentTree::Leaf{t, t + len, poly});
+    series.Add(t, t + len, std::move(poly));
     t += len;  // contiguous: every interior boundary is shared
   }
-  return leaves;
+  return series;
 }
 
 void ExpectAggEq(const RangeAggregate& oracle, const RangeAggregate& got,
@@ -88,18 +110,20 @@ void ExpectAggEq(const RangeAggregate& oracle, const RangeAggregate& got,
 }
 
 TEST(SegmentTree, EmptyTreeAnswersEmpty) {
+  const Series none;
   SegmentTree tree;
-  EXPECT_TRUE(tree.Query(0.0, 10.0).empty());
-  tree.Build({});
-  EXPECT_TRUE(tree.Query(0.0, 10.0).empty());
+  EXPECT_TRUE(tree.Query(0.0, 10.0, none.poly_of()).empty());
+  tree.Build({}, none.poly_of());
+  EXPECT_TRUE(tree.Query(0.0, 10.0, none.poly_of()).empty());
 }
 
 TEST(SegmentTree, SingleLeafExactAggregates) {
-  SegmentTree tree;
   // v(t) = (t-2)^2 = 4 - 4t + t^2 on [0, 4]: min 0 at t=2, max 4 at
   // both endpoints, integral 2*(8/3).
-  tree.Build({SegmentTree::Leaf{0.0, 4.0, Polynomial({4.0, -4.0, 1.0})}});
-  RangeAggregate agg = tree.Query(0.0, 4.0);
+  Series series;
+  series.Add(0.0, 4.0, Polynomial({4.0, -4.0, 1.0}));
+  const SegmentTree tree = BuildTree(series);
+  RangeAggregate agg = tree.Query(0.0, 4.0, series.poly_of());
   EXPECT_EQ(agg.count, 1u);
   EXPECT_EQ(agg.min, 0.0);
   EXPECT_EQ(agg.max, 4.0);
@@ -107,7 +131,7 @@ TEST(SegmentTree, SingleLeafExactAggregates) {
   EXPECT_NEAR(agg.mean(), 4.0 / 3.0, 1e-12);
   // Interior clip [1, 3]: max is at the clip edges (value 1), the
   // interior minimum still found by the derivative root.
-  agg = tree.Query(1.0, 3.0);
+  agg = tree.Query(1.0, 3.0, series.poly_of());
   EXPECT_EQ(agg.min, 0.0);
   EXPECT_EQ(agg.max, 1.0);
   EXPECT_NEAR(agg.integral, 2.0 / 3.0, 1e-12);
@@ -115,17 +139,16 @@ TEST(SegmentTree, SingleLeafExactAggregates) {
 
 TEST(SegmentTree, RandomRangesMatchBruteForce) {
   for (uint64_t seed : {1u, 2u, 3u}) {
-    const auto leaves = RandomLeaves(seed, 257);  // odd: partial last node
-    SegmentTree tree;
-    tree.Build(leaves);
-    const double t_end = leaves.back().hi;
+    const Series series = RandomLeaves(seed, 257);  // odd: partial last node
+    const SegmentTree tree = BuildTree(series);
+    const double t_end = series.leaves.back().hi;
     Rng rng(seed * 977 + 1);
     for (int i = 0; i < 200; ++i) {
       double lo = rng.Uniform(-1.0, t_end + 1.0);
       double hi = rng.Uniform(-1.0, t_end + 1.0);
       if (hi < lo) std::swap(lo, hi);
-      const RangeAggregate oracle = BruteForce(leaves, lo, hi);
-      const RangeAggregate got = tree.Query(lo, hi);
+      const RangeAggregate oracle = BruteForce(series, lo, hi);
+      const RangeAggregate got = tree.Query(lo, hi, series.poly_of());
       ExpectAggEq(oracle, got,
                   "seed " + std::to_string(seed) + " range [" +
                       std::to_string(lo) + ", " + std::to_string(hi) + "]");
@@ -134,9 +157,9 @@ TEST(SegmentTree, RandomRangesMatchBruteForce) {
 }
 
 TEST(SegmentTree, RangesStraddlingLeafBoundariesMatchBruteForce) {
-  const auto leaves = RandomLeaves(7, 64);
-  SegmentTree tree;
-  tree.Build(leaves);
+  const Series series = RandomLeaves(7, 64);
+  const std::vector<SegmentTree::Leaf>& leaves = series.leaves;
+  const SegmentTree tree = BuildTree(series);
   // Ranges pinned exactly on leaf boundaries — where half-open leaf
   // intervals meet the closed query convention — and epsilon around
   // them.
@@ -148,7 +171,8 @@ TEST(SegmentTree, RangesStraddlingLeafBoundariesMatchBruteForce) {
            {std::pair{lo, hi}, {lo - 1e-9, hi + 1e-9},
             {lo + 1e-9, hi - 1e-9}, {lo, leaves[j].lo}}) {
         if (b < a) continue;
-        ExpectAggEq(BruteForce(leaves, a, b), tree.Query(a, b),
+        ExpectAggEq(BruteForce(series, a, b),
+                    tree.Query(a, b, series.poly_of()),
                     "boundary range [" + std::to_string(a) + ", " +
                         std::to_string(b) + "]");
       }
@@ -157,28 +181,36 @@ TEST(SegmentTree, RangesStraddlingLeafBoundariesMatchBruteForce) {
 }
 
 TEST(SegmentTree, AppendMatchesBuild) {
-  const auto leaves = RandomLeaves(13, 100);
-  SegmentTree built;
-  built.Build(leaves);
+  // 100 appends cross seven capacity doublings; growth copies the leaf
+  // payloads instead of recomputing them, and every interior node is
+  // the same combine of the same children as in the built tree, so
+  // the answers are bitwise equal on every field.
+  const Series series = RandomLeaves(13, 100);
+  const SegmentTree built = BuildTree(series);
   SegmentTree grown;
-  for (const auto& leaf : leaves) grown.Append(leaf);
+  for (const auto& leaf : series.leaves) {
+    grown.Append(leaf, series.polys[leaf.ref]);
+  }
   ASSERT_EQ(grown.size(), built.size());
-  const double t_end = leaves.back().hi;
+  const double t_end = series.leaves.back().hi;
   Rng rng(99);
   for (int i = 0; i < 100; ++i) {
     double lo = rng.Uniform(0.0, t_end);
     double hi = rng.Uniform(0.0, t_end);
     if (hi < lo) std::swap(lo, hi);
-    ExpectAggEq(built.Query(lo, hi), grown.Query(lo, hi),
-                "append-vs-build range");
+    const RangeAggregate want = built.Query(lo, hi, series.poly_of());
+    const RangeAggregate got = grown.Query(lo, hi, series.poly_of());
+    ExpectAggEq(want, got, "append-vs-build range");
+    EXPECT_EQ(want.coverage, got.coverage);
+    EXPECT_EQ(want.integral, got.integral);
+    EXPECT_EQ(want.sum, got.sum);
   }
 }
 
 TEST(SegmentTree, QueryCostIsLogarithmic) {
-  const auto leaves = RandomLeaves(17, 4096);
-  SegmentTree tree;
-  tree.Build(leaves);
-  const double t_end = leaves.back().hi;
+  const Series series = RandomLeaves(17, 4096);
+  const SegmentTree tree = BuildTree(series);
+  const double t_end = series.leaves.back().hi;
   Rng rng(5);
   size_t worst_nodes = 0;
   for (int i = 0; i < 300; ++i) {
@@ -186,7 +218,7 @@ TEST(SegmentTree, QueryCostIsLogarithmic) {
     double hi = rng.Uniform(0.0, t_end);
     if (hi < lo) std::swap(lo, hi);
     TreeQueryStats stats;
-    tree.Query(lo, hi, &stats);
+    tree.Query(lo, hi, series.poly_of(), &stats);
     EXPECT_LE(stats.edge_leaves, 2u);
     worst_nodes = std::max(worst_nodes, stats.nodes_combined);
   }
@@ -201,25 +233,24 @@ TEST(SegmentTree, TupleReplayApproximatesTreeAnswer) {
   // leaf's polynomial) must approach the same aggregates as the grid
   // shrinks — the discretization-tolerance cross-check of the store's
   // oracle design.
-  const auto leaves = RandomLeaves(29, 32);
-  SegmentTree tree;
-  tree.Build(leaves);
-  const double lo = leaves.front().lo;
-  const double hi = leaves.back().hi;
-  const RangeAggregate agg = tree.Query(lo, hi);
+  const Series series = RandomLeaves(29, 32);
+  const SegmentTree tree = BuildTree(series);
+  const double lo = series.leaves.front().lo;
+  const double hi = series.leaves.back().hi;
+  const RangeAggregate agg = tree.Query(lo, hi, series.poly_of());
 
   const double dt = 1e-4;
   double riemann = 0.0;
   double sample_min = std::numeric_limits<double>::infinity();
   double sample_max = -std::numeric_limits<double>::infinity();
-  for (const auto& leaf : leaves) {
+  for (const auto& leaf : series.leaves) {
     const size_t steps =
         static_cast<size_t>(std::ceil((leaf.hi - leaf.lo) / dt));
     for (size_t s = 0; s < steps; ++s) {
       const double a = leaf.lo + static_cast<double>(s) * dt;
       const double b = std::min(a + dt, leaf.hi);
       const double mid = 0.5 * (a + b);
-      const double v = leaf.poly.Evaluate(mid);
+      const double v = series.polys[leaf.ref].Evaluate(mid);
       riemann += v * (b - a);
       sample_min = std::min(sample_min, v);
       sample_max = std::max(sample_max, v);
@@ -234,18 +265,19 @@ TEST(SegmentTree, TupleReplayApproximatesTreeAnswer) {
 }
 
 TEST(SegmentTree, ZeroLengthQueryIsPointLookup) {
-  SegmentTree tree;
-  tree.Build({SegmentTree::Leaf{0.0, 2.0, Polynomial({1.0, 1.0})},
-              SegmentTree::Leaf{2.0, 4.0, Polynomial({10.0})}});
+  Series series;
+  series.Add(0.0, 2.0, Polynomial({1.0, 1.0}));
+  series.Add(2.0, 4.0, Polynomial({10.0}));
+  const SegmentTree tree = BuildTree(series);
   // t = 1 inside the first leaf: point value 2, no coverage.
-  RangeAggregate agg = tree.Query(1.0, 1.0);
+  RangeAggregate agg = tree.Query(1.0, 1.0, series.poly_of());
   EXPECT_EQ(agg.count, 1u);
   EXPECT_EQ(agg.min, 2.0);
   EXPECT_EQ(agg.max, 2.0);
   EXPECT_EQ(agg.coverage, 0.0);
   // t = 2 sits on the shared boundary: the closed query touches the
   // leaf owning [2, 4) only ([0, 2) ends there).
-  agg = tree.Query(2.0, 2.0);
+  agg = tree.Query(2.0, 2.0, series.poly_of());
   EXPECT_EQ(agg.count, 1u);
   EXPECT_EQ(agg.min, 10.0);
   EXPECT_EQ(agg.max, 10.0);

@@ -9,11 +9,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +28,7 @@
 #include "store/log.h"
 #include "store/store.h"
 #include "testing/plan_gen.h"
+#include "util/rng.h"
 
 namespace pulse {
 namespace store {
@@ -347,6 +353,261 @@ TEST_F(StoreRecoveryTest, BackfillPatchesClosedEpochAndRepublishes) {
   ASSERT_TRUE(scan.ok());
   ASSERT_EQ(scan->records.size(), 5u);
   EXPECT_EQ(scan->records[4].type, LogRecordType::kBackfill);
+}
+
+// ---------------------------------------------------------------------
+// Tree maintenance: answers equal a linear scan of the timeline, and a
+// tree is rebuilt only after a segment rewrote its timeline.
+
+constexpr double kRelTol = 1e-9;
+
+// The no-index answer: every timeline segment modeling `attribute`,
+// clipped to [lo, hi] with the tree's closed-range convention.
+RangeAggregate ScanTimeline(const SegmentStore& store,
+                            const std::string& stream, Key key,
+                            const std::string& attribute, double lo,
+                            double hi) {
+  RangeAggregate out;
+  const std::vector<Segment>* timeline = store.Timeline(stream, key);
+  if (timeline == nullptr) return out;
+  for (const Segment& seg : *timeline) {
+    if (seg.range.hi <= lo) continue;
+    if (seg.range.lo > hi) break;
+    auto it = seg.attributes.find(attribute);
+    if (it == seg.attributes.end()) continue;
+    out.Combine(AggregatePolynomial(it->second, std::max(seg.range.lo, lo),
+                                    std::min(seg.range.hi, hi)));
+  }
+  return out;
+}
+
+// count, min, max and the time bounds bitwise; the summed fields within
+// kRelTol relative (the tree groups the additions differently).
+void ExpectMatchesScan(const RangeAggregate& want, const RangeAggregate& got,
+                       const std::string& context) {
+  ASSERT_EQ(want.count, got.count) << context;
+  if (want.count == 0) return;
+  EXPECT_EQ(want.min, got.min) << context;
+  EXPECT_EQ(want.max, got.max) << context;
+  EXPECT_EQ(want.t_lo, got.t_lo) << context;
+  EXPECT_EQ(want.t_hi, got.t_hi) << context;
+  for (const auto& [w, g] : {std::pair{want.coverage, got.coverage},
+                             {want.integral, got.integral},
+                             {want.sum, got.sum}}) {
+    EXPECT_NEAR(w, g, kRelTol * std::max(1.0, std::fabs(w))) << context;
+  }
+}
+
+uint64_t TreeRebuilds(const SegmentStore& store) {
+  return store.metrics()->GetCounter("store/tree_rebuilds")->value();
+}
+
+TEST_F(StoreRecoveryTest, InOrderAppendsNeverRebuildTrees) {
+  Result<SegmentStore> store = SegmentStore::Open({.dir = dir_});
+  ASSERT_TRUE(store.ok());
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_TRUE(store->AppendSegment("s", MakeSeg(7, i, i + 1.0, i, -0.5))
+                    .ok());
+    if (i % 16 == 15) {
+      const double lo = i / 3.0;
+      const double hi = i + 0.5;
+      ExpectMatchesScan(ScanTimeline(*store, "s", 7, "x", lo, hi),
+                        store->QueryRange("s", 7, "x", lo, hi),
+                        "after append " + std::to_string(i));
+    }
+  }
+  if (obs::kMetricsEnabled) EXPECT_EQ(TreeRebuilds(*store), 0u);
+}
+
+TEST_F(StoreRecoveryTest, RecoveredSeriesBuildsTreesOnceThenAppends) {
+  {
+    Result<SegmentStore> store = SegmentStore::Open({.dir = dir_});
+    ASSERT_TRUE(store.ok());
+    AppendSegments(&*store, 32);
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  Result<RecoveredStore> recovered = SegmentStore::Recover({.dir = dir_});
+  ASSERT_TRUE(recovered.ok());
+  SegmentStore& store = recovered->store;
+  // Recovery indexes timelines only: no tree exists before a query.
+  if (obs::kMetricsEnabled) EXPECT_EQ(TreeRebuilds(store), 0u);
+  for (int k = 0; k < 4; ++k) {
+    ExpectMatchesScan(ScanTimeline(store, "s", 7, "x", k, k + 10.5),
+                      store.QueryRange("s", 7, "x", k, k + 10.5),
+                      "recovered query " + std::to_string(k));
+  }
+  for (int i = 32; i < 48; ++i) {
+    ASSERT_TRUE(store.AppendSegment("s", MakeSeg(7, i, i + 1.0, i, 0.5)).ok());
+  }
+  ExpectMatchesScan(ScanTimeline(store, "s", 7, "x", 0.0, 48.0),
+                    store.QueryRange("s", 7, "x", 0.0, 48.0),
+                    "after appends");
+  // One Build on the first query; the appends kept the tree current.
+  if (obs::kMetricsEnabled) EXPECT_EQ(TreeRebuilds(store), 1u);
+}
+
+TEST_F(StoreRecoveryTest, EmptyRangeSegmentCreatesNoSeries) {
+  {
+    Result<SegmentStore> store = SegmentStore::Open({.dir = dir_});
+    ASSERT_TRUE(store.ok());
+    Segment empty(7, Interval::ClosedOpen(3.0, 3.0));
+    empty.attributes["x"] = Polynomial({1.0});
+    ASSERT_TRUE(store->AppendSegment("s", empty).ok());
+    // Logged as received, but no modeled history.
+    EXPECT_EQ(store->log_records(), 1u);
+    EXPECT_TRUE(store->KeysOf("s").empty());
+    EXPECT_EQ(store->Timeline("s", 7), nullptr);
+    EXPECT_TRUE(store->QueryRange("s", 7, "x", 0.0, 10.0).empty());
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  Result<RecoveredStore> recovered = SegmentStore::Recover({.dir = dir_});
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->store.log_records(), 1u);
+  EXPECT_TRUE(recovered->store.KeysOf("s").empty());
+  EXPECT_EQ(recovered->store.Timeline("s", 7), nullptr);
+}
+
+// Randomized interleavings of in-order appends, truncating overlaps,
+// backfills and queries on 3 keys and 2 attributes (some segments model
+// one attribute only). Every answer, the backfills' republished epochs
+// included, must equal the timeline scan, and the trees must be rebuilt
+// exactly once per dirtying event that a query followed.
+TEST_F(StoreRecoveryTest, RandomizedSequenceMatchesTimelineScan) {
+  const std::vector<std::string> attrs = {"x", "y"};
+  uint64_t dirtying_events = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    const std::string dir = dir_ + "/seed" + std::to_string(seed);
+    Result<SegmentStore> opened =
+        SegmentStore::Open({.dir = dir, .epoch_length = 4.0});
+    ASSERT_TRUE(opened.ok());
+    SegmentStore& store = *opened;
+    Rng rng(seed + 1);
+    bool dirty[3] = {false, false, false};
+    uint64_t expected_rebuilds = 0;
+    const auto note_query = [&](Key key) {
+      if (dirty[key]) ++expected_rebuilds;
+      dirty[key] = false;
+    };
+    for (int op = 0; op < 120; ++op) {
+      const Key key = static_cast<Key>(rng.UniformInt(0, 2));
+      const std::vector<Segment>* timeline = store.Timeline("s", key);
+      const double last_hi =
+          timeline == nullptr ? 0.0 : timeline->back().range.hi;
+      const std::string context = "seed " + std::to_string(seed) + " op " +
+                                  std::to_string(op);
+      const int64_t kind = rng.UniformInt(0, 99);
+      if (kind < 65) {
+        // A new segment: in order (at or past the end) or a truncating
+        // overlap of the latest stretch.
+        const bool overlap = timeline != nullptr && kind >= 45;
+        double lo = last_hi;
+        if (overlap) {
+          lo = rng.Uniform(std::max(timeline->front().range.lo, last_hi - 3.0),
+                           last_hi);
+        } else if (rng.UniformInt(0, 1) == 1) {
+          lo += rng.Uniform(0.0, 1.0);
+        }
+        Segment seg(key, Interval::ClosedOpen(lo, lo + rng.Uniform(0.1, 2.0)));
+        const int64_t which = rng.UniformInt(0, 4);  // 0: x only, 1: y only
+        if (which != 1) {
+          seg.attributes["x"] = Polynomial(
+              {rng.Uniform(-5.0, 5.0), rng.Uniform(-1.0, 1.0),
+               rng.Uniform(-0.5, 0.5)});
+        }
+        if (which != 0) {
+          seg.attributes["y"] =
+              Polynomial({rng.Uniform(-5.0, 5.0), rng.Uniform(-1.0, 1.0)});
+        }
+        ASSERT_TRUE(store.AppendSegment("s", seg).ok()) << context;
+        if (overlap) {
+          dirty[key] = true;
+          ++dirtying_events;
+        }
+      } else if (kind < 75 && timeline != nullptr) {
+        // A backfill patching closed time; its republication queries
+        // the series right away.
+        const double lo = rng.Uniform(timeline->front().range.lo, last_hi);
+        Segment patch(key,
+                      Interval::ClosedOpen(lo, lo + rng.Uniform(0.1, 1.0)));
+        patch.attributes[attrs[rng.UniformInt(0, 1)]] =
+            Polynomial({rng.Uniform(-5.0, 5.0), rng.Uniform(-1.0, 1.0)});
+        Result<BackfillResult> result = store.Backfill("s", patch);
+        ASSERT_TRUE(result.ok()) << context;
+        dirty[key] = true;
+        ++dirtying_events;
+        note_query(key);
+        for (const EpochAggregate& epoch : result->republished) {
+          ExpectMatchesScan(ScanTimeline(store, "s", key, epoch.attribute,
+                                         epoch.lo, epoch.hi),
+                            epoch.aggregate, context + " republished");
+        }
+      } else {
+        const std::string& attr = attrs[rng.UniformInt(0, 1)];
+        double lo = rng.Uniform(-1.0, last_hi + 1.0);
+        double hi = rng.Uniform(-1.0, last_hi + 1.0);
+        if (hi < lo) std::swap(lo, hi);
+        const RangeAggregate got = store.QueryRange("s", key, attr, lo, hi);
+        if (timeline != nullptr) note_query(key);
+        ExpectMatchesScan(ScanTimeline(store, "s", key, attr, lo, hi), got,
+                          context + " query");
+      }
+    }
+    if (obs::kMetricsEnabled) {
+      EXPECT_EQ(TreeRebuilds(store), expected_rebuilds) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(dirtying_events, 1000u);
+}
+
+// One thread appends in-order segments while another queries closed
+// history; after the join every sampled answer equals the scan.
+TEST_F(StoreRecoveryTest, ConcurrentAppendsAndQueriesMatchScan) {
+  constexpr size_t kSegments = 10000;
+  constexpr size_t kSampled = 2000;
+  Result<SegmentStore> opened = SegmentStore::Open({.dir = dir_});
+  ASSERT_TRUE(opened.ok());
+  SegmentStore& store = *opened;
+  // Segment i covers [i, i + 1) on key i % 3, so a range ending before
+  // time n touches only the first n segments.
+  std::atomic<size_t> appended{0};
+  std::thread writer([&] {
+    for (size_t i = 0; i < kSegments; ++i) {
+      const double t = static_cast<double>(i);
+      const Key key = static_cast<Key>(i % 3);
+      EXPECT_TRUE(
+          store.AppendSegment("s", MakeSeg(key, t, t + 1.0, t, -0.25)).ok());
+      appended.store(i + 1, std::memory_order_release);
+    }
+  });
+  struct Sample {
+    Key key;
+    double lo, hi;
+    RangeAggregate answer;
+  };
+  std::vector<Sample> samples;
+  Rng rng(5);
+  size_t queries = 0;
+  while (appended.load(std::memory_order_acquire) < kSegments) {
+    const size_t n = appended.load(std::memory_order_acquire);
+    if (n == 0) continue;
+    const double closed = std::nextafter(static_cast<double>(n), 0.0);
+    const Key key = static_cast<Key>(rng.UniformInt(0, 2));
+    const double lo = rng.Uniform(0.0, closed);
+    const double hi = std::min(closed, lo + rng.Uniform(0.0, 300.0));
+    const RangeAggregate answer = store.QueryRange("s", key, "x", lo, hi);
+    ++queries;
+    if (samples.size() < kSampled) samples.push_back({key, lo, hi, answer});
+  }
+  writer.join();
+  EXPECT_GT(queries, 0u);
+  for (const Sample& q : samples) {
+    ExpectMatchesScan(ScanTimeline(store, "s", q.key, "x", q.lo, q.hi),
+                      q.answer,
+                      "key " + std::to_string(q.key) + " [" +
+                          std::to_string(q.lo) + ", " +
+                          std::to_string(q.hi) + "]");
+  }
+  if (obs::kMetricsEnabled) EXPECT_EQ(TreeRebuilds(store), 0u);
 }
 
 // ---------------------------------------------------------------------
