@@ -24,7 +24,6 @@ struct PulseAggregateOptions {
   /// the periodicity with which a window closes, and thus the aggregate's
   /// output rate").
   double slide_seconds = 1.0;
-  RootMethod method = RootMethod::kAuto;
 };
 
 /// Continuous-time min/max aggregate (paper Section III-B, Fig. 3 row

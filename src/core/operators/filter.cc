@@ -16,11 +16,8 @@ AttrResolver MakeUnaryResolver(const Segment& segment) {
   };
 }
 
-PulseFilter::PulseFilter(std::string name, Predicate predicate,
-                         RootMethod method)
-    : PulseOperator(std::move(name)),
-      predicate_(std::move(predicate)),
-      method_(method) {}
+PulseFilter::PulseFilter(std::string name, Predicate predicate)
+    : PulseOperator(std::move(name)), predicate_(std::move(predicate)) {}
 
 Status PulseFilter::Process(size_t port, const Segment& segment,
                             SegmentBatch* out) {
@@ -40,14 +37,14 @@ Status PulseFilter::Process(size_t port, const Segment& segment,
     PULSE_RETURN_IF_ERROR(
         predicate_.BuildSystemInto(resolver, &task_scratch_.system));
     task_scratch_.domain = segment.range;
-    SolveSystemsInto(&task_scratch_, 1, method_, &solution_scratch_);
+    SolveSystemsInto(&task_scratch_, 1, RootMethod::kAuto, &solution_scratch_);
     solution = &solution_scratch_[0];
   } else {
     // Boolean trees solve recursively on the pushing thread; one warm
     // scratch serves every Process call.
     static thread_local SolveScratch scratch;
     PULSE_RETURN_IF_ERROR(predicate_.SolveInto(
-        resolver, segment.range, method_, &scratch, &tree_solution));
+        resolver, segment.range, RootMethod::kAuto, &scratch, &tree_solution));
   }
   for (const Interval& iv : solution->intervals()) {
     Segment result = segment;

@@ -18,8 +18,7 @@ namespace pulse {
 /// incoming segment alone (Section III-A).
 class PulseFilter : public PulseOperator {
  public:
-  PulseFilter(std::string name, Predicate predicate,
-              RootMethod method = RootMethod::kAuto);
+  PulseFilter(std::string name, Predicate predicate);
 
   Status Process(size_t port, const Segment& segment,
                  SegmentBatch* out) override;
@@ -38,7 +37,6 @@ class PulseFilter : public PulseOperator {
 
  private:
   Predicate predicate_;
-  RootMethod method_;
   // Per-push scratch for the conjunctive solve path, reused across
   // pushes so system construction and solution collection stop
   // allocating once warm. Process runs on the pushing thread only.

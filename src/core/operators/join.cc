@@ -243,7 +243,7 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
       }
       task_scratch_[i].domain = p.overlap;
     }
-    SolveSystemsInto(task_scratch_.data(), pairs.size(), options_.method,
+    SolveSystemsInto(task_scratch_.data(), pairs.size(), RootMethod::kAuto,
                      &solutions);
   } else {
     solutions.resize(pairs.size());
@@ -253,7 +253,7 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
       const Pair& p = pairs[i];
       const AttrResolver resolver = MakeBinaryResolver(*p.left, *p.right);
       PULSE_RETURN_IF_ERROR(predicate_.SolveInto(
-          resolver, p.overlap, options_.method, &scratch, &solutions[i]));
+          resolver, p.overlap, RootMethod::kAuto, &scratch, &solutions[i]));
     }
   }
 
@@ -392,9 +392,20 @@ Result<std::vector<AllocatedBound>> PulseJoin::InvertBound(
 Result<double> PulseJoin::ComputeSlack(size_t port,
                                        const Segment& segment) const {
   if (!predicate_.IsConjunctive()) return 0.0;
+  // The opposite side's stored segments live in the index or in the
+  // buffer, never both (see Process).
+  std::vector<const Segment*> partners;
+  if (options_.use_segment_index) {
+    ((port == 0) ? right_index_ : left_index_)
+        .QueryOverlaps(segment.range, &partners);
+  } else {
+    for (const Segment& partner : (port == 0) ? right_ : left_) {
+      partners.push_back(&partner);
+    }
+  }
   double slack = std::numeric_limits<double>::infinity();
-  const std::deque<Segment>& partners = (port == 0) ? right_ : left_;
-  for (const Segment& partner : partners) {
+  for (const Segment* stored : partners) {
+    const Segment& partner = *stored;
     if (!KeysAdmissible(segment, partner)) continue;
     const Interval overlap = segment.range.Intersect(partner.range);
     if (overlap.IsEmpty()) continue;

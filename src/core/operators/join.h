@@ -34,7 +34,6 @@ struct PulseJoinOptions {
   /// Attribute name prefixes applied to the joined segment.
   std::string left_prefix = "left.";
   std::string right_prefix = "right.";
-  RootMethod method = RootMethod::kAuto;
   /// Probe partner state through a time-interval SegmentIndex instead of
   /// a linear buffer scan — the paper's future-work extension for highly
   /// segmented inputs (Section VII). Same results, different probe cost.

@@ -563,8 +563,7 @@ Result<std::optional<Segment>> MultiAttributeSegmenter::CloseSegment(
   seg.id = NextSegmentId();
   seg.key = key;
   const double lo = state.t0;
-  double hi = state.last_t +
-              (options_.extend_to_next ? state.last_gap : 0.0);
+  double hi = state.last_t + state.last_gap;
   if (hi <= lo) hi = lo + 1e-9;
   seg.range = Interval::ClosedOpen(lo, hi);
   for (size_t m = 0; m < attr_indices_.size(); ++m) {

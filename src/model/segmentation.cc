@@ -76,8 +76,7 @@ std::optional<FittedSegment> SlidingWindowSegmenter::Add(
   // The new sample broke the piece: emit everything before it.
   buffer_.pop_back();
   const CandidateFit closed = FitCandidate(buffer_, options_.degree);
-  const double gap = options_.extend_to_next ? last_gap_ : 0.0;
-  FittedSegment seg = MakeFromPoints(buffer_, closed, gap);
+  FittedSegment seg = MakeFromPoints(buffer_, closed, last_gap_);
   buffer_.clear();
   buffer_.push_back(sample);
   return seg;
@@ -86,16 +85,9 @@ std::optional<FittedSegment> SlidingWindowSegmenter::Add(
 std::optional<FittedSegment> SlidingWindowSegmenter::Flush() {
   if (buffer_.empty()) return std::nullopt;
   const CandidateFit fit = FitCandidate(buffer_, options_.degree);
-  const double gap = options_.extend_to_next ? last_gap_ : 0.0;
-  FittedSegment seg = MakeFromPoints(buffer_, fit, gap);
+  FittedSegment seg = MakeFromPoints(buffer_, fit, last_gap_);
   buffer_.clear();
   return seg;
-}
-
-FittedSegment SlidingWindowSegmenter::MakeSegment(
-    const std::vector<Sample>& pts) const {
-  const CandidateFit fit = FitCandidate(pts, options_.degree);
-  return MakeFromPoints(pts, fit, options_.extend_to_next ? last_gap_ : 0.0);
 }
 
 std::vector<FittedSegment> SlidingWindowSegmentation(
@@ -154,12 +146,10 @@ std::vector<FittedSegment> BottomUpSegmentation(
     const CandidateFit fit = FitCandidate(groups[g], options.degree);
     // Extend each piece up to the successor's first sample so pieces tile.
     double gap = 0.0;
-    if (options.extend_to_next) {
-      if (g + 1 < groups.size()) {
-        gap = groups[g + 1].front().t - groups[g].back().t;
-      } else if (groups[g].size() > 1) {
-        gap = groups[g].back().t - groups[g][groups[g].size() - 2].t;
-      }
+    if (g + 1 < groups.size()) {
+      gap = groups[g + 1].front().t - groups[g].back().t;
+    } else if (groups[g].size() > 1) {
+      gap = groups[g].back().t - groups[g][groups[g].size() - 2].t;
     }
     out.push_back(MakeFromPoints(groups[g], fit, std::max(gap, 0.0)));
   }

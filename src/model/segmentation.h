@@ -19,7 +19,9 @@ struct FittedSegment {
   double max_error = 0.0;   // max abs residual over those samples
 };
 
-/// Segmentation configuration shared by all algorithms.
+/// Segmentation configuration shared by all algorithms. Every algorithm
+/// extends each emitted range's upper end by the trailing inter-arrival
+/// gap, so consecutive pieces tile time without holes.
 struct SegmentationOptions {
   /// Polynomial degree of each piece (1 = the paper's piecewise-linear
   /// historical models, Section V-A "online segmentation-based algorithm
@@ -29,9 +31,6 @@ struct SegmentationOptions {
   double max_error = 1.0;
   /// Upper bound on samples per piece (0 = unlimited).
   size_t max_points_per_segment = 0;
-  /// Extends each emitted range's upper end by the trailing inter-arrival
-  /// gap so consecutive pieces tile time without holes.
-  bool extend_to_next = true;
 };
 
 /// Online sliding-window segmenter in the style of Keogh et al. (ICDM'01),
@@ -57,9 +56,6 @@ class SlidingWindowSegmenter {
   size_t pending() const { return buffer_.size(); }
 
  private:
-  // Builds a FittedSegment from buffer_ (must have >= 1 sample).
-  FittedSegment MakeSegment(const std::vector<Sample>& pts) const;
-
   SegmentationOptions options_;
   std::vector<Sample> buffer_;
   double last_gap_ = 0.0;  // most recent inter-arrival spacing

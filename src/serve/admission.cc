@@ -42,99 +42,61 @@ double IntervalLatencySampler::Sample() {
 }
 
 AdmissionController::AdmissionController(
-    AdmissionOptions options, std::vector<const obs::Histogram*> latency)
-    : options_(options), sampler_(std::move(latency)) {
-  if (options_.queue_low_watermark > options_.queue_high_watermark) {
-    options_.queue_low_watermark = options_.queue_high_watermark;
+    AdmissionOptions admission, PrecisionOptions precision,
+    std::vector<const obs::Histogram*> latency)
+    : shedding_(admission.enabled),
+      adaptive_(precision.enabled && precision.forced_tier < 0),
+      num_tiers_(precision.ladder.size()),
+      sampler_(std::move(latency)) {
+  if (precision.enabled && precision.forced_tier >= 0) {
+    tier_ = std::min(static_cast<size_t>(precision.forced_tier), num_tiers_);
   }
-  if (options_.latency_low_ns > options_.latency_high_ns) {
-    options_.latency_low_ns = options_.latency_high_ns;
-  }
-  if (options_.sample_every == 0) options_.sample_every = 1;
 }
 
-void AdmissionController::ResampleLatency() {
-  const double p99 = sampler_.Sample();
-  if (latency_overloaded_) {
-    if (p99 < static_cast<double>(options_.latency_low_ns)) {
-      latency_overloaded_ = false;
+AdmitOutcome AdmissionController::Admit(size_t total_depth,
+                                        size_t total_capacity) {
+  if (!shedding_ && !adaptive_) return {AdmitDecision::kAdmit, tier_};
+
+  const double fraction =
+      total_capacity == 0
+          ? 0.0
+          : static_cast<double>(total_depth) /
+                static_cast<double>(total_capacity);
+  if (shedding_) {
+    queue_overloaded_ = queue_overloaded_
+                            ? fraction >= kRecoverQueueWatermark
+                            : fraction > kShedQueueWatermark;
+  }
+  // One sampler at one cadence feeds both the shed and the tier
+  // decisions.
+  if (++frames_since_sample_ >= kLatencySampleEvery) {
+    frames_since_sample_ = 0;
+    const double p99 = sampler_.Sample();
+    if (shedding_) {
+      latency_overloaded_ =
+          latency_overloaded_ ? p99 >= static_cast<double>(kRecoverLatencyNs)
+                              : p99 > static_cast<double>(kShedLatencyNs);
     }
-  } else if (p99 > static_cast<double>(options_.latency_high_ns)) {
-    latency_overloaded_ = true;
   }
+
+  if (queue_overloaded_) return {AdmitDecision::kShedQueue, tier_};
+  if (latency_overloaded_) return {AdmitDecision::kShedLatency, tier_};
+  if (adaptive_) UpdateTier(fraction);
+  return {AdmitDecision::kAdmit, tier_};
 }
 
-AdmitDecision AdmissionController::Admit(size_t total_depth,
-                                         size_t total_capacity) {
-  if (!options_.enabled) return AdmitDecision::kAdmit;
-
-  const double fraction =
-      total_capacity == 0
-          ? 0.0
-          : static_cast<double>(total_depth) /
-                static_cast<double>(total_capacity);
-  if (queue_overloaded_) {
-    if (fraction < options_.queue_low_watermark) queue_overloaded_ = false;
-  } else if (fraction > options_.queue_high_watermark) {
-    queue_overloaded_ = true;
-  }
-
-  if (++admits_since_sample_ >= options_.sample_every) {
-    admits_since_sample_ = 0;
-    ResampleLatency();
-  }
-
-  if (queue_overloaded_) return AdmitDecision::kShedQueue;
-  if (latency_overloaded_) return AdmitDecision::kShedLatency;
-  return AdmitDecision::kAdmit;
-}
-
-PrecisionController::PrecisionController(PrecisionOptions options,
-                                         const obs::Histogram* latency)
-    : options_(options), sampler_({latency}) {
-  if (options_.tighten_queue_watermark > options_.widen_queue_watermark) {
-    options_.tighten_queue_watermark = options_.widen_queue_watermark;
-  }
-  if (options_.tighten_latency_ns > options_.widen_latency_ns) {
-    options_.tighten_latency_ns = options_.widen_latency_ns;
-  }
-  if (options_.sample_every == 0) options_.sample_every = 1;
-  if (options_.num_tiers == 0) options_.num_tiers = 1;
-  if (options_.forced_tier >= 0) {
-    tier_ = std::min(static_cast<size_t>(options_.forced_tier),
-                     options_.num_tiers);
-  }
-}
-
-size_t PrecisionController::Update(size_t total_depth,
-                                   size_t total_capacity) {
-  if (!options_.enabled) return 0;
-  if (options_.forced_tier >= 0) return tier_;
-
+void AdmissionController::UpdateTier(double fraction) {
   ++admissions_;
-  if (++admits_since_sample_ >= options_.sample_every) {
-    admits_since_sample_ = 0;
-    (void)sampler_.Sample();
-  }
-  // Dwell: at most one tier move per cooldown window, so a step load
-  // ramps monotonically instead of oscillating around a watermark.
-  if (admissions_ - last_move_admission_ < options_.cooldown) return tier_;
+  // Dwell: at most one tier move per kTierDwell admissions, so a step
+  // load ramps monotonically instead of oscillating around a watermark.
+  if (admissions_ - last_move_admission_ < kTierDwell) return;
 
-  const double fraction =
-      total_capacity == 0
-          ? 0.0
-          : static_cast<double>(total_depth) /
-                static_cast<double>(total_capacity);
   const double p99 = sampler_.p99_ns();
-
-  const bool pressure =
-      fraction > options_.widen_queue_watermark ||
-      p99 > static_cast<double>(options_.widen_latency_ns);
-  const bool relief =
-      fraction < options_.tighten_queue_watermark &&
-      p99 < static_cast<double>(options_.tighten_latency_ns);
-
-  if (pressure && tier_ < options_.num_tiers) {
+  const bool pressure = fraction > kWidenQueueWatermark ||
+                        p99 > static_cast<double>(kWidenLatencyNs);
+  const bool relief = fraction < kTightenQueueWatermark &&
+                      p99 < static_cast<double>(kTightenLatencyNs);
+  if (pressure && tier_ < num_tiers_) {
     ++tier_;
     ++widen_events_;
     last_move_admission_ = admissions_;
@@ -143,7 +105,6 @@ size_t PrecisionController::Update(size_t total_depth,
     ++tighten_events_;
     last_move_admission_ = admissions_;
   }
-  return tier_;
 }
 
 }  // namespace serve

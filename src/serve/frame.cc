@@ -3,7 +3,7 @@
 #include <cstring>
 #include <utility>
 
-#include "serve/wire.h"
+#include "wire/wire.h"
 
 namespace pulse {
 namespace serve {
@@ -11,7 +11,7 @@ namespace serve {
 namespace {
 
 // Primitive writers/readers plus the tuple and segment body codecs live
-// in serve/wire.h — shared with the durable segment store (src/store/),
+// in wire/wire.h — shared with the durable segment store (src/store/),
 // which persists records in the same byte layout the protocol ships.
 using wire::Cursor;
 using wire::GetF64;
@@ -386,8 +386,6 @@ std::string EncodeFrameToString(const Frame& frame) {
   return out;
 }
 
-FrameReader::FrameReader(DecodeLimits limits) : limits_(limits) {}
-
 Status FrameReader::Feed(const char* data, size_t n) {
   if (poisoned_) {
     return Status::FailedPrecondition(
@@ -411,11 +409,11 @@ Result<std::optional<Frame>> FrameReader::Next() {
   if (available < 4) return std::optional<Frame>{};
   Cursor c{buffer_.data() + consumed_, available};
   uint32_t len = *GetU32(&c, "length prefix");
-  if (len > limits_.max_frame_bytes) {
+  if (len > wire::kMaxPayloadBytes) {
     poisoned_ = true;
     return Status::IoError(
         "frame length " + std::to_string(len) + " exceeds limit " +
-        std::to_string(limits_.max_frame_bytes));
+        std::to_string(wire::kMaxPayloadBytes));
   }
   if (available - 4 < len) return std::optional<Frame>{};
   Result<Frame> frame = DecodePayload(buffer_.data() + consumed_ + 4, len);

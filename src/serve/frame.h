@@ -64,10 +64,11 @@ const char* FrameTypeToString(FrameType type);
 
 /// Flow-control event kinds carried by kFlow frames.
 enum class FlowEvent : uint8_t {
-  /// The stream's queue crossed its high watermark; a kBlock-policy
-  /// producer is (or would be) blocked.
+  /// Under kBlock, a data frame did not fit the session queue: the
+  /// session stops reading the client until it does. `count` is the
+  /// queue's weight at that moment.
   kPaused = 0,
-  /// The queue fell back below the low watermark.
+  /// The blocked frame was pushed; the session reads the client again.
   kResumed = 1,
   /// kDropOldest policy evicted `count` queued items to admit new ones.
   kDroppedOldest = 2,
@@ -122,13 +123,6 @@ struct Frame {
   static Frame Retract(uint64_t lineage, uint8_t reason);
 };
 
-/// Decoder guards. A frame whose declared payload length exceeds
-/// `max_frame_bytes` is rejected before buffering (a garbage length
-/// prefix must not make the reader allocate gigabytes).
-struct DecodeLimits {
-  size_t max_frame_bytes = 4u << 20;  // 4 MiB
-};
-
 /// Appends the length-prefixed wire encoding of `frame` to `out`.
 /// Wire format: u32-LE payload length, then the payload
 /// (u8 frame type + type-specific body); all integers little-endian,
@@ -141,10 +135,10 @@ std::string EncodeFrameToString(const Frame& frame);
 /// Incremental frame decoder: feed arbitrary byte chunks (as they arrive
 /// from a socket), pull complete frames. Decode errors are sticky — a
 /// malformed stream cannot be resynchronized, matching TCP semantics.
+/// A frame whose declared payload length exceeds wire::kMaxPayloadBytes
+/// is rejected before buffering.
 class FrameReader {
  public:
-  explicit FrameReader(DecodeLimits limits = {});
-
   /// Appends received bytes to the internal buffer. Fails when a
   /// previously detected decode error made the stream unusable or the
   /// pending frame exceeds the size limit.
@@ -162,7 +156,6 @@ class FrameReader {
   size_t buffered() const { return buffer_.size() - consumed_; }
 
  private:
-  DecodeLimits limits_;
   std::string buffer_;
   size_t consumed_ = 0;
   bool poisoned_ = false;

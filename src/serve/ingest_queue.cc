@@ -18,25 +18,6 @@ const char* BackpressurePolicyToString(BackpressurePolicy policy) {
   return "unknown";
 }
 
-uint64_t WorkSignal::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
-
-void WorkSignal::Notify() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++epoch_;
-  }
-  cv_.notify_all();
-}
-
-uint64_t WorkSignal::Wait(uint64_t seen) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return epoch_ != seen; });
-  return epoch_;
-}
-
 IngestQueue::IngestQueue(size_t capacity, WorkSignal* signal)
     : capacity_(capacity == 0 ? 1 : capacity), signal_(signal) {}
 

@@ -9,6 +9,7 @@
 
 #include "engine/tuple.h"
 #include "model/segment.h"
+#include "util/work_signal.h"
 
 namespace pulse {
 namespace serve {
@@ -60,24 +61,6 @@ enum class PushResult : uint8_t {
   kShed = 3,
   /// Queue closed (session shutting down), nothing enqueued.
   kClosed = 4,
-};
-
-/// Edge-triggered wakeup for a session's worker: the queue Notify()s
-/// after every push, the shard pool after every output release, and the
-/// worker Wait()s on an epoch it read before finding the queue empty
-/// (the classic eventcount, so a push between scan and wait is never
-/// lost).
-class WorkSignal {
- public:
-  uint64_t epoch() const;
-  void Notify();
-  /// Blocks until the epoch advances past `seen`; returns the new epoch.
-  uint64_t Wait(uint64_t seen);
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  uint64_t epoch_ = 0;
 };
 
 /// Bounded single-producer / single-consumer ingest queue of a session,

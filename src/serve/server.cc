@@ -57,10 +57,11 @@ Status StreamServer::AddSession(std::unique_ptr<Transport> transport) {
   std::unique_ptr<shard::ShardClient> client;
   std::unique_ptr<AdaptiveRuntime> adaptive;
   if (options_.session.precision.enabled) {
+    AdaptivePrecisionOptions precision;
+    precision.ladder = options_.session.precision.ladder;
     PULSE_ASSIGN_OR_RETURN(
         adaptive,
-        AdaptiveRuntime::Make(options_.spec, options_.runtime,
-                              options_.session.precision_runtime));
+        AdaptiveRuntime::Make(options_.spec, options_.runtime, precision));
   } else {
     PULSE_ASSIGN_OR_RETURN(client, pool_->AddClient());
   }

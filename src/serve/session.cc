@@ -11,22 +11,7 @@ namespace serve {
 
 namespace {
 
-// The precision controller runs only when the session actually has an
-// adaptive runtime to apply the tier to, and never offers more tiers
-// than the runtime ladder has rungs.
-PrecisionOptions EffectivePrecision(const SessionOptions& options,
-                                    const AdaptiveRuntime* adaptive) {
-  PrecisionOptions precision = options.precision;
-  if (adaptive == nullptr) {
-    precision.enabled = false;
-  } else {
-    precision.num_tiers = std::min(
-        precision.num_tiers, adaptive->precision_options().ladder.size());
-  }
-  return precision;
-}
-
-// The solver-latency signal the controllers sample. An adaptive session
+// The solver-latency signal the controller samples. An adaptive session
 // reads its own runtime's span. A static session reads every shard's,
 // summed when sampled: sessions share the shard pool, so overload is a
 // property of the pool, not of one session.
@@ -61,13 +46,8 @@ Session::Session(uint64_t id, std::unique_ptr<Transport> transport,
       valid_streams_(std::move(valid_streams)),
       serve_metrics_(serve_metrics),
       store_(store),
-      admission_(options.admission,
+      admission_(options.admission, options.precision,
                  SolverLatency(client_.get(), adaptive_.get())),
-      precision_ctl_(EffectivePrecision(options, adaptive_.get()),
-                     adaptive_ != nullptr
-                         ? adaptive_->metrics()->GetHistogram(
-                               "span/runtime/push_segment")
-                         : nullptr),
       queue_(options.queue_capacity, &signal_) {
   // The worker sleeps on signal_ when its queue is empty; the pool
   // wakes it there when the shards release outputs, so they are written
@@ -353,15 +333,17 @@ Status Session::AdmitData(Frame frame) {
   PULSE_SPAN("serve/admit");
   const size_t depth = queue_.weight();
   const size_t capacity = queue_.capacity();
-  const AdmitDecision decision = admission_.Admit(depth, capacity);
+  // One controller call decides the shed and, for an adaptive session,
+  // the precision tier (docs/PRECISION.md).
+  const AdmitOutcome admit = admission_.Admit(depth, capacity);
   const bool overloaded = admission_.overloaded();
   if (overloaded && !admission_overloaded_prev_) {
     c_overloaded_->Increment();
   }
   admission_overloaded_prev_ = overloaded;
-  if (decision != AdmitDecision::kAdmit) {
-    (decision == AdmitDecision::kShedQueue ? c_shed_queue_
-                                           : c_shed_latency_)
+  if (admit.decision != AdmitDecision::kAdmit) {
+    (admit.decision == AdmitDecision::kShedQueue ? c_shed_queue_
+                                                 : c_shed_latency_)
         ->Add(items);
     c_shed_->Add(items);
     return WriteFrame(
@@ -382,13 +364,12 @@ Status Session::AdmitData(Frame frame) {
     }
   }
 
-  // Precision stage: the tier decided here is stamped onto the frame's
-  // item, so the worker applies tier changes at exact admission-order
-  // boundaries (docs/PRECISION.md). A frame never straddles a tier
-  // change.
+  // The admitted tier is stamped onto the frame's item, so the worker
+  // applies tier changes at exact admission-order boundaries
+  // (docs/PRECISION.md). A frame never straddles a tier change.
   IngestItem item;
   item.stream = open->second;
-  item.tier = static_cast<uint8_t>(precision_ctl_.Update(depth, capacity));
+  item.tier = static_cast<uint8_t>(admit.tier);
   item.tuples = std::move(frame.tuples);
   item.segments = std::move(frame.segments);
   PULSE_RETURN_IF_ERROR(Enqueue(frame.stream_id, std::move(item)));

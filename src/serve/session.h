@@ -34,13 +34,11 @@ struct SessionOptions {
   AdmissionOptions admission;
   /// Precision stage ahead of load shedding (docs/PRECISION.md). When
   /// `precision.enabled`, the server gives each session a session-owned
-  /// AdaptiveRuntime instead of a shard-pool slice, the reader stamps
-  /// every admitted frame with the controller's tier, and the worker
-  /// emits provisional/confirm/retract frames alongside the settled
-  /// output stream.
+  /// AdaptiveRuntime over `precision.ladder` instead of a shard-pool
+  /// slice, the reader stamps every admitted frame with the controller's
+  /// tier, and the worker emits provisional/confirm/retract frames
+  /// alongside the settled output stream.
   PrecisionOptions precision;
-  /// Runtime-side ladder for adaptive sessions (error scales + bounds).
-  AdaptivePrecisionOptions precision_runtime;
 };
 
 /// One client connection: a protocol reader thread admitting data
@@ -74,8 +72,8 @@ class Session {
   /// watermark (docs/STORAGE.md). `adaptive` (optional, built by the
   /// server when `options.precision.enabled`) switches the session to
   /// adaptive precision: the worker dispatches into it, `client` is
-  /// null, and the precision controller's tier stamps ride each
-  /// admitted frame (docs/PRECISION.md).
+  /// null, and the controller's tier stamps ride each admitted frame
+  /// (docs/PRECISION.md).
   Session(uint64_t id, std::unique_ptr<Transport> transport,
           std::unique_ptr<shard::ShardClient> client, SessionOptions options,
           std::vector<std::string> valid_streams,
@@ -136,9 +134,9 @@ class Session {
   // Declared before client_, which holds it as its release signal: the
   // client (and the signal's registration with the pool) dies first.
   WorkSignal signal_;
-  // Declared before admission_/precision_ctl_: the controllers' latency
-  // signal is read through one of these handles (the adaptive runtime's
-  // own registry when present, every shard's registry otherwise).
+  // Declared before admission_: the controller's latency signal is read
+  // through one of these handles (the adaptive runtime's own registry
+  // when present, every shard's registry otherwise).
   // client_ is the routing handle onto the shard pool; it is null for an
   // adaptive session, which never touches the pool.
   std::unique_ptr<shard::ShardClient> client_;
@@ -153,7 +151,6 @@ class Session {
   /// Shared durable log; nullptr in the default in-memory mode.
   store::SegmentStore* store_ = nullptr;
   AdmissionController admission_;
-  PrecisionController precision_ctl_;
 
   std::thread reader_;
   std::thread worker_;

@@ -237,7 +237,7 @@ ShardClient::~ShardClient() {
 
 void ShardClient::Abort() { state_->aborted.store(true); }
 
-void ShardClient::SetReleaseSignal(serve::WorkSignal* signal) {
+void ShardClient::SetReleaseSignal(WorkSignal* signal) {
   std::lock_guard<std::mutex> lock(state_->mu);
   state_->release_signal = signal;
 }

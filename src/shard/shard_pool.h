@@ -14,10 +14,10 @@
 #include "core/query.h"
 #include "core/runtime.h"
 #include "obs/metrics.h"
-#include "serve/ingest_queue.h"  // serve::WorkSignal
 #include "shard/exchange.h"
 #include "shard/shard_router.h"
 #include "util/result.h"
+#include "util/work_signal.h"
 
 namespace pulse {
 namespace shard {
@@ -55,7 +55,7 @@ struct ClientState {
   std::vector<Segment> ready;
   /// Notified when `ready` goes from empty to non-empty; not owned,
   /// may be null (see ShardClient::SetReleaseSignal).
-  serve::WorkSignal* release_signal = nullptr;
+  WorkSignal* release_signal = nullptr;
   /// Shards that have not yet acknowledged the finish sentinel.
   size_t finish_remaining = 0;
   /// Finish-phase outputs per shard, merged canonically by Finish().
@@ -217,7 +217,7 @@ class ShardClient {
   /// empty-to-non-empty transition, so a consumer that takes everything
   /// on each wake sees each release promptly. Detach before `signal`
   /// dies; the destructor detaches too.
-  void SetReleaseSignal(serve::WorkSignal* signal);
+  void SetReleaseSignal(WorkSignal* signal);
 
   uint64_t id() const { return state_->id; }
   ShardPool* pool() const { return pool_; }

@@ -8,15 +8,13 @@
 #include <cstdio>
 #include <cstring>
 
-#include "serve/wire.h"
+#include "wire/wire.h"
 #include "store/checksum.h"
 
 namespace pulse {
 namespace store {
 
 namespace {
-
-namespace wire = serve::wire;
 
 constexpr char kCkpMagic[8] = {'P', 'U', 'L', 'S', 'E', 'C', 'K', 'P'};
 constexpr uint32_t kCkpVersion = 1;

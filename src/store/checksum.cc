@@ -2,7 +2,7 @@
 
 #include <array>
 
-#include "serve/wire.h"
+#include "wire/wire.h"
 
 namespace pulse {
 namespace store {
@@ -48,7 +48,7 @@ uint64_t CanonicalSegmentHash(const Segment& s, uint64_t h) {
   Segment canonical = s;
   canonical.id = 0;
   std::string bytes;
-  serve::wire::PutSegment(&bytes, canonical);
+  wire::PutSegment(&bytes, canonical);
   return FnvMix(bytes.data(), bytes.size(), h);
 }
 

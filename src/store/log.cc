@@ -7,15 +7,13 @@
 #include <cstring>
 #include <utility>
 
-#include "serve/wire.h"
+#include "wire/wire.h"
 #include "store/checksum.h"
 
 namespace pulse {
 namespace store {
 
 namespace {
-
-namespace wire = serve::wire;
 
 constexpr char kLogMagic[8] = {'P', 'U', 'L', 'S', 'E', 'L', 'O', 'G'};
 constexpr uint32_t kLogVersion = 1;
@@ -92,7 +90,7 @@ Result<LogRecord> DecodeLogPayload(const char* data, size_t n) {
   return record;
 }
 
-LogScan ScanLog(const char* data, size_t n, const LogLimits& limits) {
+LogScan ScanLog(const char* data, size_t n) {
   LogScan scan;
   scan.scanned_bytes = n;
   if (n < kHeaderBytes ||
@@ -123,12 +121,12 @@ LogScan ScanLog(const char* data, size_t n, const LogLimits& limits) {
     wire::Cursor c{data + pos, kRecordFrameBytes};
     const uint32_t len = *wire::GetU32(&c, "record length");
     const uint32_t stored_crc = *wire::GetU32(&c, "record crc");
-    if (len > limits.max_record_bytes) {
+    if (len > wire::kMaxPayloadBytes) {
       // Indistinguishable from a garbage length prefix: treat as torn.
       scan.tail = LogTailState::kTornRecord;
       scan.detail = "record length " + std::to_string(len) +
                     " exceeds limit " +
-                    std::to_string(limits.max_record_bytes);
+                    std::to_string(wire::kMaxPayloadBytes);
       return scan;
     }
     if (n - pos - kRecordFrameBytes < len) {
@@ -160,8 +158,7 @@ LogScan ScanLog(const char* data, size_t n, const LogLimits& limits) {
   return scan;
 }
 
-Result<LogScan> ScanLogFile(const std::string& path,
-                            const LogLimits& limits) {
+Result<LogScan> ScanLogFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     if (errno == ENOENT) {
@@ -178,7 +175,7 @@ Result<LogScan> ScanLogFile(const std::string& path,
   const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
   if (read_error) return Errno("read log file", path);
-  return ScanLog(contents.data(), contents.size(), limits);
+  return ScanLog(contents.data(), contents.size());
 }
 
 Status TruncateFile(const std::string& path, uint64_t size) {

@@ -21,7 +21,7 @@ namespace store {
 ///   record:  u32 payload length | u32 CRC-32C(payload) | payload
 ///   payload: u8 record type, string stream name, body
 ///
-/// Bodies reuse the serving wire codec (serve/wire.h), so a persisted
+/// Bodies reuse the serving wire codec (wire/wire.h), so a persisted
 /// segment is byte-identical to one shipped over a socket. The log is
 /// the system of record: everything else in the store (segment trees,
 /// timelines, runtime state) is rebuilt from it on recovery.
@@ -41,13 +41,6 @@ struct LogRecord {
   std::string stream;
   Segment segment;  // kSegment / kBackfill
   Tuple tuple;      // kTuple
-};
-
-struct LogLimits {
-  /// Upper bound on a single record payload; mirrors the frame
-  /// protocol's DecodeLimits so a corrupt length prefix cannot force a
-  /// huge allocation.
-  size_t max_record_bytes = 4 * 1024 * 1024;
 };
 
 /// Why a scan stopped before the end of the buffer. Everything after
@@ -88,11 +81,10 @@ Result<LogRecord> DecodeLogPayload(const char* data, size_t n);
 /// Scans a whole log image. Never fails: corruption is reported via
 /// `tail`/`detail` and the scan stops at the last consistent prefix.
 /// This is the function the fuzz target drives with adversarial bytes.
-LogScan ScanLog(const char* data, size_t n, const LogLimits& limits = {});
+LogScan ScanLog(const char* data, size_t n);
 
 /// Reads and scans a log file. NotFound when the file does not exist.
-Result<LogScan> ScanLogFile(const std::string& path,
-                            const LogLimits& limits = {});
+Result<LogScan> ScanLogFile(const std::string& path);
 
 /// Truncates `path` to exactly `size` bytes (the torn-tail repair).
 Status TruncateFile(const std::string& path, uint64_t size);

@@ -337,7 +337,7 @@ Result<RecoveredStore> SegmentStore::Recover(StoreOptions options) {
   const std::string log_path = LogPath(options.dir);
 
   // 1. Scan the log and repair the torn tail.
-  Result<LogScan> scanned = ScanLogFile(log_path, options.limits);
+  Result<LogScan> scanned = ScanLogFile(log_path);
   if (!scanned.ok() && scanned.status().code() == StatusCode::kNotFound) {
     report.log_missing = true;
   } else if (!scanned.ok()) {

@@ -35,7 +35,6 @@ struct StoreOptions {
   /// Registry for store/* counters and span/store/* histograms;
   /// nullptr: privately owned, reachable via metrics().
   obs::MetricsRegistry* metrics = nullptr;
-  LogLimits limits;
 };
 
 /// Structured outcome of a recovery scan (the "never a silent

@@ -23,7 +23,8 @@ using serve::EncodeFrameToString;
 using serve::Frame;
 using serve::FrameReader;
 using serve::FrameType;
-using serve::PrecisionController;
+using serve::AdmissionController;
+using serve::AdmissionOptions;
 using serve::PrecisionOptions;
 
 // ---------------------------------------------------------------------
@@ -90,51 +91,66 @@ void ExpectSameSegments(const std::vector<Segment>& a,
 }
 
 // ---------------------------------------------------------------------
-// PrecisionController hysteresis.
+// Precision-tier hysteresis of the session's AdmissionController, with
+// load shedding off so the tier ladder is tested alone.
+
+AdmissionController TierController(int forced_tier = -1,
+                                   bool enabled = true) {
+  AdmissionOptions admission;
+  admission.enabled = false;
+  PrecisionOptions precision;
+  precision.enabled = enabled;
+  precision.forced_tier = forced_tier;
+  return AdmissionController(admission, precision, {});
+}
+
+// The tier after one full dwell of admissions at `depth` (of 100).
+size_t TierAfterDwell(AdmissionController* controller, size_t depth) {
+  size_t tier = 0;
+  for (uint64_t i = 0; i < serve::kTierDwell; ++i) {
+    tier = controller->Admit(depth, 100).tier;
+  }
+  return tier;
+}
 
 TEST(PrecisionController, WidensUnderQueuePressureAndTightensOnRelief) {
-  PrecisionOptions options;
-  options.enabled = true;
-  options.num_tiers = 2;
-  options.cooldown = 0;  // test the watermarks alone
-  PrecisionController controller(options, nullptr);
-  EXPECT_EQ(controller.Update(10, 100), 0u);
-  // Above the widen watermark (0.60): one tier per update.
-  EXPECT_EQ(controller.Update(70, 100), 1u);
-  EXPECT_EQ(controller.Update(70, 100), 2u);
-  // Clamped at the ladder top.
-  EXPECT_EQ(controller.Update(99, 100), 2u);
+  AdmissionController controller = TierController();
+  EXPECT_EQ(controller.Admit(10, 100).tier, 0u);
+  // Above the widen watermark (0.60): one tier per dwell.
+  EXPECT_EQ(TierAfterDwell(&controller, 70), 1u);
+  EXPECT_EQ(TierAfterDwell(&controller, 70), 2u);
+  // Clamped at the ladder top (the default ladder has two rungs).
+  EXPECT_EQ(TierAfterDwell(&controller, 99), 2u);
   // Inside the dead zone [tighten, widen]: holds.
-  EXPECT_EQ(controller.Update(40, 100), 2u);
+  EXPECT_EQ(TierAfterDwell(&controller, 40), 2u);
   // Below the tighten watermark (0.25): steps back down.
-  EXPECT_EQ(controller.Update(10, 100), 1u);
-  EXPECT_EQ(controller.Update(10, 100), 0u);
+  EXPECT_EQ(TierAfterDwell(&controller, 10), 1u);
+  EXPECT_EQ(TierAfterDwell(&controller, 10), 0u);
   EXPECT_EQ(controller.widen_events(), 2u);
   EXPECT_EQ(controller.tighten_events(), 2u);
 }
 
 TEST(PrecisionController, CooldownHoldsTierThroughStepLoad) {
-  PrecisionOptions options;
-  options.enabled = true;
-  options.num_tiers = 2;
-  options.cooldown = 100;
-  PrecisionController controller(options, nullptr);
+  AdmissionController controller = TierController();
   // A step to sustained pressure: the tier must ramp monotonically, one
-  // move per cooldown window — never flap.
+  // move per dwell window — never flap.
   size_t prev = 0;
   size_t moves = 0;
-  for (int i = 0; i < 500; ++i) {
-    const size_t tier = controller.Update(80, 100);
+  for (uint64_t i = 1; i <= 3 * serve::kTierDwell; ++i) {
+    const size_t tier = controller.Admit(80, 100).tier;
     ASSERT_GE(tier, prev) << "tier must not drop under sustained pressure";
-    if (tier != prev) ++moves;
+    if (tier != prev) {
+      ++moves;
+      EXPECT_EQ(i % serve::kTierDwell, 0u) << "moved inside the dwell";
+    }
     prev = tier;
   }
   EXPECT_EQ(prev, 2u);
   EXPECT_EQ(moves, 2u);
   // Step back to idle: same discipline downward.
   moves = 0;
-  for (int i = 0; i < 500; ++i) {
-    const size_t tier = controller.Update(5, 100);
+  for (uint64_t i = 1; i <= 3 * serve::kTierDwell; ++i) {
+    const size_t tier = controller.Admit(5, 100).tier;
     ASSERT_LE(tier, prev) << "tier must not rise after the load steps off";
     if (tier != prev) ++moves;
     prev = tier;
@@ -144,36 +160,27 @@ TEST(PrecisionController, CooldownHoldsTierThroughStepLoad) {
 }
 
 TEST(PrecisionController, OscillatingLoadInsideDeadZoneNeverMoves) {
-  PrecisionOptions options;
-  options.enabled = true;
-  options.num_tiers = 2;
-  options.cooldown = 0;
-  PrecisionController controller(options, nullptr);
+  AdmissionController controller = TierController();
   // Depth flapping across the middle of the band but never beyond a
-  // watermark: the dead zone absorbs it entirely.
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(controller.Update(i % 2 == 0 ? 30 : 55, 100), 0u);
+  // watermark, for several dwells: the dead zone absorbs it entirely.
+  for (uint64_t i = 0; i < 4 * serve::kTierDwell; ++i) {
+    EXPECT_EQ(controller.Admit(i % 2 == 0 ? 30 : 55, 100).tier, 0u);
   }
   EXPECT_EQ(controller.widen_events(), 0u);
   EXPECT_EQ(controller.tighten_events(), 0u);
 }
 
 TEST(PrecisionController, ForcedTierPinsAndIgnoresSignals) {
-  PrecisionOptions options;
-  options.enabled = true;
-  options.num_tiers = 2;
-  options.forced_tier = 1;
-  PrecisionController controller(options, nullptr);
-  EXPECT_EQ(controller.Update(0, 100), 1u);
-  EXPECT_EQ(controller.Update(100, 100), 1u);
+  AdmissionController controller = TierController(/*forced_tier=*/1);
+  EXPECT_EQ(controller.Admit(0, 100).tier, 1u);
+  EXPECT_EQ(TierAfterDwell(&controller, 100), 1u);
   EXPECT_EQ(controller.widen_events(), 0u);
 }
 
 TEST(PrecisionController, DisabledStaysAtTierZero) {
-  PrecisionOptions options;
-  options.enabled = false;
-  PrecisionController controller(options, nullptr);
-  EXPECT_EQ(controller.Update(100, 100), 0u);
+  AdmissionController controller =
+      TierController(/*forced_tier=*/-1, /*enabled=*/false);
+  EXPECT_EQ(TierAfterDwell(&controller, 100), 0u);
 }
 
 // ---------------------------------------------------------------------

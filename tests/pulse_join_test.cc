@@ -1,6 +1,8 @@
 #include "core/operators/join.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +224,36 @@ TEST(PulseJoin, ComputeSlackInfiniteWithoutPartners) {
       j.ComputeSlack(0, LinearSegment(1, 0.0, 10.0, 1.0, 0.0));
   ASSERT_TRUE(slack.ok());
   EXPECT_TRUE(std::isinf(*slack));
+}
+
+// With the segment index on, stored partners live only in the index;
+// the slack must still see them, exactly as the buffer scan does.
+TEST(PulseJoin, ComputeSlackIndexedMatchesScan) {
+  PulseJoinOptions indexed_opts = Opts();
+  indexed_opts.use_segment_index = true;
+  PulseJoin scan("scan", CrossPredicate(CmpOp::kEq), Opts());
+  PulseJoin indexed("indexed", CrossPredicate(CmpOp::kEq), indexed_opts);
+  const std::vector<std::pair<size_t, Segment>> feed = {
+      {1, LinearSegment(2, 0.0, 4.0, 3.0, 0.0)},
+      {0, LinearSegment(1, 1.0, 5.0, 8.0, -1.0)},
+      {1, LinearSegment(3, 4.0, 9.0, 6.0, 0.5)},
+      {0, LinearSegment(4, 6.0, 12.0, -2.0, 0.0)},
+      {1, LinearSegment(5, 20.0, 30.0, 0.0, 0.0)},
+  };
+  for (const auto& [port, segment] : feed) {
+    SegmentBatch out;
+    ASSERT_TRUE(scan.Process(port, segment, &out).ok());
+    ASSERT_TRUE(indexed.Process(port, segment, &out).ok());
+  }
+  for (const size_t port : {size_t{0}, size_t{1}}) {
+    const Segment probe = LinearSegment(9, 2.0, 8.0, 1.0, 0.25);
+    Result<double> want = scan.ComputeSlack(port, probe);
+    Result<double> got = indexed.ComputeSlack(port, probe);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(std::isfinite(*want)) << "port " << port;
+    EXPECT_EQ(*got, *want) << "port " << port;
+  }
 }
 
 TEST(PulseJoin, DistanceJoinCollisionQuery) {

@@ -205,11 +205,9 @@ TEST(FrameCodec, TruncatedPayloadPoisonsReader) {
 }
 
 TEST(FrameCodec, OversizedFrameRejectedBeforeBuffering) {
-  DecodeLimits limits;
-  limits.max_frame_bytes = 64;
-  FrameReader reader(limits);
+  FrameReader reader;
   std::string bytes;
-  // Length prefix claims 1 GiB.
+  // Length prefix claims 1 GiB, far above wire::kMaxPayloadBytes.
   const uint32_t huge = 1u << 30;
   for (int i = 0; i < 4; ++i) {
     bytes.push_back(static_cast<char>(huge >> (8 * i)));
@@ -369,18 +367,33 @@ TEST(IngestQueue, CloseUnblocksProducerAndKeepsItemsPoppable) {
 // ---------------------------------------------------------------------
 // Admission controller.
 
+AdmissionController ShedController(
+    std::vector<const obs::Histogram*> latency = {}) {
+  return AdmissionController(AdmissionOptions{}, PrecisionOptions{},
+                             std::move(latency));
+}
+
 TEST(AdmissionController, QueueWatermarkHysteresis) {
-  AdmissionOptions options;
-  options.queue_high_watermark = 0.8;
-  options.queue_low_watermark = 0.4;
-  AdmissionController controller(options, {});
-  EXPECT_EQ(controller.Admit(10, 100), AdmitDecision::kAdmit);
-  EXPECT_EQ(controller.Admit(90, 100), AdmitDecision::kShedQueue);
-  // Still above the low watermark: keeps shedding (hysteresis).
-  EXPECT_EQ(controller.Admit(60, 100), AdmitDecision::kShedQueue);
-  // Below the low watermark: recovers.
-  EXPECT_EQ(controller.Admit(30, 100), AdmitDecision::kAdmit);
+  AdmissionController controller = ShedController();
+  EXPECT_EQ(controller.Admit(10, 100).decision, AdmitDecision::kAdmit);
+  // Above the shed watermark (0.90).
+  EXPECT_EQ(controller.Admit(95, 100).decision, AdmitDecision::kShedQueue);
+  // Still above the recover watermark (0.50): keeps shedding
+  // (hysteresis).
+  EXPECT_EQ(controller.Admit(60, 100).decision, AdmitDecision::kShedQueue);
+  // Below the recover watermark: recovers.
+  EXPECT_EQ(controller.Admit(30, 100).decision, AdmitDecision::kAdmit);
   EXPECT_FALSE(controller.overloaded());
+}
+
+// The decision on the last of one sampling period's admissions, the
+// one that re-samples the latency signal.
+AdmitDecision AdmitSamplingPeriod(AdmissionController* controller) {
+  AdmitDecision decision = AdmitDecision::kAdmit;
+  for (uint64_t i = 0; i < kLatencySampleEvery; ++i) {
+    decision = controller->Admit(0, 100).decision;
+  }
+  return decision;
 }
 
 // The signal is the sum over every histogram the controller reads (one
@@ -398,29 +411,50 @@ TEST(AdmissionController, LatencySignalShedsAndRecovers) {
     obs::Histogram* h = registry.GetHistogram(
         "shard/" + std::to_string(histograms - 1) +
         "/span/runtime/push_segment");
-    AdmissionOptions options;
-    options.latency_high_ns = 1000;
-    options.latency_low_ns = 100;
-    options.sample_every = 1;  // resample on every admission
-    AdmissionController controller(options, latency);
-    EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kAdmit);
-    // Slow solver: p99 over the next interval far above the threshold.
-    for (int i = 0; i < 100; ++i) h->Record(50'000);
-    EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kShedLatency);
+    AdmissionController controller = ShedController(latency);
+    EXPECT_EQ(AdmitSamplingPeriod(&controller), AdmitDecision::kAdmit);
+    // Slow solver: p99 over the next interval far above the shed
+    // threshold (50 ms).
+    for (int i = 0; i < 100; ++i) h->Record(100'000'000);
+    EXPECT_EQ(AdmitSamplingPeriod(&controller), AdmitDecision::kShedLatency);
     EXPECT_TRUE(controller.overloaded());
-    // Fast again: interval p99 drops under the low threshold.
-    for (int i = 0; i < 100; ++i) h->Record(10);
-    EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kAdmit);
+    // Fast again: interval p99 drops under the recover threshold (10 ms).
+    for (int i = 0; i < 100; ++i) h->Record(1'000);
+    EXPECT_EQ(AdmitSamplingPeriod(&controller), AdmitDecision::kAdmit);
     // Idle solver (no new samples): stays recovered.
-    EXPECT_EQ(controller.Admit(0, 100), AdmitDecision::kAdmit);
+    EXPECT_EQ(AdmitSamplingPeriod(&controller), AdmitDecision::kAdmit);
   }
 }
 
 TEST(AdmissionController, DisabledAdmitsEverything) {
   AdmissionOptions options;
   options.enabled = false;
-  AdmissionController controller(options, {});
-  EXPECT_EQ(controller.Admit(100, 100), AdmitDecision::kAdmit);
+  AdmissionController controller(options, PrecisionOptions{}, {});
+  EXPECT_EQ(controller.Admit(100, 100).decision, AdmitDecision::kAdmit);
+}
+
+// Precision sits below load shedding: between the widen (0.60) and the
+// shed (0.90) watermarks a frame is admitted and widens the tier once
+// the dwell allows; above 0.90 it is shed, and the tier does not move
+// on it.
+TEST(AdmissionController, WidensBeforeShedding) {
+  PrecisionOptions precision;
+  precision.enabled = true;
+  AdmissionController controller(AdmissionOptions{}, precision, {});
+  for (uint64_t i = 1; i <= kTierDwell; ++i) {
+    const AdmitOutcome outcome = controller.Admit(75, 100);
+    ASSERT_EQ(outcome.decision, AdmitDecision::kAdmit) << "admission " << i;
+    ASSERT_EQ(outcome.tier, i < kTierDwell ? 0u : 1u) << "admission " << i;
+  }
+  // Hold the tier until the dwell allows the next move.
+  for (uint64_t i = 1; i < kTierDwell; ++i) {
+    ASSERT_EQ(controller.Admit(75, 100).tier, 1u);
+  }
+  const AdmitOutcome shed = controller.Admit(95, 100);
+  EXPECT_EQ(shed.decision, AdmitDecision::kShedQueue);
+  EXPECT_EQ(shed.tier, 1u);
+  EXPECT_EQ(controller.tier(), 1u);
+  EXPECT_EQ(controller.widen_events(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -662,10 +696,15 @@ TEST(Session, PolicyAccountingConservesTuples) {
 TEST(Session, BlockedFramePausesOnce) {
   constexpr size_t kFrames = 100;
   constexpr size_t kFrameTuples = 64;
-  const std::vector<Tuple> trace = PiecewiseTrace(kFrames * kFrameTuples);
+  // A first frame far heavier than the rest (1.8 MB, under the 4 MiB
+  // frame bound) keeps the shard busy for long enough that the small
+  // frames behind it fill the shard's exchange queue, stall the worker
+  // and block the reader: the first frame's processing outlasts the
+  // decoding of a few 64-tuple frames by orders of magnitude.
+  constexpr size_t kFirstFrameTuples = size_t{1} << 15;
+  const std::vector<Tuple> trace =
+      PiecewiseTrace(kFirstFrameTuples + kFrames * kFrameTuples);
   uint64_t paused = 0;
-  // Whether a frame blocks depends on thread timing; a few sessions make
-  // at least one blocked frame all but certain.
   for (int attempt = 0; attempt < 10 && paused == 0; ++attempt) {
     ServerOptions options = ObjectsServerOptions(BackpressurePolicy::kBlock);
     options.session.queue_capacity = 1;
@@ -677,7 +716,12 @@ TEST(Session, BlockedFramePausesOnce) {
     ServeClient client(std::move(*conn));
     ASSERT_TRUE(client.Hello().ok());
     ASSERT_TRUE(client.OpenStream(1, "objects").ok());
-    for (size_t i = 0; i < trace.size(); i += kFrameTuples) {
+    ASSERT_TRUE(client
+                    .SendBatch(1, std::vector<Tuple>(
+                                      trace.begin(),
+                                      trace.begin() + kFirstFrameTuples))
+                    .ok());
+    for (size_t i = kFirstFrameTuples; i < trace.size(); i += kFrameTuples) {
       ASSERT_TRUE(client
                       .SendBatch(1, std::vector<Tuple>(
                                         trace.begin() + i,
