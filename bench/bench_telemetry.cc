@@ -145,7 +145,7 @@ struct QueryResult {
 }  // namespace
 }  // namespace pulse
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pulse;
   std::printf(
       "Telemetry detection latency: %zu trials x %zu hosts, "

@@ -1,46 +1,55 @@
-// pulse_cli — run an ad-hoc StreamSQL query over a built-in workload.
-//
-//   pulse_cli --workload objects|nyse|ais|telemetry --tuples N
-//             --query "select * from objects where x < 500"
-//             [--mode predictive|historical] [--bound attr=0.01]
-//             [--sample-rate HZ] [--show K]
-//
-// --sample-rate samples predictive outputs into tuples; it is an
-// argument error in every other mode.
-//
-// Examples:
-//   pulse_cli --workload nyse --tuples 50000 --bound s.ap=0.01 --query \
-//     "select symbol, s.ap - l.ap as diff from (select symbol, avg(price) \
-//      as ap from nyse [size 10 advance 2]) as s join (select symbol, \
-//      avg(price) as ap from nyse [size 60 advance 2]) as l on \
-//      (s.symbol = l.symbol) where s.ap > l.ap"
-//
-//   pulse_cli --workload objects --mode historical --tuples 100000 \
-//     --query "select * from objects where x < 2000"
-//
-//   # Full serving stack: StreamServer session over the in-process
-//   # transport (or loopback TCP with --port), paced replay, drain.
-//   pulse_cli --workload objects --mode serve --tuples 20000 \
-//     --policy drop_oldest --rate 50000 \
-//     --query "select * from objects where x < 2000"
-//
-//   # Adaptive precision (docs/PRECISION.md): the session widens the
-//   # error budget under load, emits provisional answers, and settles
-//   # them as confirm/retract at drain. --tier 1 pins the widened tier
-//   # so the side-band is exercised deterministically.
-//   pulse_cli --workload objects --mode serve --tuples 20000 \
-//     --precision adaptive --tier 1 \
-//     --query "select * from objects where x < 2000"
-//
-//   # Durable serving: admitted inputs land in DIR/segments.log before
-//   # dispatch, the drain seals a checkpoint, and a later --recover
-//   # replays the log into a fresh runtime and prints the recovery
-//   # report (docs/STORAGE.md).
-//   pulse_cli --workload objects --mode serve --tuples 20000 \
-//     --store-dir /tmp/pulse_store \
-//     --query "select * from objects where x < 2000"
-//   pulse_cli --workload objects --recover --store-dir /tmp/pulse_store \
-//     --query "select * from objects where x < 2000"
+/* pulse_cli — run an ad-hoc StreamSQL query over a built-in workload.
+ *
+ *   pulse_cli --workload objects|nyse|ais|telemetry --tuples N
+ *             --query "select * from objects where x < 500"
+ *             [--mode predictive|historical] [--bound attr=0.01]
+ *             [--sample-rate HZ] [--show K]
+ *
+ * --sample-rate samples predictive outputs into tuples; it is an
+ * argument error in every other mode.
+ *
+ * Serve mode's --policy picks the session queue's backpressure policy
+ * (docs/SERVING.md). block (the default) is lossless: the server stops
+ * reading until its queue has room, so the client's sends wait and
+ * every sent tuple is accepted. drop_oldest evicts the oldest queued
+ * frames to admit a new one. shed rejects a frame that does not fit
+ * and also turns on load shedding, which refuses frames under queue
+ * or solver-latency pressure; only shed runs admission control.
+ *
+ * Examples:
+ *   pulse_cli --workload nyse --tuples 50000 --bound s.ap=0.01 --query \
+ *     "select symbol, s.ap - l.ap as diff from (select symbol, avg(price) \
+ *      as ap from nyse [size 10 advance 2]) as s join (select symbol, \
+ *      avg(price) as ap from nyse [size 60 advance 2]) as l on \
+ *      (s.symbol = l.symbol) where s.ap > l.ap"
+ *
+ *   pulse_cli --workload objects --mode historical --tuples 100000 \
+ *     --query "select * from objects where x < 2000"
+ *
+ *   # Full serving stack: StreamServer session over the in-process
+ *   # transport (or loopback TCP with --port), paced replay, drain.
+ *   pulse_cli --workload objects --mode serve --tuples 20000 \
+ *     --policy drop_oldest --rate 50000 \
+ *     --query "select * from objects where x < 2000"
+ *
+ *   # Adaptive precision (docs/PRECISION.md): the session widens the
+ *   # error budget under load, emits provisional answers, and settles
+ *   # them as confirm/retract at drain. --tier 1 pins the widened tier
+ *   # so the side-band is exercised deterministically.
+ *   pulse_cli --workload objects --mode serve --tuples 20000 \
+ *     --precision adaptive --tier 1 \
+ *     --query "select * from objects where x < 2000"
+ *
+ *   # Durable serving: admitted inputs land in DIR/segments.log before
+ *   # dispatch, the drain seals a checkpoint, and a later --recover
+ *   # replays the log into a fresh runtime and prints the recovery
+ *   # report (docs/STORAGE.md).
+ *   pulse_cli --workload objects --mode serve --tuples 20000 \
+ *     --store-dir ./pulse_store \
+ *     --query "select * from objects where x < 2000"
+ *   pulse_cli --workload objects --recover --store-dir ./pulse_store \
+ *     --query "select * from objects where x < 2000"
+ */
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -308,6 +317,11 @@ int main(int argc, char** argv) {
     sopts.runtime.segmentation.max_error = 0.1;
     sopts.runtime.segmentation.max_points_per_segment = 1000;
     sopts.session.policy = policy;
+    // Load shedding rides only with --policy shed: block and drop_oldest
+    // get the queue policy alone, so a block run is lossless however
+    // fast the trace is offered (docs/SERVING.md).
+    sopts.session.admission.enabled =
+        policy == serve::BackpressurePolicy::kShed;
     if (options.precision == "adaptive") {
       // Adaptive precision (docs/PRECISION.md): under pressure the
       // session widens the error budget and emits provisional answers,

@@ -22,7 +22,17 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B "$repo/build" -S "$repo"
-cmake --build "$repo/build" -j "$jobs"
+# The build must be warning-free. Only the files this invocation
+# compiles are checked, so a fresh tree checks them all.
+build_log="$(mktemp)"
+cmake --build "$repo/build" -j "$jobs" 2>&1 | tee "$build_log"
+if grep -q "warning:" "$build_log"; then
+  grep "warning:" "$build_log" >&2
+  rm -f "$build_log"
+  echo "tier-1 build printed compiler warnings" >&2
+  exit 1
+fi
+rm -f "$build_log"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 if [[ "${SKIP_SCALAR:-0}" == "1" ]]; then
@@ -536,10 +546,13 @@ else
   # Adaptive precision over the serving stack: forced widened tier so
   # the provisional/confirm/retract side-band is exercised and the
   # printed conservation totals are deterministic (docs/PRECISION.md).
-  "$repo/build/examples/pulse_cli" --workload objects --tuples 2000 \
-    --mode serve --policy block --precision adaptive --tier 1 \
-    --query "select * from objects where x < 2000" | grep -q \
-    "precision(adaptive):"
+  # The block policy runs without load shedding, so every sent tuple is
+  # accepted and the conservation line covers the whole input.
+  cli_out="$("$repo/build/examples/pulse_cli" --workload objects \
+    --tuples 2000 --mode serve --policy block --precision adaptive \
+    --tier 1 --query "select * from objects where x < 2000")"
+  grep -q "precision(adaptive):" <<< "$cli_out"
+  grep -q "2000 sent, 2000 accepted" <<< "$cli_out"
   # Telemetry workload through a detection-shaped epoch/distinct query.
   "$repo/build/examples/pulse_cli" --workload telemetry --tuples 2000 \
     --query "select distinct * from telemetry epoch 1 where telemetry.port_spread > 100" \

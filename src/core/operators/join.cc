@@ -140,20 +140,10 @@ bool PulseJoin::KeysAdmissible(const Segment& a, const Segment& b) const {
 
 void PulseJoin::Expire(double now) {
   const double horizon = now - options_.window_seconds;
-  auto expire_side = [horizon](std::deque<Segment>* side,
-                               std::deque<ResolvedAttrs>* resolved) {
-    while (!side->empty() && side->front().range.hi < horizon) {
+  for (std::deque<StoredSegment>* side : {&left_, &right_}) {
+    while (!side->empty() && side->front().segment.range.hi < horizon) {
       side->pop_front();
-      // Kept in lockstep with the segment deque (empty when the
-      // predicate is not compiled).
-      if (!resolved->empty()) resolved->pop_front();
     }
-  };
-  expire_side(&left_, &left_resolved_);
-  expire_side(&right_, &right_resolved_);
-  if (options_.use_segment_index) {
-    left_index_.ExpireBefore(horizon);
-    right_index_.ExpireBefore(horizon);
   }
   // The lineage sweep is linear in stored outputs: run it periodically.
   if (now - last_lineage_expire_ > options_.window_seconds / 16.0) {
@@ -186,33 +176,27 @@ Segment PulseJoin::MakeJoined(const Segment& left, const Segment& right,
   return out;
 }
 
-Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
-                                const std::vector<const Segment*>& partners,
-                                const ResolvedAttrs* probe_resolved,
-                                const std::deque<ResolvedAttrs>* partner_resolved,
-                                SegmentBatch* out) {
-  struct Pair {
-    const Segment* left;
-    const Segment* right;
-    const ResolvedAttrs* left_resolved;
-    const ResolvedAttrs* right_resolved;
-    Interval overlap;
-  };
-  std::vector<Pair> pairs;
-  pairs.reserve(partners.size());
-  for (size_t idx = 0; idx < partners.size(); ++idx) {
-    const Segment* partner = partners[idx];
-    if (!KeysAdmissible(segment, *partner)) continue;
-    const ResolvedAttrs* partner_res =
-        partner_resolved != nullptr ? &(*partner_resolved)[idx] : nullptr;
-    const Segment* left = (port == 0) ? &segment : partner;
-    const Segment* right = (port == 0) ? partner : &segment;
-    const ResolvedAttrs* lr = (port == 0) ? probe_resolved : partner_res;
-    const ResolvedAttrs* rr = (port == 0) ? partner_res : probe_resolved;
-    const Interval overlap = left->range.Intersect(right->range);
-    if (overlap.IsEmpty()) continue;
-    pairs.push_back(Pair{left, right, lr, rr, overlap});
+void PulseJoin::CollectPairs(size_t port, const Segment& segment,
+                             const ResolvedAttrs& probe,
+                             std::vector<Pair>* pairs) const {
+  for (const StoredSegment& partner : (port == 0) ? right_ : left_) {
+    if (!KeysAdmissible(segment, partner.segment)) continue;
+    Pair p = (port == 0) ? Pair{&segment, &partner.segment, &probe,
+                                &partner.resolved, Interval()}
+                         : Pair{&partner.segment, &segment, &partner.resolved,
+                                &probe, Interval()};
+    p.overlap = p.left->range.Intersect(p.right->range);
+    if (p.overlap.IsEmpty()) continue;
+    pairs->push_back(p);
   }
+}
+
+Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
+                                const ResolvedAttrs& probe,
+                                SegmentBatch* out) {
+  std::vector<Pair>& pairs = pair_scratch_;
+  pairs.clear();
+  CollectPairs(port, segment, probe, &pairs);
   if (pairs.empty()) return Status::OK();
   metrics_.solves += pairs.size();
   PULSE_SPAN("join/match_partners");
@@ -233,8 +217,7 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
       // Compiled fast path when both sides resolved every referenced
       // attribute; resolver path otherwise (identical rows and, when an
       // attribute is missing, identical error statuses).
-      if (p.left_resolved != nullptr && p.left_resolved->complete &&
-          p.right_resolved != nullptr && p.right_resolved->complete) {
+      if (p.left_resolved->complete && p.right_resolved->complete) {
         BuildCompiledSystem(*p.left_resolved, *p.right_resolved,
                             &task_scratch_[i].system);
       } else {
@@ -278,58 +261,15 @@ Status PulseJoin::Process(size_t port, const Segment& segment,
   ++metrics_.segments_in;
   latest_time_ = std::max(latest_time_, segment.range.lo);
   Expire(latest_time_);
-  if (options_.use_segment_index) {
-    // Indexed probing (future-work extension): only partner segments
-    // overlapping the newcomer's range are examined. The index owns its
-    // own segment storage, so no resolved tables exist for it — pairs
-    // build through the resolver path.
-    const SegmentIndex& partners =
-        (port == 0) ? right_index_ : left_index_;
-    std::vector<const Segment*> overlaps;
-    if (options_.match_keys) {
-      partners.QueryOverlapsWithKey(segment.range, segment.key, &overlaps);
-    } else {
-      partners.QueryOverlaps(segment.range, &overlaps);
-    }
-    PULSE_RETURN_IF_ERROR(MatchPartners(port, segment, overlaps,
-                                        /*probe_resolved=*/nullptr,
-                                        /*partner_resolved=*/nullptr, out));
-    if (port == 0) {
-      left_index_.Insert(segment);
-    } else {
-      right_index_.Insert(segment);
-    }
-    metrics_.state_size = left_index_.size() + right_index_.size();
-    return Status::OK();
-  }
-  const std::deque<Segment>& partners = (port == 0) ? right_ : left_;
-  std::vector<const Segment*> candidates;
-  candidates.reserve(partners.size());
-  for (const Segment& partner : partners) candidates.push_back(&partner);
-  ResolvedAttrs probe_resolved;
-  const ResolvedAttrs* probe = nullptr;
-  const std::deque<ResolvedAttrs>* partner_resolved = nullptr;
-  if (compiled_) {
-    probe_resolved =
-        Resolve(port == 0 ? Side::kLeft : Side::kRight, segment);
-    probe = &probe_resolved;
-    partner_resolved = (port == 0) ? &right_resolved_ : &left_resolved_;
-  }
-  PULSE_RETURN_IF_ERROR(
-      MatchPartners(port, segment, candidates, probe, partner_resolved, out));
-  if (port == 0) {
-    left_.push_back(segment);
-    // Resolve against the stored copy: its attribute-map nodes are the
-    // ones the pointer table must outlive-match.
-    if (compiled_) {
-      left_resolved_.push_back(Resolve(Side::kLeft, left_.back()));
-    }
-  } else {
-    right_.push_back(segment);
-    if (compiled_) {
-      right_resolved_.push_back(Resolve(Side::kRight, right_.back()));
-    }
-  }
+  const Side side = (port == 0) ? Side::kLeft : Side::kRight;
+  ResolvedAttrs probe;
+  if (compiled_) probe = Resolve(side, segment);
+  PULSE_RETURN_IF_ERROR(MatchPartners(port, segment, probe, out));
+  std::deque<StoredSegment>& own = (port == 0) ? left_ : right_;
+  own.push_back(StoredSegment{segment, ResolvedAttrs()});
+  // Resolve against the stored copy: the table must point into the
+  // attribute map that lives as long as the stored element.
+  if (compiled_) own.back().resolved = Resolve(side, own.back().segment);
   metrics_.state_size = left_.size() + right_.size();
   return Status::OK();
 }
@@ -392,29 +332,15 @@ Result<std::vector<AllocatedBound>> PulseJoin::InvertBound(
 Result<double> PulseJoin::ComputeSlack(size_t port,
                                        const Segment& segment) const {
   if (!predicate_.IsConjunctive()) return 0.0;
-  // The opposite side's stored segments live in the index or in the
-  // buffer, never both (see Process).
-  std::vector<const Segment*> partners;
-  if (options_.use_segment_index) {
-    ((port == 0) ? right_index_ : left_index_)
-        .QueryOverlaps(segment.range, &partners);
-  } else {
-    for (const Segment& partner : (port == 0) ? right_ : left_) {
-      partners.push_back(&partner);
-    }
-  }
+  const ResolvedAttrs unresolved;  // slack builds through the resolver
+  std::vector<Pair> pairs;
+  CollectPairs(port, segment, unresolved, &pairs);
   double slack = std::numeric_limits<double>::infinity();
-  for (const Segment* stored : partners) {
-    const Segment& partner = *stored;
-    if (!KeysAdmissible(segment, partner)) continue;
-    const Interval overlap = segment.range.Intersect(partner.range);
-    if (overlap.IsEmpty()) continue;
-    const Segment& l = (port == 0) ? segment : partner;
-    const Segment& r = (port == 0) ? partner : segment;
-    const AttrResolver resolver = MakeBinaryResolver(l, r);
-    PULSE_ASSIGN_OR_RETURN(EquationSystem system,
-                           predicate_.BuildSystem(resolver));
-    slack = std::min(slack, system.Slack(overlap));
+  for (const Pair& p : pairs) {
+    PULSE_ASSIGN_OR_RETURN(
+        EquationSystem system,
+        predicate_.BuildSystem(MakeBinaryResolver(*p.left, *p.right)));
+    slack = std::min(slack, system.Slack(p.overlap));
   }
   return slack;
 }

@@ -7,7 +7,6 @@
 
 #include "core/operators/pulse_operator.h"
 #include "core/predicate.h"
-#include "model/segment_index.h"
 
 namespace pulse {
 
@@ -34,10 +33,6 @@ struct PulseJoinOptions {
   /// Attribute name prefixes applied to the joined segment.
   std::string left_prefix = "left.";
   std::string right_prefix = "right.";
-  /// Probe partner state through a time-interval SegmentIndex instead of
-  /// a linear buffer scan — the paper's future-work extension for highly
-  /// segmented inputs (Section VII). Same results, different probe cost.
-  bool use_segment_index = false;
 };
 
 /// Continuous-time join (paper Fig. 3, row "Join"): order-based segment
@@ -63,17 +58,8 @@ class PulseJoin : public PulseOperator {
   /// `segment` (min over partners; +inf when no partner overlaps).
   Result<double> ComputeSlack(size_t port, const Segment& segment) const;
 
-  size_t left_buffer_size() const {
-    return options_.use_segment_index ? left_index_.size() : left_.size();
-  }
-  size_t right_buffer_size() const {
-    return options_.use_segment_index ? right_index_.size()
-                                      : right_.size();
-  }
-
-  /// Probe statistics when the segment index is enabled (ablation A4).
-  const SegmentIndex& left_index() const { return left_index_; }
-  const SegmentIndex& right_index() const { return right_index_; }
+  size_t left_buffer_size() const { return left_.size(); }
+  size_t right_buffer_size() const { return right_.size(); }
 
  private:
   // --- Compiled predicate row program -------------------------------
@@ -104,10 +90,26 @@ class PulseJoin : public PulseOperator {
     double threshold = 0.0;
   };
   // Slot -> polynomial table for one side of one segment. `complete` is
-  // false when any referenced attribute is absent from the segment.
+  // false when any referenced attribute is absent from the segment (and
+  // always when the predicate is not compiled).
   struct ResolvedAttrs {
     std::vector<const Polynomial*> ptr;
     bool complete = false;
+  };
+  // One stored segment of a side's buffer with its pointer table, which
+  // points into this element's own attribute map.
+  struct StoredSegment {
+    Segment segment;
+    ResolvedAttrs resolved;
+  };
+  // A stored partner aligned with an arriving segment: operands oriented
+  // left/right, and the time overlap the pair's system is solved over.
+  struct Pair {
+    const Segment* left;
+    const Segment* right;
+    const ResolvedAttrs* left_resolved;
+    const ResolvedAttrs* right_resolved;
+    Interval overlap;
   };
 
   void CompilePredicate();
@@ -121,16 +123,16 @@ class PulseJoin : public PulseOperator {
                            const ResolvedAttrs& right,
                            EquationSystem* out) const;
 
+  // Appends to *pairs, in arrival order, every stored opposite-side
+  // partner of `segment` (arrived on `port`, pointer table `probe`) that
+  // passes the key guards and overlaps it in time. Matching and slack
+  // both enumerate partners through here.
+  void CollectPairs(size_t port, const Segment& segment,
+                    const ResolvedAttrs& probe, std::vector<Pair>* pairs) const;
   // Solves `segment` (arrived on `port`) against every admissible stored
   // partner, emitting (ids, lineage, output order) in partner order.
-  // `probe_resolved` / `partner_resolved` (nullable) carry the compiled
-  // row program's pointer tables for the incoming segment and the
-  // partner deque (parallel to `partners`).
   Status MatchPartners(size_t port, const Segment& segment,
-                       const std::vector<const Segment*>& partners,
-                       const ResolvedAttrs* probe_resolved,
-                       const std::deque<ResolvedAttrs>* partner_resolved,
-                       SegmentBatch* out);
+                       const ResolvedAttrs& probe, SegmentBatch* out);
   bool KeysAdmissible(const Segment& a, const Segment& b) const;
   void Expire(double now);
   Segment MakeJoined(const Segment& left, const Segment& right,
@@ -141,20 +143,17 @@ class PulseJoin : public PulseOperator {
   bool compiled_ = false;
   std::vector<CompiledRow> compiled_rows_;
   std::vector<std::string> slot_names_[2];  // [0] = left, [1] = right
-  // Resolved tables for the stored segments, kept in lockstep with
-  // left_ / right_ (maintained only when compiled_).
-  std::deque<ResolvedAttrs> left_resolved_;
-  std::deque<ResolvedAttrs> right_resolved_;
-  // Per-push scratch for the conjunctive batch, reused across pushes so
+  // Per-push scratch, reused across pushes so pair collection,
   // pair-system construction and solution collection stop allocating
   // once warm (docs/PERFORMANCE.md). Only MatchPartners touches them;
-  // entries are grown, never shrunk.
+  // their capacity only grows.
+  std::vector<Pair> pair_scratch_;
   std::vector<EquationSystemTask> task_scratch_;
   std::vector<IntervalSet> solution_scratch_;
-  std::deque<Segment> left_;
-  std::deque<Segment> right_;
-  SegmentIndex left_index_;
-  SegmentIndex right_index_;
+  // Each side's stored segments in arrival order; deque elements never
+  // move, so the pointer tables stay valid until the element expires.
+  std::deque<StoredSegment> left_;
+  std::deque<StoredSegment> right_;
   double latest_time_ = 0.0;
   double last_lineage_expire_ = 0.0;
 };

@@ -24,7 +24,7 @@ std::vector<Tuple> Sampler::Sample(
       auto it = segment.attributes.find(attr);
       const double v =
           it != segment.attributes.end() ? it->second.Evaluate(t) : 0.0;
-      tuple.values.push_back(Value(v));
+      tuple.values.emplace_back(v);
     }
     out.push_back(std::move(tuple));
   };

@@ -27,8 +27,7 @@ Status EpochMark::Process(size_t port, const Tuple& input,
   ++metrics_.invocations;
   ++metrics_.tuples_in;
   Tuple result = input;
-  result.values.push_back(Value(EpochIndexOf(input.timestamp,
-                                             epoch_seconds_)));
+  result.values.emplace_back(EpochIndexOf(input.timestamp, epoch_seconds_));
   out->push_back(std::move(result));
   ++metrics_.tuples_out;
   return Status::OK();

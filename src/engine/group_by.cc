@@ -57,7 +57,7 @@ void GroupedWindowedAggregate::EmitWindow(const OpenWindow& w,
     Tuple result;
     result.timestamp = w.close;
     result.values.push_back(group);
-    result.values.push_back(Value(state.Finalize(fn_)));
+    result.values.emplace_back(state.Finalize(fn_));
     out->push_back(std::move(result));
     ++metrics_.tuples_out;
   }

@@ -39,8 +39,10 @@ struct SegmentationOptions {
 /// sample would push the fit error beyond options.max_error.
 ///
 /// Cost note: the fit is recomputed on the growing buffer, giving the
-/// classic O(n * L) behaviour for mean piece length L; the paper's Fig. 8
-/// "modeling throughput" bench measures exactly this operator.
+/// classic O(n * L) behaviour for mean piece length L. Ablation A3
+/// (bench_ablation_segmentation) measures this class; the Fig. 8
+/// modeling operator is MultiAttributeSegmenter (core/runtime.h), which
+/// keeps its fit incrementally.
 class SlidingWindowSegmenter {
  public:
   explicit SlidingWindowSegmenter(SegmentationOptions options);

@@ -22,10 +22,10 @@ class SegmentStore;
 namespace serve {
 
 struct ServerOptions {
-  /// The continuous query every session runs. All sessions multiplex
-  /// onto one shared shard pool; per-client solver state lives in the
-  /// pool's per-shard runtimes (docs/SHARDING.md), so a client's keys
-  /// stay isolated without a dedicated runtime per session.
+  /// The continuous query every session runs. Static-precision sessions
+  /// multiplex onto one shared shard pool, which shares worker threads,
+  /// not solver state: ShardPool::AddClient builds one HistoricalRuntime
+  /// per shard for every session (docs/SHARDING.md).
   QuerySpec spec;
   /// Template for the pool's per-shard client runtimes. `metrics` is
   /// overridden per shard (see shard::ShardPoolOptions).

@@ -48,7 +48,7 @@ RangeAggregate AggregatePolynomial(const Polynomial& p, double lo,
   agg.min = std::min(at_lo, at_hi);
   agg.max = std::max(at_lo, at_hi);
   const Polynomial deriv = p.Derivative();
-  if (!deriv.IsZero() && deriv.degree() >= 0) {
+  if (!deriv.IsZero()) {
     for (double r : FindRealRoots(deriv, lo, hi)) {
       const double v = p.Evaluate(r);
       agg.min = std::min(agg.min, v);

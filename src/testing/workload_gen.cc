@@ -110,7 +110,7 @@ std::vector<Tuple> StreamWorkload::ToTuples(double dt) const {
           complete = false;
           break;
         }
-        values.push_back(pulse::Value(it->second.Evaluate(t)));
+        values.emplace_back(it->second.Evaluate(t));
       }
       if (complete) out.emplace_back(t, std::move(values));
     }

@@ -44,12 +44,12 @@ Result<std::vector<Tuple>> TraceFile::Load(const std::string& path,
       switch (schema.field(i).type) {
         case ValueType::kInt64: {
           PULSE_ASSIGN_OR_RETURN(int64_t v, ParseInt64(row[i + 1]));
-          t.values.push_back(Value(v));
+          t.values.emplace_back(v);
           break;
         }
         case ValueType::kDouble: {
           PULSE_ASSIGN_OR_RETURN(double v, ParseDouble(row[i + 1]));
-          t.values.push_back(Value(v));
+          t.values.emplace_back(v);
           break;
         }
         case ValueType::kString:

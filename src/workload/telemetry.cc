@@ -141,8 +141,8 @@ Tuple TelemetryGenerator::NextTuple() {
   t.values.push_back(Value(static_cast<int64_t>(host)));
   for (size_t m = 0; m < kNumMetrics; ++m) {
     const MetricSample s = Eval(host, m, now_);
-    t.values.push_back(Value(s.value));
-    t.values.push_back(Value(s.slope));
+    t.values.emplace_back(s.value);
+    t.values.emplace_back(s.slope);
   }
   now_ += 1.0 / options_.tuple_rate;
   return t;

@@ -1,7 +1,6 @@
 #include "core/operators/join.h"
 
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -226,33 +225,45 @@ TEST(PulseJoin, ComputeSlackInfiniteWithoutPartners) {
   EXPECT_TRUE(std::isinf(*slack));
 }
 
-// With the segment index on, stored partners live only in the index;
-// the slack must still see them, exactly as the buffer scan does.
-TEST(PulseJoin, ComputeSlackIndexedMatchesScan) {
-  PulseJoinOptions indexed_opts = Opts();
-  indexed_opts.use_segment_index = true;
-  PulseJoin scan("scan", CrossPredicate(CmpOp::kEq), Opts());
-  PulseJoin indexed("indexed", CrossPredicate(CmpOp::kEq), indexed_opts);
-  const std::vector<std::pair<size_t, Segment>> feed = {
-      {1, LinearSegment(2, 0.0, 4.0, 3.0, 0.0)},
-      {0, LinearSegment(1, 1.0, 5.0, 8.0, -1.0)},
-      {1, LinearSegment(3, 4.0, 9.0, 6.0, 0.5)},
-      {0, LinearSegment(4, 6.0, 12.0, -2.0, 0.0)},
-      {1, LinearSegment(5, 20.0, 30.0, 0.0, 0.0)},
-  };
-  for (const auto& [port, segment] : feed) {
+// Slack enumerates partners exactly as matching does: only stored
+// segments that pass the key guards and overlap the probe in time count.
+TEST(PulseJoin, ComputeSlackHonorsKeyGuards) {
+  const Segment probe = LinearSegment(1, 0.0, 10.0, 1.0, 0.0);
+  // Probe at constant 1 against left.x = right.x: a stored constant c
+  // gives slack |c - 1|.
+  {
+    PulseJoinOptions o = Opts();
+    o.match_keys = true;
+    PulseJoin j("j", CrossPredicate(CmpOp::kEq), o);
     SegmentBatch out;
-    ASSERT_TRUE(scan.Process(port, segment, &out).ok());
-    ASSERT_TRUE(indexed.Process(port, segment, &out).ok());
+    ASSERT_TRUE(
+        j.Process(1, LinearSegment(1, 0.0, 10.0, 5.0, 0.0), &out).ok());
+    ASSERT_TRUE(
+        j.Process(1, LinearSegment(2, 0.0, 10.0, 1.5, 0.0), &out).ok());
+    ASSERT_TRUE(
+        j.Process(1, LinearSegment(1, 20.0, 30.0, 1.0, 0.0), &out).ok());
+    Result<double> slack = j.ComputeSlack(0, probe);
+    ASSERT_TRUE(slack.ok());
+    // Key 2 at distance 0.5 is nearer, and the key-1 segment at 20..30
+    // equals the probe, but only the overlapping key-1 partner counts.
+    EXPECT_NEAR(*slack, 4.0, 1e-9);
   }
-  for (const size_t port : {size_t{0}, size_t{1}}) {
-    const Segment probe = LinearSegment(9, 2.0, 8.0, 1.0, 0.25);
-    Result<double> want = scan.ComputeSlack(port, probe);
-    Result<double> got = indexed.ComputeSlack(port, probe);
-    ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(std::isfinite(*want)) << "port " << port;
-    EXPECT_EQ(*got, *want) << "port " << port;
+  {
+    PulseJoinOptions o = Opts();
+    o.require_distinct_keys = true;
+    PulseJoin j("j", CrossPredicate(CmpOp::kEq), o);
+    SegmentBatch out;
+    ASSERT_TRUE(
+        j.Process(1, LinearSegment(1, 0.0, 10.0, 1.5, 0.0), &out).ok());
+    ASSERT_TRUE(
+        j.Process(1, LinearSegment(2, 0.0, 10.0, 4.0, 0.0), &out).ok());
+    ASSERT_TRUE(
+        j.Process(1, LinearSegment(3, 20.0, 30.0, 1.0, 0.0), &out).ok());
+    Result<double> slack = j.ComputeSlack(0, probe);
+    ASSERT_TRUE(slack.ok());
+    // The same-key partner (0.5 away) and the disjoint key-3 partner are
+    // ignored; the overlapping key-2 partner sets the slack.
+    EXPECT_NEAR(*slack, 3.0, 1e-9);
   }
 }
 

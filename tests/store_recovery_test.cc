@@ -416,7 +416,9 @@ TEST_F(StoreRecoveryTest, InOrderAppendsNeverRebuildTrees) {
                         "after append " + std::to_string(i));
     }
   }
-  if (obs::kMetricsEnabled) EXPECT_EQ(TreeRebuilds(*store), 0u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(TreeRebuilds(*store), 0u);
+  }
 }
 
 TEST_F(StoreRecoveryTest, RecoveredSeriesBuildsTreesOnceThenAppends) {
@@ -430,7 +432,9 @@ TEST_F(StoreRecoveryTest, RecoveredSeriesBuildsTreesOnceThenAppends) {
   ASSERT_TRUE(recovered.ok());
   SegmentStore& store = recovered->store;
   // Recovery indexes timelines only: no tree exists before a query.
-  if (obs::kMetricsEnabled) EXPECT_EQ(TreeRebuilds(store), 0u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(TreeRebuilds(store), 0u);
+  }
   for (int k = 0; k < 4; ++k) {
     ExpectMatchesScan(ScanTimeline(store, "s", 7, "x", k, k + 10.5),
                       store.QueryRange("s", 7, "x", k, k + 10.5),
@@ -443,7 +447,9 @@ TEST_F(StoreRecoveryTest, RecoveredSeriesBuildsTreesOnceThenAppends) {
                     store.QueryRange("s", 7, "x", 0.0, 48.0),
                     "after appends");
   // One Build on the first query; the appends kept the tree current.
-  if (obs::kMetricsEnabled) EXPECT_EQ(TreeRebuilds(store), 1u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(TreeRebuilds(store), 1u);
+  }
 }
 
 TEST_F(StoreRecoveryTest, EmptyRangeSegmentCreatesNoSeries) {
@@ -607,7 +613,9 @@ TEST_F(StoreRecoveryTest, ConcurrentAppendsAndQueriesMatchScan) {
                           std::to_string(q.lo) + ", " +
                           std::to_string(q.hi) + "]");
   }
-  if (obs::kMetricsEnabled) EXPECT_EQ(TreeRebuilds(store), 0u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(TreeRebuilds(store), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------
