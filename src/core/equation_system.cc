@@ -24,35 +24,15 @@ DifferenceEquation MakeDifferenceEquation(Polynomial lhs, CmpOp op,
   return DifferenceEquation{std::move(lhs), op};
 }
 
-size_t EquationSystem::Degree() const {
-  size_t d = 0;
-  for (const DifferenceEquation& row : rows_) {
-    d = std::max(d, row.diff.degree());
-  }
-  return d;
-}
-
-Matrix EquationSystem::CoefficientMatrix() const {
-  const size_t cols = Degree() + 1;
-  Matrix d(rows_.size(), cols);
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      d.At(r, c) = rows_[r].diff.coeff(c);
-    }
-  }
-  return d;
-}
-
-IntervalSet EquationSystem::Solve(const Interval& domain,
-                                  RootMethod method) const {
+IntervalSet EquationSystem::Solve(const Interval& domain) const {
   SolveScratch scratch;
   IntervalSet solution;
-  SolveInto(domain, method, &scratch, &solution);
+  SolveInto(domain, &scratch, &solution);
   return solution;
 }
 
-void EquationSystem::SolveInto(const Interval& domain, RootMethod method,
-                               SolveScratch* scratch, IntervalSet* out) const {
+void EquationSystem::SolveInto(const Interval& domain, SolveScratch* scratch,
+                               IntervalSet* out) const {
   if (domain.IsEmpty()) {
     out->Clear();
     return;
@@ -67,8 +47,7 @@ void EquationSystem::SolveInto(const Interval& domain, RootMethod method,
   bool first = true;
   for (const DifferenceEquation& row : rows_) {
     IntervalSet* target = first ? out : &scratch->row_solution;
-    SolveComparisonInto(row.diff, row.op, domain, method, &scratch->roots,
-                        target);
+    SolveComparisonInto(row.diff, row.op, domain, &scratch->roots, target);
     if (!first) {
       out->IntersectWith(scratch->row_solution,
                          &scratch->roots.interval_scratch);
@@ -76,53 +55,6 @@ void EquationSystem::SolveInto(const Interval& domain, RootMethod method,
     first = false;
     if (out->IsEmpty()) break;
   }
-}
-
-bool EquationSystem::QualifiesForLinearEquality() const {
-  if (rows_.empty()) return false;
-  for (const DifferenceEquation& row : rows_) {
-    if (row.op != CmpOp::kEq || row.diff.degree() > 1) return false;
-  }
-  return true;
-}
-
-Result<double> EquationSystem::SolveLinearEquality(
-    const Interval& domain) const {
-  if (!QualifiesForLinearEquality()) {
-    return Status::FailedPrecondition(
-        "system is not all-equality degree <= 1");
-  }
-  // Stack the rows as c1 * t = -c0 and solve by (trivial 1-unknown)
-  // elimination; rows with c1 == 0 are pure consistency constraints.
-  bool have_t = false;
-  double t = 0.0;
-  for (const DifferenceEquation& row : rows_) {
-    const double c0 = row.diff.coeff(0);
-    const double c1 = row.diff.coeff(1);
-    if (std::abs(c1) <= Polynomial::kCoefficientEpsilon) {
-      if (std::abs(c0) > kRootTolerance) {
-        return Status::NotFound("inconsistent constant equality row");
-      }
-      continue;  // 0 = 0: no constraint
-    }
-    const double cand = -c0 / c1;
-    if (!have_t) {
-      t = cand;
-      have_t = true;
-    } else if (std::abs(cand - t) > kRootTolerance *
-                                        std::max(1.0, std::abs(t))) {
-      return Status::NotFound("equality rows have no common solution");
-    }
-  }
-  if (!have_t) {
-    // Every row was 0 = 0: any time in the domain works; pick its start.
-    if (domain.IsEmpty()) return Status::NotFound("empty domain");
-    return domain.lo;
-  }
-  if (!domain.Contains(t)) {
-    return Status::NotFound("solution outside domain");
-  }
-  return t;
 }
 
 double EquationSystem::Slack(const Interval& domain) const {
@@ -169,8 +101,8 @@ namespace {
 // dispatched BatchKernels tier (AVX2 → SSE2/NEON → scalar), then
 // assembled with the same roots_internal steps the per-row scalar path
 // uses — so results are bit-identical across dispatch tiers. Rows the
-// kernels cannot take (kNe, degree > 3, Sturm-only methods, trivial
-// rows) fall back to SolveComparisonInto per row.
+// kernels cannot take (kNe, degree > 3, trivial rows) fall back to
+// SolveComparisonInto per row.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kMaxBatchDegree = 3;
@@ -267,16 +199,11 @@ struct BatchScratch {
   std::vector<double> cuts_flat;
 };
 
-void SolveBatch(const EquationSystemTask* tasks, size_t n, RootMethod method,
+void SolveBatch(const EquationSystemTask* tasks, size_t n,
                 std::vector<IntervalSet>* solutions, BatchScratch* s) {
   const BatchKernels& kernels = ActiveBatchKernels();
   static thread_local BatchObsSite obs_site;
   if constexpr (obs::kMetricsEnabled) obs_site.Refresh(kernels.name);
-
-  // The closed-form gather only replicates the scalar path for methods
-  // that dispatch degree <= 3 to ClosedFormRootsInto.
-  const bool method_batchable =
-      method == RootMethod::kAuto || method == RootMethod::kClosedForm;
 
   size_t total_rows = 0;
   for (size_t ti = 0; ti < n; ++ti) {
@@ -292,9 +219,9 @@ void SolveBatch(const EquationSystemTask* tasks, size_t n, RootMethod method,
   s->roots_flat.clear();
   s->cuts_flat.clear();
 
-  // Pass 1: classify every row. Non-batchable rows are finished here (the latter via the per-row scalar path, exactly as
-  // EquationSystem::SolveInto would); batchable rows gather their
-  // coefficients into the per-degree columns.
+  // Pass 1: classify every row. Non-batchable rows are finished here via
+  // the per-row scalar path, exactly as EquationSystem::SolveInto would;
+  // batchable rows gather their coefficients into the per-degree columns.
   uint64_t scalar_rows = 0;
   size_t aux = 0;
   for (size_t ti = 0; ti < n; ++ti) {
@@ -323,11 +250,11 @@ void SolveBatch(const EquationSystemTask* tasks, size_t n, RootMethod method,
       const uint32_t slot = static_cast<uint32_t>(s->row_refs.size());
       s->row_refs.push_back({&row, &task.domain, target});
       const size_t d = row.diff.IsZero() ? 0 : row.diff.degree();
-      const bool batchable = method_batchable && row.op != CmpOp::kNe &&
-                             d >= 1 && d <= kMaxBatchDegree;
+      const bool batchable =
+          row.op != CmpOp::kNe && d >= 1 && d <= kMaxBatchDegree;
       if (!batchable) {
-        SolveComparisonInto(row.diff, row.op, task.domain, method,
-                            &s->scalar.roots, target);
+        SolveComparisonInto(row.diff, row.op, task.domain, &s->scalar.roots,
+                            target);
         ++scalar_rows;
         continue;
       }
@@ -476,7 +403,7 @@ void SolveBatch(const EquationSystemTask* tasks, size_t n, RootMethod method,
 }  // namespace
 
 void SolveSystemsInto(const EquationSystemTask* tasks, size_t n,
-                      RootMethod method, std::vector<IntervalSet>* solutions) {
+                      std::vector<IntervalSet>* solutions) {
   PULSE_SPAN("solve/batch");
   solutions->resize(n);
   if (n == 0) return;
@@ -484,7 +411,7 @@ void SolveSystemsInto(const EquationSystemTask* tasks, size_t n,
   // scratch keeps buffers warm across calls and is never shared between
   // the shard workers that call this concurrently.
   static thread_local BatchScratch scratch;
-  SolveBatch(tasks, n, method, solutions, &scratch);
+  SolveBatch(tasks, n, solutions, &scratch);
 }
 
 std::string EquationSystem::ToString() const {

@@ -5,10 +5,8 @@
 #include <vector>
 
 #include "math/interval_set.h"
-#include "math/matrix.h"
 #include "math/polynomial.h"
 #include "math/roots.h"
-#include "util/result.h"
 
 namespace pulse {
 
@@ -66,35 +64,16 @@ class EquationSystem {
   size_t num_rows() const { return rows_.size(); }
   const std::vector<DifferenceEquation>& rows() const { return rows_; }
 
-  /// Largest polynomial degree across rows.
-  size_t Degree() const;
-
-  /// The paper's difference-equation coefficient matrix D: row i holds the
-  /// coefficients of rows_[i].diff, padded to Degree()+1 columns (constant
-  /// term first, i.e. D * [1, t, t^2, ...]^T evaluates all rows at t).
-  Matrix CoefficientMatrix() const;
-
   /// General solution algorithm (Section III-A): solve each equation
   /// independently, intersect the per-row time-range solutions over
   /// `domain`. Empty result means the predicate never holds within the
   /// given models' ranges — the operator emits nothing.
-  IntervalSet Solve(const Interval& domain,
-                    RootMethod method = RootMethod::kAuto) const;
+  IntervalSet Solve(const Interval& domain) const;
 
   /// Scratch form of Solve: writes the solution into *out, reusing
   /// scratch buffers across calls.
-  void SolveInto(const Interval& domain, RootMethod method,
-                 SolveScratch* scratch, IntervalSet* out) const;
-
-  /// Fast path for all-equality systems of degree <= 1 (the equi-join
-  /// case the paper routes to Gaussian elimination): solves the stacked
-  /// linear system for t directly. Returns NotFound when the system has
-  /// no common solution in `domain`, FailedPrecondition when the system
-  /// shape does not qualify for this path.
-  Result<double> SolveLinearEquality(const Interval& domain) const;
-
-  /// True when every row is an equality of degree <= 1.
-  bool QualifiesForLinearEquality() const;
+  void SolveInto(const Interval& domain, SolveScratch* scratch,
+                 IntervalSet* out) const;
 
   /// The paper's slack measure (Section IV):
   ///   slack = min_t ||D t||_inf  over t in `domain`,
@@ -126,7 +105,7 @@ struct EquationSystemTask {
 /// with a caller-owned task scratch this per-push hot path of the join
 /// allocates nothing once warm.
 void SolveSystemsInto(const EquationSystemTask* tasks, size_t n,
-                      RootMethod method, std::vector<IntervalSet>* solutions);
+                      std::vector<IntervalSet>* solutions);
 
 }  // namespace pulse
 

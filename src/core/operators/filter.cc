@@ -37,14 +37,14 @@ Status PulseFilter::Process(size_t port, const Segment& segment,
     PULSE_RETURN_IF_ERROR(
         predicate_.BuildSystemInto(resolver, &task_scratch_.system));
     task_scratch_.domain = segment.range;
-    SolveSystemsInto(&task_scratch_, 1, RootMethod::kAuto, &solution_scratch_);
+    SolveSystemsInto(&task_scratch_, 1, &solution_scratch_);
     solution = &solution_scratch_[0];
   } else {
     // Boolean trees solve recursively on the pushing thread; one warm
     // scratch serves every Process call.
     static thread_local SolveScratch scratch;
-    PULSE_RETURN_IF_ERROR(predicate_.SolveInto(
-        resolver, segment.range, RootMethod::kAuto, &scratch, &tree_solution));
+    PULSE_RETURN_IF_ERROR(predicate_.SolveInto(resolver, segment.range,
+                                               &scratch, &tree_solution));
   }
   for (const Interval& iv : solution->intervals()) {
     Segment result = segment;

@@ -226,8 +226,7 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
       }
       task_scratch_[i].domain = p.overlap;
     }
-    SolveSystemsInto(task_scratch_.data(), pairs.size(), RootMethod::kAuto,
-                     &solutions);
+    SolveSystemsInto(task_scratch_.data(), pairs.size(), &solutions);
   } else {
     solutions.resize(pairs.size());
     // Shard workers run joins concurrently, so the scratch is per thread.
@@ -235,8 +234,8 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
     for (size_t i = 0; i < pairs.size(); ++i) {
       const Pair& p = pairs[i];
       const AttrResolver resolver = MakeBinaryResolver(*p.left, *p.right);
-      PULSE_RETURN_IF_ERROR(predicate_.SolveInto(
-          resolver, p.overlap, RootMethod::kAuto, &scratch, &solutions[i]));
+      PULSE_RETURN_IF_ERROR(
+          predicate_.SolveInto(resolver, p.overlap, &scratch, &solutions[i]));
     }
   }
 

@@ -144,24 +144,21 @@ Status Predicate::AppendSystemRows(const AttrResolver& resolver,
 }
 
 Result<IntervalSet> Predicate::Solve(const AttrResolver& resolver,
-                                     const Interval& domain,
-                                     RootMethod method) const {
+                                     const Interval& domain) const {
   SolveScratch scratch;
   IntervalSet out;
-  PULSE_RETURN_IF_ERROR(
-      SolveInto(resolver, domain, method, &scratch, &out));
+  PULSE_RETURN_IF_ERROR(SolveInto(resolver, domain, &scratch, &out));
   return out;
 }
 
 Status Predicate::SolveInto(const AttrResolver& resolver,
-                            const Interval& domain, RootMethod method,
-                            SolveScratch* scratch, IntervalSet* out) const {
+                            const Interval& domain, SolveScratch* scratch,
+                            IntervalSet* out) const {
   switch (kind_) {
     case Kind::kComparison: {
       PULSE_ASSIGN_OR_RETURN(DifferenceEquation row,
                              BuildRow(term_, resolver));
-      SolveComparisonInto(row.diff, row.op, domain, method, &scratch->roots,
-                          out);
+      SolveComparisonInto(row.diff, row.op, domain, &scratch->roots, out);
       return Status::OK();
     }
     case Kind::kAnd: {
@@ -170,8 +167,7 @@ Status Predicate::SolveInto(const AttrResolver& resolver,
       // shared scratch below this frame.
       IntervalSet sub;
       for (const Predicate& c : children_) {
-        PULSE_RETURN_IF_ERROR(
-            c.SolveInto(resolver, domain, method, scratch, &sub));
+        PULSE_RETURN_IF_ERROR(c.SolveInto(resolver, domain, scratch, &sub));
         out->IntersectWith(sub, &scratch->roots.interval_scratch);
         if (out->IsEmpty()) break;
       }
@@ -181,8 +177,7 @@ Status Predicate::SolveInto(const AttrResolver& resolver,
       out->Clear();
       IntervalSet sub;
       for (const Predicate& c : children_) {
-        PULSE_RETURN_IF_ERROR(
-            c.SolveInto(resolver, domain, method, scratch, &sub));
+        PULSE_RETURN_IF_ERROR(c.SolveInto(resolver, domain, scratch, &sub));
         out->UnionWith(sub);
       }
       return Status::OK();
@@ -190,7 +185,7 @@ Status Predicate::SolveInto(const AttrResolver& resolver,
     case Kind::kNot: {
       IntervalSet sub;
       PULSE_RETURN_IF_ERROR(
-          children_[0].SolveInto(resolver, domain, method, scratch, &sub));
+          children_[0].SolveInto(resolver, domain, scratch, &sub));
       sub.ComplementInto(domain, out);
       return Status::OK();
     }

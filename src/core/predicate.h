@@ -131,13 +131,11 @@ class Predicate {
 
   /// Full solve: time ranges within `domain` where the predicate holds.
   Result<IntervalSet> Solve(const AttrResolver& resolver,
-                            const Interval& domain,
-                            RootMethod method = RootMethod::kAuto) const;
+                            const Interval& domain) const;
 
   /// Scratch form of Solve: writes into *out, reusing scratch buffers.
   Status SolveInto(const AttrResolver& resolver, const Interval& domain,
-                   RootMethod method, SolveScratch* scratch,
-                   IntervalSet* out) const;
+                   SolveScratch* scratch, IntervalSet* out) const;
 
   /// Collects every attribute reference in the tree (the inversion
   /// machinery's "inferences": attributes constrained by predicates,

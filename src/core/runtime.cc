@@ -11,8 +11,6 @@
 #include "core/operators/filter.h"
 #include "core/operators/join.h"
 #include "core/operators/map.h"
-#include "math/linear_system.h"
-#include "model/fitting.h"
 #include "obs/span.h"
 #include "util/logging.h"
 
@@ -464,7 +462,7 @@ std::vector<Tuple> PredictiveRuntime::TakeOutputTuples() {
 
 void MultiAttributeSegmenter::Moments::Reset(size_t d) {
   *this = Moments();
-  degree = std::min(d, kMaxIncrementalDegree);
+  degree = d;
 }
 
 void MultiAttributeSegmenter::Moments::AddPoint(double tau, double v) {
@@ -484,7 +482,7 @@ size_t MultiAttributeSegmenter::Moments::Fit(size_t count,
   // stack buffer.
   const size_t d = std::min(degree, count - 1);
   const size_t n = d + 1;
-  double a[(kMaxIncrementalDegree + 1) * (kMaxIncrementalDegree + 2)];
+  double a[(kMaxDegree + 1) * (kMaxDegree + 2)];
   for (size_t j = 0; j < n; ++j) {
     for (size_t k = 0; k < n; ++k) a[j * (n + 1) + k] = s[j + k];
     a[j * (n + 1) + n] = b[j];
@@ -531,6 +529,7 @@ double MultiAttributeSegmenter::Moments::Rms(const double* coeffs, size_t n,
 MultiAttributeSegmenter::MultiAttributeSegmenter(StreamSpec spec,
                                                  SegmentationOptions options)
     : spec_(std::move(spec)), options_(options) {
+  PULSE_CHECK(options_.degree <= kMaxDegree);
   Result<size_t> key_idx = spec_.schema->IndexOf(spec_.key_field);
   PULSE_CHECK(key_idx.ok());
   key_index_ = *key_idx;
@@ -568,7 +567,7 @@ Result<std::optional<Segment>> MultiAttributeSegmenter::CloseSegment(
   seg.range = Interval::ClosedOpen(lo, hi);
   for (size_t m = 0; m < attr_indices_.size(); ++m) {
     const Moments& mm = state.attrs[m];
-    double buf[kMaxIncrementalDegree + 1];
+    double buf[kMaxDegree + 1];
     size_t n;
     if (mm.good_n > 0) {
       // The cached fit excludes the breaking point.
@@ -615,7 +614,7 @@ Result<std::optional<Segment>> MultiAttributeSegmenter::Add(
     }
     for (size_t m = 0; m < attr_indices_.size() && !breaks; ++m) {
       Moments& mm = state.attrs[m];
-      double buf[kMaxIncrementalDegree + 1];
+      double buf[kMaxDegree + 1];
       const size_t n = mm.Fit(new_count, buf);
       const bool warmup = new_count <= options_.degree + 1;
       if (n == 0 ||
@@ -655,6 +654,12 @@ Result<std::vector<Segment>> MultiAttributeSegmenter::Flush() {
 
 Result<HistoricalRuntime> HistoricalRuntime::Make(const QuerySpec& spec,
                                                   Options options) {
+  if (options.segmentation.degree > MultiAttributeSegmenter::kMaxDegree) {
+    return Status::InvalidArgument(
+        "segmentation degree " + std::to_string(options.segmentation.degree) +
+        " exceeds the modeler's maximum of " +
+        std::to_string(MultiAttributeSegmenter::kMaxDegree));
+  }
   PULSE_ASSIGN_OR_RETURN(
       RuntimeCore core,
       RuntimeCore::Make(spec, RuntimeCore::Mode::kHistorical,

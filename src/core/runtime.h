@@ -18,7 +18,7 @@
 #include "core/validation/slack.h"
 #include "core/validation/splits.h"
 #include "engine/tuple.h"
-#include "model/segmentation.h"
+#include "model/segment.h"
 #include "obs/metrics.h"
 #include "util/result.h"
 
@@ -240,7 +240,27 @@ class PredictiveRuntime {
   std::vector<Tuple> output_tuples_;
 };
 
-/// Joint multi-attribute online segmentation: one piece breaks when ANY
+/// Configuration of the online modeler, MultiAttributeSegmenter. Each
+/// closed piece's range is extended by the trailing inter-arrival gap, so
+/// consecutive pieces of one key tile time without holes.
+struct SegmentationOptions {
+  /// Polynomial degree of each piece (1 = the paper's piecewise-linear
+  /// historical models, Section V-A "online segmentation-based algorithm
+  /// [13] to find a piecewise linear model"). At most
+  /// MultiAttributeSegmenter::kMaxDegree; HistoricalRuntime::Make rejects
+  /// a larger degree.
+  size_t degree = 1;
+  /// A piece is closed when the next sample would push any modeled
+  /// attribute's RMS residual over the piece above this bound. Single
+  /// samples can lie farther than this from their piece's model; holding
+  /// every sample within the bound is ROADMAP item 13.
+  double max_error = 1.0;
+  /// Upper bound on samples per piece (0 = unlimited).
+  size_t max_points_per_segment = 0;
+};
+
+/// Joint multi-attribute online segmentation in the style of Keogh et
+/// al.'s sliding window (the paper's [13]): one piece breaks when ANY
 /// modeled attribute's least-squares fit exceeds the error bound, so a
 /// segment carries a consistent set of models (used by historical
 /// processing to fit e.g. AIS longitude and latitude together).
@@ -250,10 +270,14 @@ class PredictiveRuntime {
 /// costs O(degree^3) independent of the piece length — this is what lets
 /// the modeling operator outrun tuple-by-tuple query processing in the
 /// paper's Fig. 8. The error bound is enforced on the RMS residual
-/// (computable from the moments); SegmentationOptions::max_error is
-/// interpreted accordingly here.
+/// (computable from the moments).
 class MultiAttributeSegmenter {
  public:
+  /// Hard cap on the polynomial degree; keeps the per-tuple moment state
+  /// fixed-size and allocation-free.
+  static constexpr size_t kMaxDegree = 4;
+
+  /// `options.degree` must be at most kMaxDegree.
   MultiAttributeSegmenter(StreamSpec spec, SegmentationOptions options);
 
   /// Feeds one tuple (all keys multiplexed; per-key state inside).
@@ -264,21 +288,17 @@ class MultiAttributeSegmenter {
   Result<std::vector<Segment>> Flush();
 
  private:
-  /// Hard cap on the incremental path's polynomial degree; keeps the
-  /// per-tuple moment state fixed-size and allocation-free.
-  static constexpr size_t kMaxIncrementalDegree = 4;
-
   // Running least-squares moments of one attribute in local time
   // tau = t - t0:  s[k] = sum tau^k (k <= 2d), b[k] = sum v * tau^k
   // (k <= d), vv = sum v^2. Fixed-capacity so trial copies are memcpys.
   struct Moments {
-    double s[2 * kMaxIncrementalDegree + 1] = {};
-    double b[kMaxIncrementalDegree + 1] = {};
+    double s[2 * kMaxDegree + 1] = {};
+    double b[kMaxDegree + 1] = {};
     double vv = 0.0;
     size_t degree = 1;
 
     // Last accepted fit (the piece to close when the next point breaks).
-    double good[kMaxIncrementalDegree + 1] = {};
+    double good[kMaxDegree + 1] = {};
     size_t good_n = 0;
 
     void Reset(size_t degree);
@@ -328,6 +348,8 @@ class HistoricalRuntime {
     obs::MetricsRegistry* metrics = nullptr;
   };
 
+  /// InvalidArgument when options.segmentation.degree exceeds
+  /// MultiAttributeSegmenter::kMaxDegree.
   static Result<HistoricalRuntime> Make(const QuerySpec& spec,
                                         Options options);
 

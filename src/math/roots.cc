@@ -238,28 +238,12 @@ double Bisect(const Polynomial& p, double a, double b, double tol) {
   return 0.5 * (a + b);
 }
 
-// Converges a bracketed root using the chosen method.
-double ConvergeInBracket(const Polynomial& p, double a, double b,
-                         RootMethod method) {
-  switch (method) {
-    case RootMethod::kBisection:
-      return Bisect(p, a, b, kRootTolerance);
-    case RootMethod::kNewtonPolish: {
-      Result<double> r = NewtonRoot(p, 0.5 * (a + b));
-      if (r.ok() && *r >= a - kRootTolerance && *r <= b + kRootTolerance) {
-        return std::clamp(*r, a, b);
-      }
-      return Bisect(p, a, b, kRootTolerance);
-    }
-    case RootMethod::kBrent:
-    case RootMethod::kAuto:
-    case RootMethod::kClosedForm: {
-      Result<double> r = BrentRoot(
-          [&p](double t) { return p.Evaluate(t); }, a, b);
-      if (r.ok()) return *r;
-      return Bisect(p, a, b, kRootTolerance);
-    }
-  }
+// Converges a bracketed root with Brent's method, falling back to plain
+// bisection if Brent fails.
+double ConvergeInBracket(const Polynomial& p, double a, double b) {
+  Result<double> r =
+      BrentRoot([&p](double t) { return p.Evaluate(t); }, a, b);
+  if (r.ok()) return *r;
   return Bisect(p, a, b, kRootTolerance);
 }
 
@@ -281,8 +265,8 @@ int SturmSignChanges(const std::vector<Polynomial>& sturm, double x) {
 // and converges each.
 void IsolateAndSolve(const Polynomial& p,
                      const std::vector<Polynomial>& sturm, double lo,
-                     double hi, RootMethod method,
-                     std::vector<double>* roots, int depth = 0) {
+                     double hi, std::vector<double>* roots,
+                     int depth = 0) {
   const int n = CountRootsInInterval(sturm, lo, hi);
   if (n == 0) return;
   if (hi - lo <= kRootTolerance || depth > 96) {
@@ -293,15 +277,15 @@ void IsolateAndSolve(const Polynomial& p,
     const double flo = p.Evaluate(lo);
     const double fhi = p.Evaluate(hi);
     if ((flo < 0.0) != (fhi < 0.0)) {
-      roots->push_back(ConvergeInBracket(p, lo, hi, method));
+      roots->push_back(ConvergeInBracket(p, lo, hi));
       return;
     }
     // Root of even local behaviour at an endpoint or a tangency inside:
     // keep subdividing until we either bracket by sign or collapse.
   }
   const double mid = 0.5 * (lo + hi);
-  IsolateAndSolve(p, sturm, lo, mid, method, roots, depth + 1);
-  IsolateAndSolve(p, sturm, mid, hi, method, roots, depth + 1);
+  IsolateAndSolve(p, sturm, lo, mid, roots, depth + 1);
+  IsolateAndSolve(p, sturm, mid, hi, roots, depth + 1);
 }
 
 }  // namespace
@@ -451,15 +435,15 @@ int CountRootsInInterval(const std::vector<Polynomial>& sturm, double a,
   return SturmSignChanges(sturm, a) - SturmSignChanges(sturm, b);
 }
 
-std::vector<double> FindRealRoots(const Polynomial& p, double lo, double hi,
-                                  RootMethod method) {
+std::vector<double> FindRealRoots(const Polynomial& p, double lo,
+                                  double hi) {
   RootScratch scratch;
-  FindRealRootsInto(p, lo, hi, method, &scratch);
+  FindRealRootsInto(p, lo, hi, &scratch);
   return std::move(scratch.roots);
 }
 
 void FindRealRootsInto(const Polynomial& p, double lo, double hi,
-                       RootMethod method, RootScratch* scratch) {
+                       RootScratch* scratch) {
   std::vector<double>& roots = scratch->roots;
   roots.clear();
   if (p.IsZero() || lo > hi) return;
@@ -469,16 +453,10 @@ void FindRealRootsInto(const Polynomial& p, double lo, double hi,
   // Closed-form dispatch happens before any Sturm machinery is built:
   // degree <= 3 covers every difference polynomial of the paper's
   // low-degree motion models and never touches the scratch polynomials.
-  const bool closed_form_ok = d <= 3;
-  if ((method == RootMethod::kAuto || method == RootMethod::kClosedForm) &&
-      closed_form_ok) {
+  if (d <= 3) {
     roots_internal::ClosedFormRootsInto(p, &roots);
     roots_internal::ClipRoots(lo, hi, &roots);
     roots_internal::DedupeRoots(&roots);
-    return;
-  }
-  if (method == RootMethod::kClosedForm) {
-    // No closed form beyond cubics; ablation callers see the gap.
     return;
   }
 
@@ -496,7 +474,7 @@ void FindRealRootsInto(const Polynomial& p, double lo, double hi,
   // Nudge the window outwards so boundary roots are counted (Sturm counts
   // roots in (a, b]).
   IsolateAndSolve(scratch->square_free, scratch->sturm,
-                  lo - kRootTolerance, hi + kRootTolerance, method, &roots);
+                  lo - kRootTolerance, hi + kRootTolerance, &roots);
   roots_internal::ClipRoots(lo, hi, &roots);
   roots_internal::DedupeRoots(&roots);
 }
@@ -564,48 +542,27 @@ Result<double> BrentRoot(const std::function<double(double)>& f, double a,
   return b;
 }
 
-Result<double> NewtonRoot(const Polynomial& p, double x0, double tol,
-                          int max_iter) {
-  const Polynomial d = p.Derivative();
-  double x = x0;
-  for (int i = 0; i < max_iter; ++i) {
-    const double fx = p.Evaluate(x);
-    if (std::abs(fx) < tol) return x;
-    const double dfx = d.Evaluate(x);
-    if (std::abs(dfx) < 1e-300) {
-      return Status::NumericError("NewtonRoot: derivative vanished");
-    }
-    const double next = x - fx / dfx;
-    if (!std::isfinite(next)) {
-      return Status::NumericError("NewtonRoot: diverged");
-    }
-    if (std::abs(next - x) < tol) return next;
-    x = next;
-  }
-  return Status::NumericError("NewtonRoot: no convergence");
-}
-
 IntervalSet SolveComparison(const Polynomial& p, CmpOp op,
-                            const Interval& domain, RootMethod method) {
+                            const Interval& domain) {
   RootScratch scratch;
   IntervalSet out;
-  SolveComparisonInto(p, op, domain, method, &scratch, &out);
+  SolveComparisonInto(p, op, domain, &scratch, &out);
   return out;
 }
 
 void SolveComparisonInto(const Polynomial& p, CmpOp op,
-                         const Interval& domain, RootMethod method,
-                         RootScratch* scratch, IntervalSet* out) {
+                         const Interval& domain, RootScratch* scratch,
+                         IntervalSet* out) {
   if (roots_internal::SolveComparisonTrivial(p, op, domain, out)) return;
 
   if (op == CmpOp::kNe) {
-    SolveComparisonInto(p, CmpOp::kEq, domain, method, scratch,
+    SolveComparisonInto(p, CmpOp::kEq, domain, scratch,
                         &scratch->set_scratch);
     scratch->set_scratch.ComplementInto(domain, out);
     return;
   }
 
-  FindRealRootsInto(p, domain.lo, domain.hi, method, scratch);
+  FindRealRootsInto(p, domain.lo, domain.hi, scratch);
   const std::vector<double>& roots = scratch->roots;
 
   if (op == CmpOp::kEq) {

@@ -26,15 +26,6 @@ CmpOp NegateCmpOp(CmpOp op);
 /// True when `op` admits equality (kLe, kGe, kEq).
 bool CmpOpIncludesEquality(CmpOp op);
 
-/// Root-finding strategy selection for FindRealRoots.
-///  - kAuto: closed forms through degree 3, Sturm bisection above.
-///  - kClosedForm: fails (returns empty) above degree 3; for ablation.
-///  - kNewtonPolish: Sturm isolation, Newton convergence inside brackets.
-///  - kBrent: Sturm isolation, Brent convergence inside brackets.
-///  - kBisection: Sturm isolation, plain bisection (reference, slowest).
-enum class RootMethod { kAuto, kClosedForm, kNewtonPolish, kBrent,
-                        kBisection };
-
 /// Absolute tolerance used to deduplicate and converge roots.
 inline constexpr double kRootTolerance = 1e-10;
 
@@ -68,15 +59,17 @@ struct RootScratch {
 /// deduplicated to kRootTolerance. Multiple roots are reported once
 /// (the polynomial is made square-free before isolation). The zero
 /// polynomial yields no roots (callers handle the everywhere-zero case).
-std::vector<double> FindRealRoots(const Polynomial& p, double lo, double hi,
-                                  RootMethod method = RootMethod::kAuto);
+/// Degree <= 3 takes the closed forms; higher degrees take Sturm
+/// isolation, then Brent's method in each bracket (plain bisection if
+/// Brent fails).
+std::vector<double> FindRealRoots(const Polynomial& p, double lo, double hi);
 
 /// Scratch form of FindRealRoots: leaves the roots in scratch->roots
 /// (cleared first). Degree <= 3 dispatches to closed forms before any
 /// Sturm machinery is touched; no allocation happens once the scratch is
 /// warm and the polynomial fits the inline buffer.
 void FindRealRootsInto(const Polynomial& p, double lo, double hi,
-                       RootMethod method, RootScratch* scratch);
+                       RootScratch* scratch);
 
 /// Brent's method (Brent 1973, the paper's cited solver) on a bracketing
 /// interval: requires sign(f(a)) != sign(f(b)). Combines bisection, secant
@@ -84,11 +77,6 @@ void FindRealRootsInto(const Polynomial& p, double lo, double hi,
 Result<double> BrentRoot(const std::function<double(double)>& f, double a,
                          double b, double tol = kRootTolerance,
                          int max_iter = 128);
-
-/// Newton-Raphson on a polynomial from the initial guess x0. Fails with
-/// NumericError on divergence or a vanishing derivative.
-Result<double> NewtonRoot(const Polynomial& p, double x0,
-                          double tol = kRootTolerance, int max_iter = 64);
 
 /// Polynomial long division: num = quot * den + rem, deg(rem) < deg(den).
 /// `den` must be non-zero.
@@ -116,14 +104,13 @@ int CountRootsInInterval(const std::vector<Polynomial>& sturm, double a,
 /// yields a set of time ranges (Section III-A). Equality rows produce
 /// point intervals; strict inequalities produce open boundaries.
 IntervalSet SolveComparison(const Polynomial& p, CmpOp op,
-                            const Interval& domain,
-                            RootMethod method = RootMethod::kAuto);
+                            const Interval& domain);
 
 /// Scratch form of SolveComparison: writes the solution into *out,
 /// reusing both the scratch buffers and out's interval storage.
 void SolveComparisonInto(const Polynomial& p, CmpOp op,
-                         const Interval& domain, RootMethod method,
-                         RootScratch* scratch, IntervalSet* out);
+                         const Interval& domain, RootScratch* scratch,
+                         IntervalSet* out);
 
 }  // namespace pulse
 

@@ -27,10 +27,12 @@ Status Errno(const std::string& what, const std::string& path) {
 /// durable (a crash after rename but before the directory sync could
 /// otherwise resurrect the old checkpoint).
 Status SyncParentDir(const std::string& path) {
-  std::string dir = ".";
   const size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos) dir = path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  // Constructed once, never reassigned from a literal: GCC 12 at -O3
+  // flags that reassignment with a spurious -Wrestrict.
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                          : slash == 0               ? std::string("/")
+                                                     : path.substr(0, slash);
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return Errno("open directory", dir);
   const int rc = ::fsync(fd);

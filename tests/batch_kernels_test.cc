@@ -320,12 +320,10 @@ TEST(BatchKernelsTest, SolveSystemsBitIdenticalAcrossDispatch) {
 
   SetSimdOverrideForTesting(SimdLevel::kScalar);
   std::vector<IntervalSet> scalar_out;
-  SolveSystemsInto(tasks.data(), tasks.size(), RootMethod::kAuto,
-                   &scalar_out);
+  SolveSystemsInto(tasks.data(), tasks.size(), &scalar_out);
   SetSimdOverrideForTesting(std::nullopt);
   std::vector<IntervalSet> simd_out;
-  SolveSystemsInto(tasks.data(), tasks.size(), RootMethod::kAuto,
-                   &simd_out);
+  SolveSystemsInto(tasks.data(), tasks.size(), &simd_out);
 
   ASSERT_EQ(scalar_out.size(), simd_out.size());
   for (size_t i = 0; i < tasks.size(); ++i) {

@@ -20,20 +20,6 @@ TEST(DifferenceEquation, FromAttributePair) {
   EXPECT_NE(row.ToString().find("< 0"), std::string::npos);
 }
 
-TEST(EquationSystem, CoefficientMatrixShape) {
-  // Paper Eq. 1: D is (#rows) x (degree + 1), constant term first.
-  EquationSystem sys;
-  sys.AddRow(DifferenceEquation{Polynomial({1.0, 2.0}), CmpOp::kLt});
-  sys.AddRow(DifferenceEquation{Polynomial({3.0, 0.0, 4.0}), CmpOp::kEq});
-  Matrix d = sys.CoefficientMatrix();
-  EXPECT_EQ(d.rows(), 2u);
-  EXPECT_EQ(d.cols(), 3u);
-  EXPECT_DOUBLE_EQ(d(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(d(0, 2), 0.0);  // padded
-  EXPECT_DOUBLE_EQ(d(1, 2), 4.0);
-  EXPECT_EQ(sys.Degree(), 2u);
-}
-
 TEST(EquationSystem, SolveSingleRow) {
   // t - 5 < 0 over [0, 10).
   EquationSystem sys;
@@ -69,69 +55,92 @@ TEST(EquationSystem, EmptySystemIsWholeDomain) {
   EXPECT_DOUBLE_EQ(sol.TotalLength(), 1.0);
 }
 
-TEST(EquationSystem, LinearEqualityFastPath) {
-  // 2t - 6 = 0 and t - 3 = 0: common solution t = 3.
+// All-equality degree-1 systems (the equi-join shape) solve through the
+// general path: per-row closed-form roots, intersected.
+EquationSystem AllEquality(std::vector<Polynomial> rows) {
   EquationSystem sys;
-  sys.AddRow(DifferenceEquation{Polynomial({-6.0, 2.0}), CmpOp::kEq});
-  sys.AddRow(DifferenceEquation{Polynomial({-3.0, 1.0}), CmpOp::kEq});
-  EXPECT_TRUE(sys.QualifiesForLinearEquality());
-  Result<double> t = sys.SolveLinearEquality(Interval::Closed(0.0, 10.0));
-  ASSERT_TRUE(t.ok());
-  EXPECT_NEAR(*t, 3.0, 1e-12);
+  for (Polynomial& p : rows) {
+    sys.AddRow(DifferenceEquation{std::move(p), CmpOp::kEq});
+  }
+  return sys;
+}
+
+// Solves `sys` through the scalar and the batched path; they must agree.
+IntervalSet SolveBoth(const EquationSystem& sys, const Interval& dom) {
+  std::vector<EquationSystemTask> tasks = {{sys, dom}};
+  std::vector<IntervalSet> batched;
+  SolveSystemsInto(tasks.data(), tasks.size(), &batched);
+  IntervalSet scalar = sys.Solve(dom);
+  if (batched.size() == 1) {
+    EXPECT_EQ(batched[0], scalar);
+  } else {
+    ADD_FAILURE() << "batched solve returned " << batched.size()
+                  << " results for 1 task";
+  }
+  return scalar;
+}
+
+TEST(EquationSystem, AllEqualityLinearRowsMeetAtOnePoint) {
+  // 2t - 6 = 0 and t - 3 = 0: the common solution t = 3.
+  IntervalSet sol = SolveBoth(
+      AllEquality({Polynomial({-6.0, 2.0}), Polynomial({-3.0, 1.0})}),
+      Interval::Closed(0.0, 10.0));
+  ASSERT_EQ(sol.size(), 1u);
+  EXPECT_TRUE(sol.intervals()[0].IsPoint());
+  EXPECT_NEAR(sol.intervals()[0].lo, 3.0, 1e-12);
 }
 
 TEST(EquationSystem, LinearEqualityInconsistentRows) {
-  EquationSystem sys;
-  sys.AddRow(DifferenceEquation{Polynomial({-6.0, 2.0}), CmpOp::kEq});
-  sys.AddRow(DifferenceEquation{Polynomial({-8.0, 1.0}), CmpOp::kEq});
-  Result<double> t = sys.SolveLinearEquality(Interval::Closed(0.0, 10.0));
-  EXPECT_FALSE(t.ok());
-  EXPECT_EQ(t.status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(SolveBoth(AllEquality({Polynomial({-6.0, 2.0}),
+                                     Polynomial({-8.0, 1.0})}),
+                        Interval::Closed(0.0, 10.0))
+                  .IsEmpty());
 }
 
 TEST(EquationSystem, LinearEqualityOutsideDomain) {
-  EquationSystem sys;
-  sys.AddRow(DifferenceEquation{Polynomial({-30.0, 2.0}), CmpOp::kEq});
-  EXPECT_FALSE(sys.SolveLinearEquality(Interval::Closed(0.0, 10.0)).ok());
-}
-
-TEST(EquationSystem, LinearEqualityRejectsNonQualifying) {
-  EquationSystem ineq;
-  ineq.AddRow(DifferenceEquation{Polynomial({-1.0, 1.0}), CmpOp::kLt});
-  EXPECT_FALSE(ineq.QualifiesForLinearEquality());
-  EXPECT_EQ(ineq.SolveLinearEquality(Interval::Closed(0.0, 1.0))
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-  EquationSystem quad;
-  quad.AddRow(DifferenceEquation{Polynomial({0.0, 0.0, 1.0}), CmpOp::kEq});
-  EXPECT_FALSE(quad.QualifiesForLinearEquality());
+  // The one solution t = 15 lies outside the domain.
+  EXPECT_TRUE(SolveBoth(AllEquality({Polynomial({-30.0, 2.0})}),
+                        Interval::Closed(0.0, 10.0))
+                  .IsEmpty());
 }
 
 TEST(EquationSystem, LinearEqualityDegenerateRows) {
-  // 0 = 0 rows constrain nothing; an inconsistent constant row fails.
-  EquationSystem sys;
-  sys.AddRow(DifferenceEquation{Polynomial(), CmpOp::kEq});
-  sys.AddRow(DifferenceEquation{Polynomial({-4.0, 2.0}), CmpOp::kEq});
-  Result<double> t = sys.SolveLinearEquality(Interval::Closed(0.0, 10.0));
-  ASSERT_TRUE(t.ok());
-  EXPECT_NEAR(*t, 2.0, 1e-12);
-
-  EquationSystem bad;
-  bad.AddRow(DifferenceEquation{Polynomial({5.0}), CmpOp::kEq});
-  EXPECT_FALSE(bad.SolveLinearEquality(Interval::Closed(0.0, 10.0)).ok());
+  const Interval dom = Interval::Closed(0.0, 10.0);
+  // A 0 = 0 row constrains nothing.
+  IntervalSet sol =
+      SolveBoth(AllEquality({Polynomial(), Polynomial({-4.0, 2.0})}), dom);
+  ASSERT_EQ(sol.size(), 1u);
+  EXPECT_NEAR(sol.intervals()[0].lo, 2.0, 1e-12);
+  // A constant non-zero row never holds.
+  EXPECT_TRUE(SolveBoth(AllEquality({Polynomial({5.0})}), dom).IsEmpty());
+  // Only 0 = 0 rows: the whole domain.
+  EXPECT_DOUBLE_EQ(
+      SolveBoth(AllEquality({Polynomial(), Polynomial()}), dom)
+          .TotalLength(),
+      10.0);
 }
 
-TEST(EquationSystem, FastPathAgreesWithGeneralSolve) {
-  EquationSystem sys;
-  sys.AddRow(DifferenceEquation{Polynomial({-7.5, 3.0}), CmpOp::kEq});
+TEST(EquationSystem, BatchedAgreesWithScalarOnAllEqualityRows) {
+  // Many systems in one batched call, each equal to its scalar solve.
   const Interval dom = Interval::Closed(0.0, 10.0);
-  Result<double> fast = sys.SolveLinearEquality(dom);
-  ASSERT_TRUE(fast.ok());
-  IntervalSet general = sys.Solve(dom);
-  ASSERT_EQ(general.size(), 1u);
-  EXPECT_TRUE(general.intervals()[0].IsPoint());
-  EXPECT_NEAR(general.intervals()[0].lo, *fast, 1e-9);
+  std::vector<EquationSystemTask> tasks;
+  for (int i = 0; i < 16; ++i) {
+    const double root = 0.75 * i;  // 0 .. 11.25; the last ones fall out
+    tasks.push_back(
+        {AllEquality({Polynomial({-3.0 * root, 3.0}),
+                      Polynomial({-root, 1.0})}),
+         dom});
+  }
+  tasks.push_back({AllEquality({Polynomial({-7.5, 3.0})}), dom});
+  std::vector<IntervalSet> batched;
+  SolveSystemsInto(tasks.data(), tasks.size(), &batched);
+  ASSERT_EQ(batched.size(), tasks.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(batched[i], tasks[i].system.Solve(dom)) << "task " << i;
+  }
+  ASSERT_EQ(batched.back().size(), 1u);
+  EXPECT_TRUE(batched.back().intervals()[0].IsPoint());
+  EXPECT_NEAR(batched.back().intervals()[0].lo, 2.5, 1e-9);
 }
 
 TEST(EquationSystem, SlackSingleRowLinear) {

@@ -18,7 +18,9 @@ Segment LinearSegment(Key key, double lo, double hi, double c0, double c1,
 PulseAggregateOptions MinOpts(double window = 100.0) {
   PulseAggregateOptions o;
   o.fn = AggFn::kMin;
-  o.input_attribute = "v";
+  // Move-assigned from a std::string: GCC 12 at -O3 flags assigning a
+  // literal to an empty string here with a spurious -Wrestrict.
+  o.input_attribute = std::string("v");
   o.output_attribute = "agg";
   o.window_seconds = window;
   o.slide_seconds = 1.0;
@@ -28,7 +30,7 @@ PulseAggregateOptions MinOpts(double window = 100.0) {
 PulseAggregateOptions AvgOpts(double window, double slide = 1.0) {
   PulseAggregateOptions o;
   o.fn = AggFn::kAvg;
-  o.input_attribute = "v";
+  o.input_attribute = std::string("v");
   o.output_attribute = "agg";
   o.window_seconds = window;
   o.slide_seconds = slide;

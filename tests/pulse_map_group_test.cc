@@ -146,7 +146,9 @@ PulseGroupBy::InnerFactory MinFactory(double window = 100.0) {
   return [window](Key) -> Result<std::unique_ptr<PulseOperator>> {
     PulseAggregateOptions o;
     o.fn = AggFn::kMin;
-    o.input_attribute = "v";
+    // Move-assigned from a std::string: GCC 12 at -O3 flags assigning a
+    // literal to an empty string here with a spurious -Wrestrict.
+    o.input_attribute = std::string("v");
     o.window_seconds = window;
     return MakePulseAggregate("inner", o);
   };
@@ -220,7 +222,7 @@ TEST(PulseGroupBy, FlushEmitsGroupsInAscendingKeyOrder) {
   PulseGroupBy g("g", [](Key) -> Result<std::unique_ptr<PulseOperator>> {
     PulseAggregateOptions o;
     o.fn = AggFn::kMin;
-    o.input_attribute = "v";
+    o.input_attribute = std::string("v");
     o.window_seconds = 100.0;
     return MakePulseAggregate("inner", o);
   });

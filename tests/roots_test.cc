@@ -92,21 +92,6 @@ TEST(FindRealRoots, RepeatedRootSquareFreeReduction) {
   ExpectRootsNear(FindRealRoots(p, -10.0, 10.0), {1.0, 4.0}, 1e-6);
 }
 
-TEST(FindRealRoots, MethodsAgree) {
-  Polynomial p = FromRoots({-2.5, 0.25, 3.0, 8.0});
-  for (RootMethod m : {RootMethod::kNewtonPolish, RootMethod::kBrent,
-                       RootMethod::kBisection}) {
-    ExpectRootsNear(FindRealRoots(p, -10.0, 10.0, m),
-                    {-2.5, 0.25, 3.0, 8.0}, 1e-6);
-  }
-}
-
-TEST(FindRealRoots, ClosedFormRefusesHighDegree) {
-  Polynomial p = FromRoots({1.0, 2.0, 3.0, 4.0});
-  EXPECT_TRUE(
-      FindRealRoots(p, 0.0, 10.0, RootMethod::kClosedForm).empty());
-}
-
 TEST(BrentRoot, ConvergesOnBracket) {
   auto f = [](double x) { return std::cos(x) - x; };
   Result<double> r = BrentRoot(f, 0.0, 1.0);
@@ -117,18 +102,6 @@ TEST(BrentRoot, ConvergesOnBracket) {
 TEST(BrentRoot, RejectsNonBracketingInterval) {
   auto f = [](double x) { return x * x + 1.0; };
   EXPECT_FALSE(BrentRoot(f, -1.0, 1.0).ok());
-}
-
-TEST(NewtonRoot, ConvergesQuadratically) {
-  Polynomial p({-2.0, 0.0, 1.0});  // t^2 - 2
-  Result<double> r = NewtonRoot(p, 1.0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(*r, std::sqrt(2.0), 1e-9);
-}
-
-TEST(NewtonRoot, FailsOnFlatDerivative) {
-  Polynomial p({1.0});  // constant, derivative zero
-  EXPECT_FALSE(NewtonRoot(p, 0.0).ok());
 }
 
 TEST(DividePolynomials, QuotientAndRemainder) {
@@ -300,9 +273,8 @@ TEST(RootScratch, ReuseAcrossDifferingDegrees) {
   };
   for (size_t i = 0; i < sequence.size(); ++i) {
     const Polynomial& p = sequence[i];
-    const std::vector<double> expected =
-        FindRealRoots(p, -5.0, 5.0, RootMethod::kAuto);
-    FindRealRootsInto(p, -5.0, 5.0, RootMethod::kAuto, &scratch);
+    const std::vector<double> expected = FindRealRoots(p, -5.0, 5.0);
+    FindRealRootsInto(p, -5.0, 5.0, &scratch);
     ASSERT_EQ(scratch.roots.size(), expected.size()) << "solve " << i;
     for (size_t r = 0; r < expected.size(); ++r) {
       EXPECT_NEAR(scratch.roots[r], expected[r], 1e-8)
@@ -345,9 +317,8 @@ TEST(RootScratch, SolveComparisonIntoMatchesAllocatingForm) {
   for (const Polynomial& p : polys) {
     for (CmpOp op : {CmpOp::kLt, CmpOp::kLe, CmpOp::kEq, CmpOp::kNe,
                      CmpOp::kGe, CmpOp::kGt}) {
-      const IntervalSet expected =
-          SolveComparison(p, op, domain, RootMethod::kAuto);
-      SolveComparisonInto(p, op, domain, RootMethod::kAuto, &scratch, &out);
+      const IntervalSet expected = SolveComparison(p, op, domain);
+      SolveComparisonInto(p, op, domain, &scratch, &out);
       EXPECT_EQ(out, expected)
           << p.ToString() << " " << CmpOpToString(op);
     }

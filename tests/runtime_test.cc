@@ -192,6 +192,161 @@ TEST(MultiAttributeSegmenter, FlushEmitsResiduals) {
   EXPECT_EQ((*rest)[0].key, 1);
 }
 
+// Feeds key 1 of the moving-object stream, x = f(t) and y = 0, through
+// one segmenter and returns every closed piece, the flushed tail last.
+std::vector<Segment> SegmentTrace(const SegmentationOptions& opts,
+                                  const std::vector<double>& times,
+                                  double (*f)(double)) {
+  MultiAttributeSegmenter seg(
+      MovingObjectGenerator::MakeStreamSpec("objects", 1.0), opts);
+  std::vector<Segment> out;
+  for (double t : times) {
+    Result<std::optional<Segment>> r =
+        seg.Add(Tuple(t, {Value(int64_t{1}), Value(f(t)), Value(0.0),
+                          Value(0.0), Value(0.0)}));
+    EXPECT_TRUE(r.ok());
+    if (r.ok() && r->has_value()) out.push_back(std::move(**r));
+  }
+  Result<std::vector<Segment>> rest = seg.Flush();
+  EXPECT_TRUE(rest.ok());
+  if (rest.ok()) {
+    for (Segment& s : *rest) out.push_back(std::move(s));
+  }
+  return out;
+}
+
+std::vector<double> Times(size_t n, double dt, double t0 = 0.0) {
+  std::vector<double> out;
+  for (size_t i = 0; i < n; ++i) out.push_back(t0 + i * dt);
+  return out;
+}
+
+// Piecewise linear in t with a sharp slope change every 10 time units
+// (every 100 samples at dt = 0.1).
+double Zigzag(double t) {
+  double value = 0.0;
+  double slope = 1.0;
+  double at = 0.0;
+  while (at + 10.0 <= t) {
+    value += slope * 10.0;
+    at += 10.0;
+    slope = -slope * 1.5;
+  }
+  return value + slope * (t - at);
+}
+
+TEST(MultiAttributeSegmenter, SingleLineNeverBreaks) {
+  SegmentationOptions opts;
+  opts.degree = 1;
+  opts.max_error = 0.01;
+  std::vector<Segment> segs = SegmentTrace(
+      opts, Times(500, 1.0), [](double t) { return 2.0 * t + 1.0; });
+  ASSERT_EQ(segs.size(), 1u);
+  EXPECT_DOUBLE_EQ(segs[0].range.lo, 0.0);
+  EXPECT_DOUBLE_EQ(segs[0].range.hi, 500.0);
+}
+
+TEST(MultiAttributeSegmenter, PiecesTileTime) {
+  SegmentationOptions opts;
+  opts.degree = 1;
+  opts.max_error = 0.05;
+  std::vector<Segment> segs = SegmentTrace(opts, Times(600, 0.1), Zigzag);
+  ASSERT_GE(segs.size(), 6u);
+  EXPECT_DOUBLE_EQ(segs.front().range.lo, 0.0);
+  // Each range is extended by the trailing gap, so the next piece starts
+  // where the previous one ends.
+  for (size_t i = 0; i + 1 < segs.size(); ++i) {
+    EXPECT_NEAR(segs[i].range.hi, segs[i + 1].range.lo, 1e-9)
+        << "gap between pieces " << i << " and " << i + 1;
+  }
+  EXPECT_NEAR(segs.back().range.hi, 60.0, 1e-9);
+}
+
+TEST(MultiAttributeSegmenter, MaxPointsCapForcesBreaks) {
+  SegmentationOptions opts;
+  opts.degree = 1;
+  opts.max_error = 1e9;  // never break on error
+  opts.max_points_per_segment = 50;
+  std::vector<Segment> segs = SegmentTrace(opts, Times(500, 0.1), Zigzag);
+  // 50 samples at dt = 0.1 span 5 time units, trailing gap included.
+  ASSERT_EQ(segs.size(), 10u);
+  for (const Segment& s : segs) {
+    EXPECT_NEAR(s.range.hi - s.range.lo, 5.0, 1e-9);
+  }
+}
+
+// Compression sweep: a looser bound never gives more segments.
+class ErrorBoundSweep : public ::testing::TestWithParam<double> {};
+
+TEST_P(ErrorBoundSweep, SegmentCountDecreasesWithLooserBound) {
+  SegmentationOptions tight;
+  tight.degree = 1;
+  tight.max_error = GetParam();
+  SegmentationOptions loose = tight;
+  loose.max_error = GetParam() * 10.0;
+  const std::vector<double> times = Times(500, 0.05);
+  auto wave = [](double t) { return std::sin(t); };
+  const size_t tight_count = SegmentTrace(tight, times, wave).size();
+  const size_t loose_count = SegmentTrace(loose, times, wave).size();
+  EXPECT_GE(tight_count, loose_count);
+  EXPECT_GE(loose_count, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bounds, ErrorBoundSweep,
+                         ::testing::Values(0.001, 0.01, 0.05));
+
+TEST(MultiAttributeSegmenter, FlushOnEmptyEmitsNothing) {
+  MultiAttributeSegmenter seg(
+      MovingObjectGenerator::MakeStreamSpec("objects", 1.0),
+      SegmentationOptions{});
+  Result<std::vector<Segment>> rest = seg.Flush();
+  ASSERT_TRUE(rest.ok());
+  EXPECT_TRUE(rest->empty());
+}
+
+TEST(MultiAttributeSegmenter, RecoversExactLine) {
+  SegmentationOptions line_opts;
+  line_opts.degree = 1;
+  line_opts.max_error = 1e-6;
+  std::vector<Segment> line =
+      SegmentTrace(line_opts, Times(20, 10.0 / 19.0),
+                   [](double t) { return 2.0 - 1.5 * t; });
+  ASSERT_EQ(line.size(), 1u);
+  Result<Polynomial> line_x = line[0].attribute("x");
+  ASSERT_TRUE(line_x.ok());
+  EXPECT_TRUE(line_x->AlmostEquals(Polynomial({2.0, -1.5}), 1e-8))
+      << line_x->ToString();
+}
+
+TEST(MultiAttributeSegmenter, RecoversExactQuadratic) {
+  SegmentationOptions quad_opts;
+  quad_opts.degree = 2;
+  quad_opts.max_error = 1e-6;
+  std::vector<Segment> quad =
+      SegmentTrace(quad_opts, Times(30, 10.0 / 29.0, -5.0),
+                   [](double t) { return 1.0 + 0.5 * t - 0.25 * t * t; });
+  ASSERT_EQ(quad.size(), 1u);
+  Result<Polynomial> quad_x = quad[0].attribute("x");
+  ASSERT_TRUE(quad_x.ok());
+  EXPECT_TRUE(quad_x->AlmostEquals(Polynomial({1.0, 0.5, -0.25}), 1e-7))
+      << quad_x->ToString();
+}
+
+TEST(HistoricalRuntime, RejectsDegreeAboveModelerMaximum) {
+  for (size_t degree : {size_t{5}, size_t{6}}) {
+    HistoricalRuntime::Options opts;
+    opts.segmentation.degree = degree;
+    Result<HistoricalRuntime> rt =
+        HistoricalRuntime::Make(FilterQuerySpec(100.0), std::move(opts));
+    ASSERT_FALSE(rt.ok()) << "degree " << degree;
+    EXPECT_EQ(rt.status().code(), StatusCode::kInvalidArgument);
+  }
+  HistoricalRuntime::Options at_max;
+  at_max.segmentation.degree = MultiAttributeSegmenter::kMaxDegree;
+  EXPECT_TRUE(
+      HistoricalRuntime::Make(FilterQuerySpec(100.0), std::move(at_max)).ok());
+}
+
 TEST(HistoricalRuntime, SegmentsFlowThroughQuery) {
   HistoricalRuntime::Options opts;
   opts.segmentation.degree = 1;

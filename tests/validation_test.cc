@@ -78,7 +78,9 @@ SplitContext MakeContext(const Segment* out, double margin,
   ctx.attribute = "agg";
   ctx.margin = margin;
   ctx.inputs = std::move(inputs);
-  ctx.input_attribute = "v";
+  // Move-assigned from a std::string: GCC 12 at -O3 flags assigning a
+  // literal to an empty string here with a spurious -Wrestrict.
+  ctx.input_attribute = std::string("v");
   ctx.num_dependencies = deps;
   return ctx;
 }
