@@ -70,7 +70,7 @@ int main() {
     });
     uint64_t comparisons = 0;
     for (size_t n = 0; n < dexec->plan().num_nodes(); ++n) {
-      comparisons += dexec->plan().node(n)->metrics().comparisons;
+      comparisons += dexec->plan().node(n)->metrics().comparisons->value();
     }
 
     PredictiveRuntime::Options opts;

@@ -171,7 +171,7 @@ double MeasureCalibrationOpsPerSec() {
 uint64_t PlanSolves(const PulsePlan& plan) {
   uint64_t solves = 0;
   for (size_t n = 0; n < plan.num_nodes(); ++n) {
-    solves += plan.node(n)->metrics().solves;
+    solves += plan.node(n)->metrics().solves->value();
   }
   return solves;
 }

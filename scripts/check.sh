@@ -486,10 +486,18 @@ else
   # precision_test rides along: the adaptive-precision stage counts its
   # verdicts into the server registry, and the compiled-out build must
   # still compile and pass (the counters become no-ops, the contract
-  # does not).
+  # does not). So do the suites that exercise the counters themselves:
+  # the registry and operator-counter binding, and the Pulse and
+  # discrete operators counting through their handles (their value
+  # assertions are guarded by obs::kMetricsEnabled).
+  nometrics_tests="precision_test metrics_registry_test pulse_filter_test
+                   engine_operator_test"
+  # shellcheck disable=SC2086
   cmake --build "$repo/build-nometrics" -j "$jobs" \
-    --target bench_solver_hotpath precision_test
-  "$repo/build-nometrics/tests/precision_test" --gtest_brief=1
+    --target bench_solver_hotpath $nometrics_tests
+  for t in $nometrics_tests; do
+    "$repo/build-nometrics/tests/$t" --gtest_brief=1
+  done
   metrics_gate_ok=0
   for attempt in 1 2 3; do
     workdir="$(mktemp -d)"

@@ -26,7 +26,7 @@ PulseMinMaxAggregate::PulseMinMaxAggregate(std::string name,
 Status PulseMinMaxAggregate::Process(size_t port, const Segment& segment,
                                      SegmentBatch* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.segments_in;
+  metrics_.segments_in->Increment();
   PULSE_ASSIGN_OR_RETURN(Polynomial poly,
                          segment.attribute(options_.input_attribute));
   latest_time_ = std::max(latest_time_, segment.range.lo);
@@ -39,7 +39,7 @@ Status PulseMinMaxAggregate::Process(size_t port, const Segment& segment,
     last_expire_ = latest_time_;
   }
 
-  ++metrics_.solves;
+  metrics_.solves->Increment();
   const IntervalSet changed =
       state_.MergeEnvelope(Piece{segment.range, poly}, is_min_);
   for (const Interval& iv : changed.intervals()) {
@@ -51,7 +51,7 @@ Status PulseMinMaxAggregate::Process(size_t port, const Segment& segment,
   // starts at or after this segment's lo: everything before it is
   // settled and safe to release downstream.
   EmitSettled(segment.range.lo, out);
-  metrics_.state_size = state_.size();
+  metrics_.state_size.Set(state_.size());
   return Status::OK();
 }
 
@@ -101,7 +101,7 @@ Segment PulseMinMaxAggregate::MakeOutput(const FinalPiece& piece) {
   result.set_attribute(options_.output_attribute, piece.poly);
   result.unmodeled["arg_key"] = static_cast<double>(piece.arg_key);
   lineage_.Record(result.id, piece.range, {LineageEntry{0, piece.cause}});
-  ++metrics_.segments_out;
+  metrics_.segments_out->Increment();
   return result;
 }
 
@@ -246,7 +246,7 @@ Status PulseSumAvgAggregate::EmitWindows(double from, double to,
     if (tail_idx == static_cast<size_t>(-1)) continue;  // not covered
     const Stored& tail = stored_[tail_idx];
 
-    ++metrics_.solves;
+    metrics_.solves->Increment();
     Polynomial wf;
     if (tail_idx == head_idx) {
       // Window inside one segment (paper Eq. 2):
@@ -278,7 +278,7 @@ Status PulseSumAvgAggregate::EmitWindows(double from, double to,
     }
     lineage_.Record(result.id, result.range, std::move(causes));
     out->push_back(std::move(result));
-    ++metrics_.segments_out;
+    metrics_.segments_out->Increment();
   }
   return Status::OK();
 }
@@ -286,7 +286,7 @@ Status PulseSumAvgAggregate::EmitWindows(double from, double to,
 Status PulseSumAvgAggregate::Process(size_t port, const Segment& segment,
                                      SegmentBatch* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.segments_in;
+  metrics_.segments_in->Increment();
   PULSE_ASSIGN_OR_RETURN(Polynomial poly,
                          segment.attribute(options_.input_attribute));
   if (segment.range.IsEmpty()) return Status::OK();
@@ -342,7 +342,7 @@ Status PulseSumAvgAggregate::Process(size_t port, const Segment& segment,
     stored_.pop_front();
   }
   lineage_.ExpireBefore(horizon);
-  metrics_.state_size = stored_.size();
+  metrics_.state_size.Set(stored_.size());
   return Status::OK();
 }
 

@@ -15,7 +15,7 @@ PulseDistinct::PulseDistinct(std::string name, double epoch_seconds)
 Status PulseDistinct::Process(size_t port, const Segment& segment,
                               SegmentBatch* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.segments_in;
+  metrics_.segments_in->Increment();
   const double lo = segment.range.lo;
   const double hi = segment.range.hi;
   for (int64_t k = EpochIndexOf(lo, epoch_seconds_);
@@ -33,7 +33,7 @@ Status PulseDistinct::Process(size_t port, const Segment& segment,
     piece.id = NextSegmentId();
     lineage_.Record(piece.id, piece.range, {LineageEntry{0, segment}});
     out->push_back(std::move(piece));
-    ++metrics_.segments_out;
+    metrics_.segments_out->Increment();
   }
   return Status::OK();
 }

@@ -15,7 +15,7 @@ PulseEpoch::PulseEpoch(std::string name, double epoch_seconds)
 Status PulseEpoch::Process(size_t port, const Segment& segment,
                            SegmentBatch* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.segments_in;
+  metrics_.segments_in->Increment();
   const double lo = segment.range.lo;
   const double hi = segment.range.hi;
   for (int64_t k = EpochIndexOf(lo, epoch_seconds_);
@@ -28,7 +28,7 @@ Status PulseEpoch::Process(size_t port, const Segment& segment,
     piece.id = NextSegmentId();
     lineage_.Record(piece.id, piece.range, {LineageEntry{0, segment}});
     out->push_back(std::move(piece));
-    ++metrics_.segments_out;
+    metrics_.segments_out->Increment();
   }
   return Status::OK();
 }

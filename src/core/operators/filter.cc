@@ -22,37 +22,22 @@ PulseFilter::PulseFilter(std::string name, Predicate predicate)
 Status PulseFilter::Process(size_t port, const Segment& segment,
                             SegmentBatch* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.segments_in;
-  ++metrics_.solves;
-  const AttrResolver resolver = MakeUnaryResolver(segment);
-  IntervalSet tree_solution;
-  const IntervalSet* solution = &tree_solution;
-  if (predicate_.IsConjunctive()) {
-    // Conjunctions map onto one equation system and route through the
-    // batched solver (ISSUE 7): rows of equal degree share SIMD lanes,
-    // and the solution is identical to the recursive per-term solve —
-    // each row's time ranges are already clipped to the segment range,
-    // so intersecting them in row order matches intersecting them under
-    // the domain accumulator.
-    PULSE_RETURN_IF_ERROR(
-        predicate_.BuildSystemInto(resolver, &task_scratch_.system));
-    task_scratch_.domain = segment.range;
-    SolveSystemsInto(&task_scratch_, 1, &solution_scratch_);
-    solution = &solution_scratch_[0];
-  } else {
-    // Boolean trees solve recursively on the pushing thread; one warm
-    // scratch serves every Process call.
-    static thread_local SolveScratch scratch;
-    PULSE_RETURN_IF_ERROR(predicate_.SolveInto(resolver, segment.range,
-                                               &scratch, &tree_solution));
-  }
-  for (const Interval& iv : solution->intervals()) {
+  metrics_.segments_in->Increment();
+  metrics_.solves->Increment();
+  // One system per segment, solved recursively on the pushing thread:
+  // a one-task batch would pay the batched solver's fixed cost for no
+  // lane sharing. One warm scratch serves every Process call.
+  static thread_local SolveScratch scratch;
+  PULSE_RETURN_IF_ERROR(predicate_.SolveInto(MakeUnaryResolver(segment),
+                                             segment.range, &scratch,
+                                             &solution_));
+  for (const Interval& iv : solution_.intervals()) {
     Segment result = segment;
     result.id = NextSegmentId();
     result.range = iv;
     lineage_.Record(result.id, iv, {LineageEntry{0, segment}});
     out->push_back(std::move(result));
-    ++metrics_.segments_out;
+    metrics_.segments_out->Increment();
   }
   return Status::OK();
 }

@@ -37,11 +37,9 @@ class PulseFilter : public PulseOperator {
 
  private:
   Predicate predicate_;
-  // Per-push scratch for the conjunctive solve path, reused across
-  // pushes so system construction and solution collection stop
-  // allocating once warm. Process runs on the pushing thread only.
-  EquationSystemTask task_scratch_;
-  std::vector<IntervalSet> solution_scratch_;
+  // Per-push solution, reused across pushes so it stops allocating once
+  // warm.
+  IntervalSet solution_;
 };
 
 /// Builds the resolver mapping kLeft attribute references onto one

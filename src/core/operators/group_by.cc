@@ -18,8 +18,16 @@ Result<PulseOperator*> PulseGroupBy::GetOrCreate(Key group) {
   PULSE_ASSIGN_OR_RETURN(std::unique_ptr<PulseOperator> inner,
                          factory_(group));
   PulseOperator* raw = inner.get();
+  raw->metrics().solves = metrics_.solves;
   groups_.emplace(group, std::move(inner));
   return raw;
+}
+
+void PulseGroupBy::BindMetrics(obs::MetricsRegistry* registry) {
+  PulseOperator::BindMetrics(registry);
+  for (auto& [group, inner] : groups_) {
+    inner->metrics().solves = metrics_.solves;
+  }
 }
 
 PulseOperator* PulseGroupBy::group_operator(Key group) const {
@@ -30,19 +38,16 @@ PulseOperator* PulseGroupBy::group_operator(Key group) const {
 Status PulseGroupBy::Process(size_t port, const Segment& segment,
                              SegmentBatch* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.segments_in;
+  metrics_.segments_in->Increment();
   PULSE_ASSIGN_OR_RETURN(PulseOperator * inner, GetOrCreate(segment.key));
   SegmentBatch inner_out;
   PULSE_RETURN_IF_ERROR(inner->Process(0, segment, &inner_out));
   for (Segment& s : inner_out) {
     s.key = segment.key;  // outputs stay keyed by group
     out->push_back(std::move(s));
-    ++metrics_.segments_out;
+    metrics_.segments_out->Increment();
   }
-  // Roll up inner solver activity so plan-level metrics stay meaningful.
-  metrics_.solves += inner->metrics().solves;
-  inner->metrics().solves = 0;
-  metrics_.state_size = groups_.size();
+  metrics_.state_size.Set(groups_.size());
   return Status::OK();
 }
 
@@ -66,7 +71,7 @@ Status PulseGroupBy::Flush(SegmentBatch* out) {
     PULSE_RETURN_IF_ERROR(inner->Flush(out));
     for (size_t i = begin; i < out->size(); ++i) {
       (*out)[i].key = group;
-      ++metrics_.segments_out;
+      metrics_.segments_out->Increment();
     }
   }
   return Status::OK();

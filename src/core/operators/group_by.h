@@ -14,7 +14,9 @@ namespace pulse {
 /// group-by, function f"): hash-based group-by with one inner operator
 /// instance (an "impl for f") per group. Segments route by their key;
 /// inner outputs are re-keyed with the group key so downstream operators
-/// (joins, filters, HAVING-style predicates) can keep grouping.
+/// (joins, filters, HAVING-style predicates) can keep grouping. The
+/// inner operators count their solves into the group-by's `solves`
+/// series; their other counters stay their own.
 class PulseGroupBy : public PulseOperator {
  public:
   using InnerFactory =
@@ -25,6 +27,7 @@ class PulseGroupBy : public PulseOperator {
   Status Process(size_t port, const Segment& segment,
                  SegmentBatch* out) override;
   Status Flush(SegmentBatch* out) override;
+  void BindMetrics(obs::MetricsRegistry* registry) override;
 
   /// Delegates to the inner operator of the output's group.
   Result<std::vector<AllocatedBound>> InvertBound(

@@ -198,7 +198,7 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
   pairs.clear();
   CollectPairs(port, segment, probe, &pairs);
   if (pairs.empty()) return Status::OK();
-  metrics_.solves += pairs.size();
+  metrics_.solves->Add(pairs.size());
   PULSE_SPAN("join/match_partners");
 
   // Each pair is an independent equation system. Conjunctive predicates
@@ -248,7 +248,7 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
                       {LineageEntry{0, *pairs[i].left},
                        LineageEntry{1, *pairs[i].right}});
       out->push_back(std::move(joined));
-      ++metrics_.segments_out;
+      metrics_.segments_out->Increment();
     }
   }
   return Status::OK();
@@ -257,7 +257,7 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
 Status PulseJoin::Process(size_t port, const Segment& segment,
                           SegmentBatch* out) {
   PULSE_CHECK(port < 2);
-  ++metrics_.segments_in;
+  metrics_.segments_in->Increment();
   latest_time_ = std::max(latest_time_, segment.range.lo);
   Expire(latest_time_);
   const Side side = (port == 0) ? Side::kLeft : Side::kRight;
@@ -269,7 +269,7 @@ Status PulseJoin::Process(size_t port, const Segment& segment,
   // Resolve against the stored copy: the table must point into the
   // attribute map that lives as long as the stored element.
   if (compiled_) own.back().resolved = Resolve(side, own.back().segment);
-  metrics_.state_size = left_.size() + right_.size();
+  metrics_.state_size.Set(left_.size() + right_.size());
   return Status::OK();
 }
 

@@ -79,12 +79,12 @@ Result<Segment> PulseMap::Apply(const Segment& segment) const {
 Status PulseMap::Process(size_t port, const Segment& segment,
                          SegmentBatch* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.segments_in;
+  metrics_.segments_in->Increment();
   PULSE_ASSIGN_OR_RETURN(Segment result, Apply(segment));
   result.id = NextSegmentId();
   lineage_.Record(result.id, result.range, {LineageEntry{0, segment}});
   out->push_back(std::move(result));
-  ++metrics_.segments_out;
+  metrics_.segments_out->Increment();
   return Status::OK();
 }
 

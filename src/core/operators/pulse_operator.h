@@ -9,7 +9,6 @@
 #include "core/validation/splits.h"
 #include "model/segment.h"
 #include "obs/op_metrics.h"
-#include "util/atomic_counter.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -47,6 +46,12 @@ class PulseOperator {
   virtual Result<std::vector<AllocatedBound>> InvertBound(
       const Segment& output, const std::string& attribute, double margin,
       const SplitHeuristic& split) const;
+
+  /// Points the counters at the registry's op/<name>/... series.
+  /// Executors call this when a registry is attached.
+  virtual void BindMetrics(obs::MetricsRegistry* registry) {
+    metrics_.Bind(registry, name_);
+  }
 
   PulseOperatorMetrics& metrics() { return metrics_; }
   const PulseOperatorMetrics& metrics() const { return metrics_; }

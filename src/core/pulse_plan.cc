@@ -94,18 +94,23 @@ std::optional<PulsePlan::NodeId> PulsePlan::UpstreamOf(NodeId node,
 Result<PulseExecutor> PulseExecutor::Make(PulsePlan plan) {
   PulseExecutor exec(std::move(plan));
   PULSE_ASSIGN_OR_RETURN(exec.topo_order_, exec.plan_.TopologicalOrder());
+  exec.node_hists_.assign(exec.plan_.num_nodes(), nullptr);
+  for (PulsePlan::NodeId id = 0; id < exec.plan_.num_nodes(); ++id) {
+    if (exec.plan_.node(id)->lineage().push_scoped()) {
+      exec.push_scoped_.push_back(id);
+    }
+  }
   return exec;
 }
 
+void PulseExecutor::ClearPushScopedLineage() {
+  for (PulsePlan::NodeId id : push_scoped_) plan_.node(id)->lineage().Clear();
+}
+
 void PulseExecutor::set_metrics_registry(obs::MetricsRegistry* registry) {
-  registry_ = registry;
-  views_ = obs::ViewGroup();  // drop any previous binding
-  node_hists_.assign(plan_.num_nodes(), nullptr);
-  if (registry == nullptr) return;
-  registry->BindViews(&views_);
   for (PulsePlan::NodeId id = 0; id < plan_.num_nodes(); ++id) {
     PulseOperator* op = plan_.node(id);
-    RegisterOperatorViews(views_, op->name(), op->metrics());
+    op->BindMetrics(registry);
     node_hists_[id] =
         registry->GetHistogram("op/" + op->name() + "/process_ns");
   }
@@ -113,14 +118,8 @@ void PulseExecutor::set_metrics_registry(obs::MetricsRegistry* registry) {
 
 Status PulseExecutor::RunNode(PulsePlan::NodeId id, size_t port,
                               const Segment& segment, SegmentBatch* out) {
-  PulseOperator* op = plan_.node(id);
-  if constexpr (obs::kMetricsEnabled) {
-    if (registry_ != nullptr) {
-      obs::Span span(node_hists_[id], &op->metrics().processing_ns);
-      return op->Process(port, segment, out);
-    }
-  }
-  return op->Process(port, segment, out);
+  obs::Span span(node_hists_[id]);
+  return plan_.node(id)->Process(port, segment, out);
 }
 
 void PulseExecutor::DeliverToSink(const Segment& segment) {
@@ -165,6 +164,7 @@ Status PulseExecutor::PushSegment(const std::string& stream,
   }
   if (segment.id == 0) segment.id = NextSegmentId();
   PULSE_SPAN("executor/push_segment");
+  ClearPushScopedLineage();
   for (const auto& e : bindings) {
     SegmentBatch outs;
     PULSE_RETURN_IF_ERROR(RunNode(e.to, e.port, segment, &outs));
@@ -174,6 +174,7 @@ Status PulseExecutor::PushSegment(const std::string& stream,
 }
 
 Status PulseExecutor::Finish() {
+  ClearPushScopedLineage();
   for (PulsePlan::NodeId id : topo_order_) {
     SegmentBatch outs;
     PULSE_RETURN_IF_ERROR(plan_.node(id)->Flush(&outs));

@@ -61,7 +61,8 @@ class PulseExecutor {
   static Result<PulseExecutor> Make(PulsePlan plan);
 
   /// Pushes a segment on the named source stream. Assigns the segment an
-  /// id when it has none.
+  /// id when it has none. The records in push-scoped lineage stores last
+  /// until the next PushSegment or Finish.
   Status PushSegment(const std::string& stream, Segment segment);
 
   /// End-of-stream: flushes every operator.
@@ -73,14 +74,12 @@ class PulseExecutor {
 
   void set_discard_output(bool discard) { discard_output_ = discard; }
 
-  /// Publishes every operator's counters into `registry` under the
-  /// unified op/<name>/... naming scheme (docs/OBSERVABILITY.md) and
-  /// enables per-operator Process latency histograms
-  /// (op/<name>/process_ns). The registry must outlive the executor;
-  /// the views this call binds are released by the executor's
-  /// destruction. Pass nullptr to detach.
+  /// Binds every operator's counters to `registry` under the unified
+  /// op/<name>/... naming scheme (docs/OBSERVABILITY.md) and enables
+  /// per-operator Process latency histograms (op/<name>/process_ns).
+  /// Executors bound to one registry add into the same series. The
+  /// registry must be non-null and outlive the executor.
   void set_metrics_registry(obs::MetricsRegistry* registry);
-  obs::MetricsRegistry* metrics_registry() const { return registry_; }
 
   const PulsePlan& plan() const { return plan_; }
   PulsePlan& plan() { return plan_; }
@@ -88,10 +87,13 @@ class PulseExecutor {
  private:
   explicit PulseExecutor(PulsePlan plan) : plan_(std::move(plan)) {}
 
+  // Drops the previous push's records from the push-scoped lineage
+  // stores (LineageStore::set_push_scoped).
+  void ClearPushScopedLineage();
   Status Drain(PulsePlan::NodeId from, SegmentBatch segments);
   void DeliverToSink(const Segment& segment);
-  // One Process call, timed into the operator's processing_ns counter
-  // and its op/<name>/process_ns histogram when a registry is attached.
+  // One Process call, timed into the operator's op/<name>/process_ns
+  // histogram when a registry is attached.
   Status RunNode(PulsePlan::NodeId id, size_t port, const Segment& segment,
                  SegmentBatch* out);
 
@@ -100,11 +102,11 @@ class PulseExecutor {
   std::vector<Segment> output_;
   uint64_t total_output_ = 0;
   bool discard_output_ = false;
-  obs::MetricsRegistry* registry_ = nullptr;
-  obs::ViewGroup views_;
-  // Parallel to plan_ nodes; resolved once in set_metrics_registry so
+  // Parallel to plan_ nodes, nullptr while no registry is attached;
+  // resolved once in set_metrics_registry so
   // the Process hot path never does a name lookup.
   std::vector<obs::Histogram*> node_hists_;
+  std::vector<PulsePlan::NodeId> push_scoped_;
 };
 
 }  // namespace pulse

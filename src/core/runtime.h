@@ -118,8 +118,9 @@ class RuntimeCore {
  private:
   RuntimeCore() = default;
 
-  // Declared before the executor: its view bindings must release before
-  // the registry they point into dies.
+  // Declared before the executor: its operators' state_size levels
+  // (obs::GaugeLevel) leave the registry's gauges on destruction, so the
+  // registry must outlive them.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<PulseExecutor> executor_;

@@ -413,6 +413,24 @@ Result<TransformedPlan> BuildPulsePlan(const QuerySpec& spec) {
     is_built[id] = true;
     out.node_map[id] = nid;
   }
+
+  // Inputs precede their consumers, so a reverse walk sees every
+  // consumer of a node before the node itself.
+  std::vector<bool> push_scoped(spec.num_nodes(), true);
+  for (QuerySpec::NodeId id = spec.num_nodes(); id-- > 0;) {
+    const QuerySpec::Node& node = spec.node(id);
+    if (push_scoped[id]) {
+      out.plan.node(built[id])->lineage().set_push_scoped(true);
+    }
+    const bool stateless = node.kind == QuerySpec::OpKind::kFilter ||
+                           node.kind == QuerySpec::OpKind::kMap ||
+                           node.kind == QuerySpec::OpKind::kEpoch ||
+                           node.kind == QuerySpec::OpKind::kDistinct;
+    if (stateless && push_scoped[id]) continue;
+    for (const QuerySpec::Input& in : node.inputs) {
+      if (!in.is_stream) push_scoped[in.node] = false;
+    }
+  }
   return out;
 }
 

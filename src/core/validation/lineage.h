@@ -36,6 +36,15 @@ class LineageStore {
   /// reference-timestamp monotonicity).
   void ExpireBefore(double t);
 
+  /// A push-scoped store holds only the current push's records:
+  /// PulseExecutor clears it when the next push or the end-of-stream
+  /// flush starts. BuildPulsePlan sets it on an operator when every
+  /// operator below it is stateless (filter, map, epoch, distinct): they
+  /// emit each output while processing its input and hold nothing back,
+  /// so a record is read only by the inversion of the push that made it.
+  void set_push_scoped(bool push_scoped) { push_scoped_ = push_scoped; }
+  bool push_scoped() const { return push_scoped_; }
+
   size_t size() const { return records_.size(); }
   void Clear() { records_.clear(); }
 
@@ -45,6 +54,7 @@ class LineageStore {
     std::vector<LineageEntry> causes;
   };
   std::map<uint64_t, OutputRecord> records_;
+  bool push_scoped_ = false;
 };
 
 /// Allocates process-wide unique segment ids.

@@ -91,14 +91,14 @@ void WindowedAggregate::EmitWindow(const OpenWindow& w,
   result.timestamp = w.close;
   result.values.push_back(Value(w.state.Finalize(fn_)));
   out->push_back(std::move(result));
-  ++metrics_.tuples_out;
+  metrics_.tuples_out->Increment();
 }
 
 Status WindowedAggregate::Process(size_t port, const Tuple& input,
                                   std::vector<Tuple>* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.invocations;
-  ++metrics_.tuples_in;
+  metrics_.invocations->Increment();
+  metrics_.tuples_in->Increment();
   const double t = input.timestamp;
   CloseThrough(t, out);
   EnsureWindows(t);
@@ -108,7 +108,7 @@ Status WindowedAggregate::Process(size_t port, const Tuple& input,
   // paper measures against window size.
   for (OpenWindow& w : windows_) {
     w.state.Update(v);
-    ++metrics_.comparisons;
+    metrics_.comparisons->Increment();
   }
   return Status::OK();
 }

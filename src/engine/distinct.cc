@@ -20,8 +20,8 @@ EpochDistinct::EpochDistinct(std::string name,
 Status EpochDistinct::Process(size_t port, const Tuple& input,
                               std::vector<Tuple>* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.invocations;
-  ++metrics_.tuples_in;
+  metrics_.invocations->Increment();
+  metrics_.tuples_in->Increment();
   const int64_t key = input.at(key_index_).as_int64();
   const int64_t epoch = EpochIndexOf(input.timestamp, epoch_seconds_);
   auto [it, inserted] = last_emitted_.emplace(key, epoch);
@@ -30,7 +30,7 @@ Status EpochDistinct::Process(size_t port, const Tuple& input,
     it->second = epoch;
   }
   out->push_back(input);
-  ++metrics_.tuples_out;
+  metrics_.tuples_out->Increment();
   return Status::OK();
 }
 

@@ -24,12 +24,12 @@ EpochMark::EpochMark(std::string name,
 Status EpochMark::Process(size_t port, const Tuple& input,
                           std::vector<Tuple>* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.invocations;
-  ++metrics_.tuples_in;
+  metrics_.invocations->Increment();
+  metrics_.tuples_in->Increment();
   Tuple result = input;
   result.values.emplace_back(EpochIndexOf(input.timestamp, epoch_seconds_));
   out->push_back(std::move(result));
-  ++metrics_.tuples_out;
+  metrics_.tuples_out->Increment();
   return Status::OK();
 }
 

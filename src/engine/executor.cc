@@ -7,18 +7,14 @@ namespace pulse {
 Result<Executor> Executor::Make(QueryPlan plan) {
   Executor exec(std::move(plan));
   PULSE_ASSIGN_OR_RETURN(exec.topo_order_, exec.plan_.TopologicalOrder());
+  exec.node_hists_.assign(exec.plan_.num_nodes(), nullptr);
   return exec;
 }
 
 void Executor::set_metrics_registry(obs::MetricsRegistry* registry) {
-  registry_ = registry;
-  views_ = obs::ViewGroup();  // drop any previous binding
-  node_hists_.assign(plan_.num_nodes(), nullptr);
-  if (registry == nullptr) return;
-  registry->BindViews(&views_);
   for (QueryPlan::NodeId id = 0; id < plan_.num_nodes(); ++id) {
     Operator* op = plan_.node(id);
-    RegisterOperatorViews(views_, op->name(), op->metrics());
+    op->metrics().Bind(registry, op->name());
     node_hists_[id] =
         registry->GetHistogram("op/" + op->name() + "/process_ns");
   }
@@ -26,14 +22,8 @@ void Executor::set_metrics_registry(obs::MetricsRegistry* registry) {
 
 Status Executor::RunNode(QueryPlan::NodeId id, size_t port,
                          const Tuple& tuple, std::vector<Tuple>* out) {
-  Operator* op = plan_.node(id);
-  if constexpr (obs::kMetricsEnabled) {
-    if (registry_ != nullptr) {
-      obs::Span span(node_hists_[id], &op->metrics().processing_ns);
-      return op->Process(port, tuple, out);
-    }
-  }
-  return op->Process(port, tuple, out);
+  obs::Span span(node_hists_[id]);
+  return plan_.node(id)->Process(port, tuple, out);
 }
 
 void Executor::DeliverToSink(const Tuple& tuple) {

@@ -51,14 +51,13 @@ class Executor {
   /// not stored (long benchmark runs).
   void set_discard_output(bool discard) { discard_output_ = discard; }
 
-  /// Publishes every operator's counters into `registry` under the same
+  /// Binds every operator's counters to `registry` under the same
   /// op/<name>/... naming scheme the Pulse executor uses
   /// (docs/OBSERVABILITY.md), making a discrete run of a query directly
   /// comparable to its Pulse realization, and enables per-operator
   /// Process latency histograms (op/<name>/process_ns). The registry
-  /// must outlive the executor; pass nullptr to detach.
+  /// must be non-null and outlive the executor.
   void set_metrics_registry(obs::MetricsRegistry* registry);
-  obs::MetricsRegistry* metrics_registry() const { return registry_; }
 
   const QueryPlan& plan() const { return plan_; }
   QueryPlan& plan() { return plan_; }
@@ -70,8 +69,8 @@ class Executor {
   // processing transitively until quiescence.
   Status Drain(QueryPlan::NodeId from, std::vector<Tuple> tuples);
   void DeliverToSink(const Tuple& tuple);
-  // One Process call, timed into the operator's processing_ns counter
-  // and its op/<name>/process_ns histogram when a registry is attached.
+  // One Process call, timed into the operator's op/<name>/process_ns
+  // histogram when a registry is attached.
   Status RunNode(QueryPlan::NodeId id, size_t port, const Tuple& tuple,
                  std::vector<Tuple>* out);
 
@@ -81,9 +80,8 @@ class Executor {
   uint64_t total_output_ = 0;
   std::function<void(const Tuple&)> callback_;
   bool discard_output_ = false;
-  obs::MetricsRegistry* registry_ = nullptr;
-  obs::ViewGroup views_;
-  // Parallel to plan_ nodes; resolved once in set_metrics_registry so
+  // Parallel to plan_ nodes, nullptr while no registry is attached;
+  // resolved once in set_metrics_registry so
   // the per-tuple path never does a name lookup.
   std::vector<obs::Histogram*> node_hists_;
 };

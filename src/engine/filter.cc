@@ -36,11 +36,11 @@ ComparisonFilter::ComparisonFilter(std::string name,
 Status ComparisonFilter::Process(size_t port, const Tuple& input,
                                  std::vector<Tuple>* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.invocations;
-  ++metrics_.tuples_in;
+  metrics_.invocations->Increment();
+  metrics_.tuples_in->Increment();
   bool pass = true;
   for (const FieldComparison& cmp : predicate_) {
-    ++metrics_.comparisons;
+    metrics_.comparisons->Increment();
     if (!EvaluateComparison(input, cmp)) {
       pass = false;
       break;
@@ -48,7 +48,7 @@ Status ComparisonFilter::Process(size_t port, const Tuple& input,
   }
   if (pass) {
     out->push_back(input);
-    ++metrics_.tuples_out;
+    metrics_.tuples_out->Increment();
   }
   return Status::OK();
 }
@@ -66,12 +66,12 @@ LambdaFilter::LambdaFilter(std::string name,
 Status LambdaFilter::Process(size_t port, const Tuple& input,
                              std::vector<Tuple>* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.invocations;
-  ++metrics_.tuples_in;
-  ++metrics_.comparisons;
+  metrics_.invocations->Increment();
+  metrics_.tuples_in->Increment();
+  metrics_.comparisons->Increment();
   if (predicate_(input)) {
     out->push_back(input);
-    ++metrics_.tuples_out;
+    metrics_.tuples_out->Increment();
   }
   return Status::OK();
 }

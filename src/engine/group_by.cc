@@ -59,15 +59,15 @@ void GroupedWindowedAggregate::EmitWindow(const OpenWindow& w,
     result.values.push_back(group);
     result.values.emplace_back(state.Finalize(fn_));
     out->push_back(std::move(result));
-    ++metrics_.tuples_out;
+    metrics_.tuples_out->Increment();
   }
 }
 
 Status GroupedWindowedAggregate::Process(size_t port, const Tuple& input,
                                          std::vector<Tuple>* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.invocations;
-  ++metrics_.tuples_in;
+  metrics_.invocations->Increment();
+  metrics_.tuples_in->Increment();
   const double t = input.timestamp;
   CloseThrough(t, out);
   EnsureWindows(t);
@@ -75,7 +75,7 @@ Status GroupedWindowedAggregate::Process(size_t port, const Tuple& input,
   const double v = input.at(value_field_).as_double();
   for (OpenWindow& w : windows_) {
     w.groups[group].Update(v);
-    ++metrics_.comparisons;
+    metrics_.comparisons->Increment();
   }
   return Status::OK();
 }

@@ -26,7 +26,7 @@ SlidingWindowJoin::SlidingWindowJoin(
 
 bool SlidingWindowJoin::Matches(const Tuple& left, const Tuple& right) {
   for (const JoinComparison& cmp : predicate_) {
-    ++metrics_.comparisons;
+    metrics_.comparisons->Increment();
     FieldComparison fc;
     fc.lhs_field = cmp.lhs_field;
     fc.op = cmp.op;
@@ -36,7 +36,7 @@ bool SlidingWindowJoin::Matches(const Tuple& left, const Tuple& right) {
     if (!EvaluateComparison(left, fc)) return false;
   }
   if (extra_predicate_) {
-    ++metrics_.comparisons;
+    metrics_.comparisons->Increment();
     if (!extra_predicate_(left, right)) return false;
   }
   return true;
@@ -55,14 +55,14 @@ void SlidingWindowJoin::Expire(double now) {
 Status SlidingWindowJoin::Process(size_t port, const Tuple& input,
                                   std::vector<Tuple>* out) {
   PULSE_CHECK(port < 2);
-  ++metrics_.invocations;
-  ++metrics_.tuples_in;
+  metrics_.invocations->Increment();
+  metrics_.tuples_in->Increment();
   Expire(input.timestamp);
   if (port == 0) {
     for (const Tuple& r : right_) {
       if (Matches(input, r)) {
         out->push_back(Tuple::Concat(input, r));
-        ++metrics_.tuples_out;
+        metrics_.tuples_out->Increment();
       }
     }
     left_.push_back(input);
@@ -70,7 +70,7 @@ Status SlidingWindowJoin::Process(size_t port, const Tuple& input,
     for (const Tuple& l : left_) {
       if (Matches(l, input)) {
         out->push_back(Tuple::Concat(l, input));
-        ++metrics_.tuples_out;
+        metrics_.tuples_out->Increment();
       }
     }
     right_.push_back(input);

@@ -15,8 +15,8 @@ MapOperator::MapOperator(std::string name, std::vector<MapColumn> columns)
 Status MapOperator::Process(size_t port, const Tuple& input,
                             std::vector<Tuple>* out) {
   PULSE_CHECK(port == 0);
-  ++metrics_.invocations;
-  ++metrics_.tuples_in;
+  metrics_.invocations->Increment();
+  metrics_.tuples_in->Increment();
   Tuple result;
   result.timestamp = input.timestamp;
   result.values.reserve(columns_.size());
@@ -24,7 +24,7 @@ Status MapOperator::Process(size_t port, const Tuple& input,
     result.values.push_back(c.expr(input));
   }
   out->push_back(std::move(result));
-  ++metrics_.tuples_out;
+  metrics_.tuples_out->Increment();
   return Status::OK();
 }
 

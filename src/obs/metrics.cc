@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace pulse {
 namespace obs {
@@ -20,21 +19,6 @@ inline int Log2Floor(uint64_t v) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------
-// Gauge
-
-uint64_t Gauge::ToBits(double d) {
-  uint64_t b;
-  std::memcpy(&b, &d, sizeof(b));
-  return b;
-}
-
-double Gauge::FromBits(uint64_t b) {
-  double d;
-  std::memcpy(&d, &b, sizeof(d));
-  return d;
-}
 
 // ---------------------------------------------------------------------
 // Histogram
@@ -137,46 +121,6 @@ double Histogram::Percentile(double p) const {
 }
 
 // ---------------------------------------------------------------------
-// ViewGroup
-
-ViewGroup::~ViewGroup() { Release(); }
-
-ViewGroup::ViewGroup(ViewGroup&& other) noexcept
-    : registry_(other.registry_), id_(other.id_) {
-  other.registry_ = nullptr;
-  other.id_ = 0;
-}
-
-ViewGroup& ViewGroup::operator=(ViewGroup&& other) noexcept {
-  if (this != &other) {
-    Release();
-    registry_ = other.registry_;
-    id_ = other.id_;
-    other.registry_ = nullptr;
-    other.id_ = 0;
-  }
-  return *this;
-}
-
-void ViewGroup::AddCounterView(const std::string& name,
-                               const RelaxedCounter* source) {
-  if (registry_ != nullptr) registry_->AddView(id_, name, source, false);
-}
-
-void ViewGroup::AddGaugeView(const std::string& name,
-                             const RelaxedCounter* source) {
-  if (registry_ != nullptr) registry_->AddView(id_, name, source, true);
-}
-
-void ViewGroup::Release() {
-  if (registry_ != nullptr) {
-    registry_->DropViews(id_);
-    registry_ = nullptr;
-    id_ = 0;
-  }
-}
-
-// ---------------------------------------------------------------------
 // MetricsSnapshot
 
 void MetricsSnapshot::Merge(const MetricsSnapshot& other,
@@ -206,31 +150,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return &histograms_[name];
 }
 
-void MetricsRegistry::BindViews(ViewGroup* group) {
-  group->Release();
-  std::lock_guard<std::mutex> lock(mu_);
-  group->registry_ = this;
-  group->id_ = next_group_++;
-}
-
-void MetricsRegistry::AddView(uint64_t group, const std::string& name,
-                              const RelaxedCounter* source, bool is_gauge) {
-  if (source == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string key = name;
-  for (int n = 2; views_.count(key) != 0; ++n) {
-    key = name + "#" + std::to_string(n);
-  }
-  views_[key] = View{source, is_gauge, group};
-}
-
-void MetricsRegistry::DropViews(uint64_t group) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = views_.begin(); it != views_.end();) {
-    it = it->second.group == group ? views_.erase(it) : std::next(it);
-  }
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   if constexpr (!kMetricsEnabled) return snap;
@@ -250,14 +169,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       s.p99 = std::min(PercentileFromBuckets(buckets, s.count, 99.0), mx);
     }
     snap.histograms[name] = s;
-  }
-  for (const auto& [name, view] : views_) {
-    const uint64_t v = view.source->value();
-    if (view.is_gauge) {
-      snap.gauges[name] = static_cast<double>(v);
-    } else {
-      snap.counters[name] = v;
-    }
   }
   return snap;
 }
@@ -304,14 +215,6 @@ void MetricsRegistry::Rollup(
       acc.sum += h.sum();
       acc.max = std::max(acc.max, h.max());
     }
-    for (const auto& [name, view] : src->views_) {
-      const uint64_t v = view.source->value();
-      if (view.is_gauge) {
-        gauges[name] += static_cast<double>(v);
-      } else {
-        counters[name] += v;
-      }
-    }
   }
   for (const auto& [name, v] : counters) {
     dst->GetCounter(name)->Store(v);
@@ -327,7 +230,7 @@ void MetricsRegistry::Rollup(
 
 size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() + views_.size();
+  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 MetricsRegistry* DefaultRegistry() {

@@ -3,14 +3,13 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "util/atomic_counter.h"
 
 namespace pulse {
 namespace obs {
@@ -28,8 +27,8 @@ inline constexpr bool kMetricsEnabled = true;
 #endif
 
 /// Monotonic counter. The hot path is one relaxed fetch_add — safe and
-/// truthful when exporters read it from other threads (same contract as
-/// RelaxedCounter, see util/atomic_counter.h). Store() exists for
+/// truthful when exporters read it from other threads: counters order
+/// nothing, they only have to count. Store() exists for
 /// MetricsRegistry::Rollup, which writes sums assembled from other
 /// registries into a scratch registry at read time.
 class Counter {
@@ -55,23 +54,65 @@ class Counter {
   std::atomic<uint64_t> v_{0};
 };
 
-/// Level metric (last-write-wins). Stores double bits in one atomic so
-/// Set/value are lock-free and TSan-clean.
+/// Level metric. Set() is last-write-wins; Add() moves the level by a
+/// delta, so several contributors can share one gauge as a sum (see
+/// GaugeLevel). Stores double bits in one atomic so every operation is
+/// lock-free and TSan-clean.
 class Gauge {
  public:
   void Set(double value) {
     if constexpr (kMetricsEnabled) {
-      bits_.store(ToBits(value), std::memory_order_relaxed);
+      bits_.store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
     } else {
       (void)value;
     }
   }
-  double value() const { return FromBits(bits_.load(std::memory_order_relaxed)); }
+  void Add(double delta) {
+    if constexpr (kMetricsEnabled) {
+      uint64_t seen = bits_.load(std::memory_order_relaxed);
+      while (!bits_.compare_exchange_weak(
+          seen, std::bit_cast<uint64_t>(std::bit_cast<double>(seen) + delta),
+          std::memory_order_relaxed)) {
+      }
+    } else {
+      (void)delta;
+    }
+  }
+  double value() const {
+    return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
+  }
 
  private:
-  static uint64_t ToBits(double d);
-  static double FromBits(uint64_t b);
   std::atomic<uint64_t> bits_{0};
+};
+
+/// One contributor's level in a gauge shared as a sum: Set() moves the
+/// gauge by the difference to this contributor's previous level, and
+/// Retarget() or destruction withdraws the level. A gauge that only
+/// GaugeLevels touch therefore reads the sum of its live contributors'
+/// current levels. Integral levels keep the sum exact below 2^53.
+class GaugeLevel {
+ public:
+  explicit GaugeLevel(Gauge* gauge) : gauge_(gauge) {}
+  ~GaugeLevel() { gauge_->Add(-static_cast<double>(level_)); }
+  GaugeLevel(const GaugeLevel&) = delete;
+  GaugeLevel& operator=(const GaugeLevel&) = delete;
+
+  void Set(uint64_t level) {
+    if (level == level_) return;
+    gauge_->Add(static_cast<double>(level) - static_cast<double>(level_));
+    level_ = level;
+  }
+  /// Moves this contributor's level from its gauge onto `gauge`.
+  void Retarget(Gauge* gauge) {
+    gauge_->Add(-static_cast<double>(level_));
+    gauge_ = gauge;
+    gauge_->Add(static_cast<double>(level_));
+  }
+
+ private:
+  Gauge* gauge_;
+  uint64_t level_ = 0;
 };
 
 /// Fixed-bucket log-linear latency histogram (HdrHistogram-style): 4
@@ -132,8 +173,8 @@ double PercentileFromBuckets(
     const std::array<uint64_t, Histogram::kNumBuckets>& buckets,
     uint64_t count, double p);
 
-/// Point-in-time view of a registry. Plain data: safe to keep after the
-/// registry (or the components feeding its views) are gone.
+/// Point-in-time copy of a registry. Plain data: safe to keep after the
+/// registry is gone.
 struct HistogramStats {
   uint64_t count = 0;
   uint64_t sum = 0;
@@ -157,41 +198,6 @@ struct MetricsSnapshot {
   void Merge(const MetricsSnapshot& other, const std::string& prefix = "");
 };
 
-class MetricsRegistry;
-
-/// RAII handle for a batch of view metrics (snapshot-time reads of
-/// counters owned elsewhere, e.g. an operator's PulseOperatorMetrics).
-/// Unregisters every view it added when destroyed — the component that
-/// owns the viewed counters binds views through one ViewGroup and lets
-/// its destruction keep the registry free of dangling reads.
-class ViewGroup {
- public:
-  ViewGroup() = default;
-  ~ViewGroup();
-  ViewGroup(ViewGroup&& other) noexcept;
-  ViewGroup& operator=(ViewGroup&& other) noexcept;
-  ViewGroup(const ViewGroup&) = delete;
-  ViewGroup& operator=(const ViewGroup&) = delete;
-
-  /// Publishes `source` under `name` as a counter. The source must stay
-  /// alive until this group is destroyed or Release()d. Duplicate names
-  /// get a "#2", "#3", ... suffix rather than silently merging.
-  void AddCounterView(const std::string& name, const RelaxedCounter* source);
-  /// Same, surfaced as a gauge (level semantics, e.g. buffered state
-  /// sizes).
-  void AddGaugeView(const std::string& name, const RelaxedCounter* source);
-
-  /// Drops all views of this group from the registry.
-  void Release();
-
-  bool bound() const { return registry_ != nullptr; }
-
- private:
-  friend class MetricsRegistry;
-  MetricsRegistry* registry_ = nullptr;
-  uint64_t id_ = 0;
-};
-
 /// Process- or component-scoped metric namespace: named counters,
 /// gauges, and latency histograms with stable addresses. Handle lookup
 /// (Get*) takes a mutex and is meant for wiring time; the returned
@@ -203,11 +209,10 @@ class ViewGroup {
 /// discrete and Pulse runs of one query are directly comparable — the
 /// differential harness asserts behavioral invariants on these names.
 ///
-/// Lifetime: a registry must outlive every component holding handles
-/// into it. View metrics are the
-/// reverse direction — the registry reads counters owned by shorter-
-/// lived components — and are therefore bound through ViewGroup, whose
-/// destructor unregisters them.
+/// Every series is owned by the registry: components that bind the same
+/// name (runtimes sharing a registry, say) add into one series, and the
+/// series outlives them. Lifetime: a registry must outlive every
+/// component holding handles into it.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -218,45 +223,27 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  /// Starts a view batch owned by `group` (replacing its previous
-  /// binding, if any).
-  void BindViews(ViewGroup* group);
-
   MetricsSnapshot Snapshot() const;
 
   /// Element-wise sum of `sources` written into `dst` under the plain
-  /// (unprefixed) metric names: counters and counter-views sum into
-  /// counters, gauges and gauge-views into gauges, histograms sum
+  /// (unprefixed) metric names: counters sum into counters, gauges
+  /// into gauges, histograms sum
   /// bucket-wise (max of maxes). ShardPool::Snapshot builds the merged
   /// cross-shard series this way, into a scratch `dst`; sources must not
   /// contain `dst`.
   static void Rollup(const std::vector<const MetricsRegistry*>& sources,
                      MetricsRegistry* dst);
 
-  /// Number of registered metrics (owned + views); for tests.
+  /// Number of registered metrics; for tests.
   size_t size() const;
 
  private:
-  friend class ViewGroup;
-
-  struct View {
-    const RelaxedCounter* source = nullptr;
-    bool is_gauge = false;
-    uint64_t group = 0;
-  };
-
-  void AddView(uint64_t group, const std::string& name,
-               const RelaxedCounter* source, bool is_gauge);
-  void DropViews(uint64_t group);
-
   mutable std::mutex mu_;
   // std::map: node addresses are stable across insertions, so handles
   // returned by Get* never move.
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
-  std::map<std::string, View> views_;
-  uint64_t next_group_ = 1;
 };
 
 /// Process-wide default registry (spans with no scoped registry record

@@ -1,35 +1,23 @@
 #include "obs/op_metrics.h"
 
-#include <sstream>
-
 namespace pulse {
 
-std::string OperatorMetrics::ToString() const {
-  std::ostringstream os;
-  os << "in=" << tuples_in << " out=" << tuples_out
-     << " invocations=" << invocations << " comparisons=" << comparisons
-     << " cpu_s=" << processing_seconds();
-  return os.str();
+void OperatorMetrics::Bind(obs::MetricsRegistry* registry,
+                           const std::string& op_name) {
+  const std::string prefix = "op/" + op_name + "/";
+  tuples_in = registry->GetCounter(prefix + "in");
+  tuples_out = registry->GetCounter(prefix + "out");
+  invocations = registry->GetCounter(prefix + "invocations");
+  comparisons = registry->GetCounter(prefix + "comparisons");
 }
 
-void RegisterOperatorViews(obs::ViewGroup& group, const std::string& op_name,
-                           const OperatorMetrics& metrics) {
+void PulseOperatorMetrics::Bind(obs::MetricsRegistry* registry,
+                                const std::string& op_name) {
   const std::string prefix = "op/" + op_name + "/";
-  group.AddCounterView(prefix + "in", &metrics.tuples_in);
-  group.AddCounterView(prefix + "out", &metrics.tuples_out);
-  group.AddCounterView(prefix + "processing_ns", &metrics.processing_ns);
-  group.AddCounterView(prefix + "invocations", &metrics.invocations);
-  group.AddCounterView(prefix + "comparisons", &metrics.comparisons);
-}
-
-void RegisterOperatorViews(obs::ViewGroup& group, const std::string& op_name,
-                           const PulseOperatorMetrics& metrics) {
-  const std::string prefix = "op/" + op_name + "/";
-  group.AddCounterView(prefix + "in", &metrics.segments_in);
-  group.AddCounterView(prefix + "out", &metrics.segments_out);
-  group.AddCounterView(prefix + "processing_ns", &metrics.processing_ns);
-  group.AddCounterView(prefix + "solves", &metrics.solves);
-  group.AddGaugeView(prefix + "state_size", &metrics.state_size);
+  segments_in = registry->GetCounter(prefix + "in");
+  segments_out = registry->GetCounter(prefix + "out");
+  solves = registry->GetCounter(prefix + "solves");
+  state_size.Retarget(registry->GetGauge(prefix + "state_size"));
 }
 
 }  // namespace pulse

@@ -1,73 +1,74 @@
 #ifndef PULSE_OBS_OP_METRICS_H_
 #define PULSE_OBS_OP_METRICS_H_
 
-#include <cstdint>
 #include <string>
 
 #include "obs/metrics.h"
-#include "util/atomic_counter.h"
 
 namespace pulse {
 
 /// Per-operator counters for the discrete (tuple-at-a-time) realization,
-/// used by the benchmark harness to report the paper's processing-cost
-/// and throughput series. Counters are relaxed atomics so they stay
-/// truthful while exporters read them from other threads (see
-/// docs/CONCURRENCY.md).
-struct OperatorMetrics {
-  RelaxedCounter tuples_in = 0;
-  RelaxedCounter tuples_out = 0;
-  RelaxedCounter invocations = 0;
+/// as handles into registry series. Bind() points them at
+///
+///   op/<name>/in, op/<name>/out                  (common)
+///   op/<name>/invocations, op/<name>/comparisons (discrete)
+///
+/// in a registry, where every operator bound under the same name adds
+/// into one series that outlives it (docs/OBSERVABILITY.md). The common
+/// subset uses the same names as PulseOperatorMetrics, so both
+/// realizations of one query are directly comparable per operator.
+/// Until bound, the handles point at the struct's own counters, so an
+/// operator built outside an executor still counts.
+class OperatorMetrics {
+ private:
+  // Declared first: the handles below may point here.
+  obs::Counter own_[4];
+
+ public:
+  OperatorMetrics() = default;
+  OperatorMetrics(const OperatorMetrics&) = delete;
+  OperatorMetrics& operator=(const OperatorMetrics&) = delete;
+
+  void Bind(obs::MetricsRegistry* registry, const std::string& op_name);
+
+  obs::Counter* tuples_in = &own_[0];
+  obs::Counter* tuples_out = &own_[1];
+  obs::Counter* invocations = &own_[2];
   /// Predicate/state evaluations: the join microbenchmark's "number of
   /// comparisons" driver (paper Fig. 5iii discussion).
-  RelaxedCounter comparisons = 0;
-  /// Wall-clock nanoseconds spent inside Process/AdvanceTime.
-  RelaxedCounter processing_ns = 0;
-
-  void Reset() { *this = OperatorMetrics(); }
-
-  double processing_seconds() const {
-    return static_cast<double>(processing_ns) * 1e-9;
-  }
-
-  std::string ToString() const;
+  obs::Counter* comparisons = &own_[3];
 };
 
-/// Counters for a continuous-time operator. `solves` counts equation-
-/// system executions — the quantity Pulse's validation machinery works to
-/// minimize ("the solver executes infrequently and only in the presence
-/// of errors", paper abstract). Counters are relaxed atomics so exporters
-/// on other threads read them without a data race.
-struct PulseOperatorMetrics {
-  RelaxedCounter segments_in = 0;
-  RelaxedCounter segments_out = 0;
-  RelaxedCounter solves = 0;
-  RelaxedCounter state_size = 0;  // last observed buffered segments/pieces
-  RelaxedCounter processing_ns = 0;
+/// Counters of a continuous-time operator, as handles bound the same way
+/// as OperatorMetrics to
+///
+///   op/<name>/in, op/<name>/out, op/<name>/solves   (counters)
+///   op/<name>/state_size                            (gauge)
+///
+/// `solves` counts equation-system executions — the quantity Pulse's
+/// validation machinery works to minimize ("the solver executes
+/// infrequently and only in the presence of errors", paper abstract).
+/// `state_size` is this operator's level (buffered segments or pieces)
+/// in a gauge that sums the levels of every operator bound to it; the
+/// level leaves the sum when the operator is destroyed.
+class PulseOperatorMetrics {
+ private:
+  // Declared first: the handles below may point here.
+  obs::Counter own_[3];
+  obs::Gauge own_state_size_;
 
-  void Reset() { *this = PulseOperatorMetrics(); }
-  double processing_seconds() const {
-    return static_cast<double>(processing_ns) * 1e-9;
-  }
+ public:
+  PulseOperatorMetrics() = default;
+  PulseOperatorMetrics(const PulseOperatorMetrics&) = delete;
+  PulseOperatorMetrics& operator=(const PulseOperatorMetrics&) = delete;
+
+  void Bind(obs::MetricsRegistry* registry, const std::string& op_name);
+
+  obs::Counter* segments_in = &own_[0];
+  obs::Counter* segments_out = &own_[1];
+  obs::Counter* solves = &own_[2];
+  obs::GaugeLevel state_size{&own_state_size_};
 };
-
-/// Publishes a discrete operator's counters into a registry under the
-/// unified naming scheme (docs/OBSERVABILITY.md):
-///
-///   op/<name>/in, op/<name>/out, op/<name>/processing_ns   (common)
-///   op/<name>/invocations, op/<name>/comparisons           (discrete)
-///
-/// The common subset uses the same names as the Pulse overload below, so
-/// both realizations of one query are directly comparable per operator.
-void RegisterOperatorViews(obs::ViewGroup& group, const std::string& op_name,
-                           const OperatorMetrics& metrics);
-
-/// Pulse overload: common subset as above plus
-///
-///   op/<name>/solves                       (counter)
-///   op/<name>/state_size                   (gauge)
-void RegisterOperatorViews(obs::ViewGroup& group, const std::string& op_name,
-                           const PulseOperatorMetrics& metrics);
 
 }  // namespace pulse
 

@@ -38,33 +38,27 @@ class ScopedMetricsRegistry {
 };
 
 /// Scoped latency measurement: records elapsed nanoseconds into a
-/// histogram on destruction (and optionally mirrors the duration into a
-/// RelaxedCounter owned by an operator's metrics struct). A null
-/// histogram makes the span inert — callers can wire spans
-/// unconditionally and let registry absence disable them.
+/// histogram on destruction. A null histogram makes the span inert —
+/// callers can wire spans unconditionally and let registry absence
+/// disable them — and so does -DPULSE_NO_METRICS.
 class Span {
  public:
-  explicit Span(Histogram* histogram, RelaxedCounter* also_accumulate = nullptr)
-      : histogram_(histogram), accumulate_(also_accumulate) {
-    if (histogram_ != nullptr || accumulate_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
+  explicit Span(Histogram* histogram)
+      : histogram_(kMetricsEnabled ? histogram : nullptr) {
+    if (histogram_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ~Span() {
-    if (histogram_ == nullptr && accumulate_ == nullptr) return;
-    const uint64_t ns = static_cast<uint64_t>(
+    if (histogram_ == nullptr) return;
+    histogram_->Record(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start_)
-            .count());
-    if (histogram_ != nullptr) histogram_->Record(ns);
-    if (accumulate_ != nullptr) *accumulate_ += ns;
+            .count()));
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
   Histogram* histogram_;
-  RelaxedCounter* accumulate_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -7,12 +7,8 @@ namespace shard {
 
 Result<ShardedRuntime> ShardedRuntime::Make(const QuerySpec& spec,
                                             ShardedRuntimeOptions options) {
-  ShardPoolOptions pool_options;
-  pool_options.num_shards = options.num_shards;
-  pool_options.runtime = std::move(options.runtime);
   ShardedRuntime rt;
-  PULSE_ASSIGN_OR_RETURN(rt.pool_,
-                         ShardPool::Make(spec, std::move(pool_options)));
+  PULSE_ASSIGN_OR_RETURN(rt.pool_, ShardPool::Make(spec, std::move(options)));
   PULSE_ASSIGN_OR_RETURN(rt.client_, rt.pool_->AddClient());
   return rt;
 }

@@ -14,12 +14,9 @@
 namespace pulse {
 namespace shard {
 
-struct ShardedRuntimeOptions {
-  /// Shard (worker thread) count; clamped to at least 1.
-  size_t num_shards = 1;
-  /// Template for the per-shard runtimes (see ShardPoolOptions).
-  HistoricalRuntime::Options runtime;
-};
+/// A sharded runtime is a private pool with one client, so it takes the
+/// pool's options unchanged.
+using ShardedRuntimeOptions = ShardPoolOptions;
 
 /// Single-client convenience over ShardPool with the HistoricalRuntime
 /// API: the differential oracle drives serial and sharded replays

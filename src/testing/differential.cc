@@ -162,8 +162,6 @@ Result<DiscreteRun> RunDiscrete(const GeneratedCase& kase) {
   }
   DiscreteRun run;
   run.schema = dp.sink_schemas[0];
-  // Registry declared before the executor: the executor's view bindings
-  // must release before the registry they point into dies.
   obs::MetricsRegistry registry;
   PULSE_ASSIGN_OR_RETURN(Executor exec, Executor::Make(std::move(dp.plan)));
   exec.set_metrics_registry(&registry);
@@ -569,9 +567,10 @@ void CheckMetricsInvariants(const DiscreteRun& discrete,
   if (!obs::kMetricsEnabled) return;  // registry compiled out
 
   // Name parity: every Pulse plan operator must be visible in the
-  // discrete engine's registry under the same op/<name>/{in,out,
-  // processing_ns} names (the discrete plan may add helper operators,
-  // e.g. the ".key" grouping map, so inclusion is one-directional).
+  // discrete engine's registry under the same op/<name>/out counter and
+  // op/<name>/process_ns histogram (the discrete plan may add helper
+  // operators, e.g. the ".key" grouping map, so inclusion is
+  // one-directional).
   const std::set<std::string> pulse_ops = OpNames(base.metrics);
   const std::set<std::string> discrete_ops = OpNames(discrete.metrics);
   ++report->metrics_checks;
@@ -590,12 +589,15 @@ void CheckMetricsInvariants(const DiscreteRun& discrete,
     }
     for (const obs::MetricsSnapshot* snap :
          {&discrete.metrics, &base.metrics}) {
-      for (const char* suffix : {"/out", "/processing_ns"}) {
-        const std::string name = "op/" + op + suffix;
-        if (snap->counters.count(name) == 0) {
-          reporter->Add(Divergence{"metrics.op_names", 0.0, 0, name, 0.0,
-                                   0.0, "common-subset counter missing"});
-        }
+      if (snap->counters.count("op/" + op + "/out") == 0) {
+        reporter->Add(Divergence{"metrics.op_names", 0.0, 0,
+                                 "op/" + op + "/out", 0.0, 0.0,
+                                 "common-subset counter missing"});
+      }
+      if (snap->histograms.count("op/" + op + "/process_ns") == 0) {
+        reporter->Add(Divergence{"metrics.op_names", 0.0, 0,
+                                 "op/" + op + "/process_ns", 0.0, 0.0,
+                                 "common-subset histogram missing"});
       }
     }
   }

@@ -357,5 +357,29 @@ TEST(CheckedInBenchJsonTest, PrecisionMatchesGateSchema) {
       << "widest tier must sustain >= 1.3x the tier-0 live throughput";
 }
 
+// Operators count into registry series, so a metrics block names each
+// series once, summed over every runtime that fed it; a "#N" suffix was
+// the old per-runtime duplicate and must not come back.
+TEST(CheckedInBenchJsonTest, MetricsBlocksHaveNoDuplicateSuffixes) {
+  for (const char* file :
+       {"BENCH_parallel_scaling.json", "BENCH_precision.json",
+        "BENCH_serving_throughput.json", "BENCH_solver_hotpath.json",
+        "BENCH_storage.json", "BENCH_telemetry.json"}) {
+    const std::string text =
+        ReadFileOrEmpty(std::string(PULSE_REPO_ROOT) + "/" + file);
+    ASSERT_FALSE(text.empty()) << file << " missing";
+    const json::Value doc = ParseOrDie(text);
+    const json::Value* metrics = doc.Find("metrics");
+    if (metrics == nullptr) continue;
+    for (const char* kind : {"counters", "gauges", "histograms"}) {
+      const json::Value* series = metrics->Find(kind);
+      if (series == nullptr) continue;
+      for (const auto& [name, value] : series->as_object()) {
+        EXPECT_EQ(name.find('#'), std::string::npos) << file << ": " << name;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pulse

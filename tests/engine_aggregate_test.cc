@@ -95,7 +95,7 @@ TEST(WindowedAggregate, PerTupleCostLinearInWindowCount) {
     for (int i = 0; i < 1000; ++i) {
       EXPECT_TRUE(agg.Process(0, VTuple(i * 0.5, 1, 1.0), &out).ok());
     }
-    return agg.metrics().comparisons;
+    return agg.metrics().comparisons->value();
   };
   const uint64_t c10 = run(10.0);
   const uint64_t c50 = run(50.0);

@@ -1,8 +1,10 @@
 // Contract suite for the observability layer (src/obs/): counter, gauge,
 // and histogram semantics, the bucket and percentile math against a
 // brute-force sorted oracle, snapshot consistency under concurrent
-// writers (runs under TSan in scripts/check.sh), view metrics, spans,
-// and golden files for the JSON and Prometheus exporters.
+// writers (runs under TSan in scripts/check.sh), operator counters
+// bound into shared series, spans, and golden files for the JSON and
+// Prometheus exporters. Also built with -DPULSE_NO_METRICS, where every
+// value assertion is guarded by kMetricsEnabled.
 #include "obs/metrics.h"
 
 #include <algorithm>
@@ -15,8 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/runtime.h"
 #include "obs/export.h"
 #include "obs/span.h"
+#include "serve/client.h"
+#include "serve/server.h"
+#include "workload/moving_object.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -26,6 +32,10 @@ namespace {
 
 // "w<index>", built by append: GCC 12 at -O3 flags the inlined insert of
 // `"w" + std::to_string(w)` with a spurious -Wrestrict.
+// The tests that check what a mutation stores have nothing to check
+// when -DPULSE_NO_METRICS makes every mutation a no-op.
+constexpr const char* kCompiledOut = "metric mutations are compiled out";
+
 std::string WriterName(int w) {
   std::string name = "w";
   name += std::to_string(w);
@@ -33,6 +43,7 @@ std::string WriterName(int w) {
 }
 
 TEST(CounterTest, AddIncrementStoreValue) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << kCompiledOut;
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.Increment();
@@ -43,6 +54,7 @@ TEST(CounterTest, AddIncrementStoreValue) {
 }
 
 TEST(GaugeTest, LastWriteWins) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << kCompiledOut;
   Gauge g;
   EXPECT_EQ(g.value(), 0.0);
   g.Set(3.25);
@@ -51,6 +63,32 @@ TEST(GaugeTest, LastWriteWins) {
   EXPECT_EQ(g.value(), -1e-9);
   g.Set(0.0);
   EXPECT_EQ(g.value(), 0.0);
+}
+
+TEST(GaugeLevelTest, LevelsSumAndLeaveWithTheirOwner) {
+  Gauge shared;
+  Gauge other;
+  {
+    GaugeLevel a(&shared);
+    a.Set(5);
+    {
+      GaugeLevel b(&shared);
+      b.Set(3);
+      a.Set(2);
+      if constexpr (kMetricsEnabled) {
+        EXPECT_EQ(shared.value(), 5.0);
+      }
+    }
+    if constexpr (kMetricsEnabled) {
+      EXPECT_EQ(shared.value(), 2.0);
+    }
+    a.Retarget(&other);
+    if constexpr (kMetricsEnabled) {
+      EXPECT_EQ(shared.value(), 0.0);
+      EXPECT_EQ(other.value(), 2.0);
+    }
+  }
+  EXPECT_EQ(other.value(), 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -116,6 +154,7 @@ TEST(HistogramBucketTest, BucketsAreContiguousAndAtMost25PercentWide) {
 // Recording and percentile math
 
 TEST(HistogramTest, CountSumMax) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << kCompiledOut;
   Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Percentile(50.0), 0.0);  // empty
@@ -146,6 +185,7 @@ void CheckPercentilesAgainstOracle(const Histogram& h,
 }
 
 TEST(HistogramTest, PercentileMatchesSortedOracleUniform) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << kCompiledOut;
   Histogram h;
   Rng rng(17);
   std::vector<uint64_t> values;
@@ -157,6 +197,7 @@ TEST(HistogramTest, PercentileMatchesSortedOracleUniform) {
 }
 
 TEST(HistogramTest, PercentileMatchesSortedOracleLogUniform) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << kCompiledOut;
   Histogram h;
   Rng rng(23);
   std::vector<uint64_t> values;
@@ -172,6 +213,7 @@ TEST(HistogramTest, PercentileMatchesSortedOracleLogUniform) {
 }
 
 TEST(HistogramTest, PercentileSingleValueIsExactWithinBucket) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << kCompiledOut;
   Histogram h;
   h.Record(1000);
   // One observation: every percentile collapses to its bucket, clamped
@@ -185,9 +227,10 @@ TEST(HistogramTest, PercentileSingleValueIsExactWithinBucket) {
 }
 
 // ---------------------------------------------------------------------
-// Registry: handles, views, snapshots
+// Registry: handles, snapshots
 
 TEST(MetricsRegistryTest, HandlesAreStableAndNamed) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << kCompiledOut;
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("runtime/tuples_in");
   EXPECT_EQ(registry.GetCounter("runtime/tuples_in"), c);
@@ -205,44 +248,8 @@ TEST(MetricsRegistryTest, HandlesAreStableAndNamed) {
   EXPECT_EQ(snap.histograms.at("span/solve/batch").max, 100u);
 }
 
-TEST(MetricsRegistryTest, ViewsReadForeignCountersAndUnbindOnRelease) {
-  MetricsRegistry registry;
-  RelaxedCounter in;
-  RelaxedCounter state;
-  {
-    ViewGroup group;
-    registry.BindViews(&group);
-    group.AddCounterView("op/filter/in", &in);
-    group.AddGaugeView("op/filter/state_size", &state);
-    in += 3;
-    state = 9;
-    const MetricsSnapshot snap = registry.Snapshot();
-    EXPECT_EQ(snap.counters.at("op/filter/in"), 3u);
-    EXPECT_EQ(snap.gauges.at("op/filter/state_size"), 9.0);
-  }
-  // Group destroyed: the registry no longer reads the (now notionally
-  // dead) sources.
-  const MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.counters.count("op/filter/in"), 0u);
-  EXPECT_EQ(snap.gauges.count("op/filter/state_size"), 0u);
-}
-
-TEST(MetricsRegistryTest, DuplicateViewNamesGetSuffixedNotMerged) {
-  MetricsRegistry registry;
-  RelaxedCounter a;
-  RelaxedCounter b;
-  a += 1;
-  b += 2;
-  ViewGroup group;
-  registry.BindViews(&group);
-  group.AddCounterView("op/join/in", &a);
-  group.AddCounterView("op/join/in", &b);
-  const MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.counters.at("op/join/in"), 1u);
-  EXPECT_EQ(snap.counters.at("op/join/in#2"), 2u);
-}
-
 TEST(MetricsRegistryTest, SnapshotIsConsistentUnder8WriterThreads) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << kCompiledOut;
   MetricsRegistry registry;
   constexpr int kWriters = 8;
   constexpr uint64_t kPerWriter = 20000;
@@ -284,6 +291,143 @@ TEST(MetricsRegistryTest, SnapshotIsConsistentUnder8WriterThreads) {
   EXPECT_EQ(lat.count, kWriters * kPerWriter);
   EXPECT_EQ(lat.max, kPerWriter - 1);
   EXPECT_EQ(lat.sum, kWriters * (kPerWriter * (kPerWriter - 1) / 2));
+}
+
+// ---------------------------------------------------------------------
+// Operator counters: registry series shared by every bound runtime
+
+QuerySpec ObjectsQuery(bool with_aggregate) {
+  QuerySpec spec;
+  EXPECT_TRUE(
+      spec.AddStream(MovingObjectGenerator::MakeStreamSpec("objects", 5.0))
+          .ok());
+  if (with_aggregate) {
+    AggregateSpec agg;
+    agg.fn = AggFn::kMin;
+    agg.attribute = "x";
+    agg.window_seconds = 100.0;
+    spec.AddAggregate("a", QuerySpec::Input::Stream("objects"), agg);
+  } else {
+    FilterSpec filter;
+    filter.predicate = Predicate::Comparison(ComparisonTerm::Simple(
+        AttrRef::Left("x"), CmpOp::kLt, Operand::Constant(6.0)));
+    spec.AddFilter("f", QuerySpec::Input::Stream("objects"), filter);
+  }
+  return spec;
+}
+
+// Four keys whose x zig-zags, so every key closes a segment every few
+// samples.
+std::vector<Tuple> ZigZagTrace() {
+  std::vector<Tuple> trace;
+  for (int i = 0; i < 400; ++i) {
+    const int step = i / 4;
+    const double x =
+        (step / 4) % 2 == 0 ? 4.0 * (step % 4) : 12.0 - 4.0 * (step % 4);
+    trace.push_back(Tuple(step * 0.05, {Value(int64_t{i % 4}), Value(x),
+                                        Value(0.0), Value(0.0), Value(0.0)}));
+  }
+  return trace;
+}
+
+HistoricalRuntime::Options SharedRegistryOptions(MetricsRegistry* registry) {
+  HistoricalRuntime::Options options;
+  options.segmentation.degree = 1;
+  options.segmentation.max_error = 0.05;
+  options.collect_outputs = false;
+  options.metrics = registry;
+  return options;
+}
+
+TEST(OperatorCountersTest, RuntimesSharingARegistryAddIntoOneSeries) {
+  MetricsRegistry registry;
+  const std::vector<Tuple> trace = ZigZagTrace();
+  {
+    std::vector<HistoricalRuntime> runtimes;
+    for (int r = 0; r < 2; ++r) {
+      Result<HistoricalRuntime> rt = HistoricalRuntime::Make(
+          ObjectsQuery(false), SharedRegistryOptions(&registry));
+      ASSERT_TRUE(rt.ok());
+      runtimes.push_back(std::move(*rt));
+    }
+    for (HistoricalRuntime& rt : runtimes) {
+      ASSERT_TRUE(rt.ProcessTuples("objects", trace.data(), trace.size())
+                      .ok());
+      ASSERT_TRUE(rt.Finish().ok());
+    }
+  }
+  // Both runtimes are gone; their counts stay in the registry.
+  const MetricsSnapshot snap = registry.Snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_EQ(name.find('#'), std::string::npos) << name;
+  }
+  if constexpr (kMetricsEnabled) {
+    const uint64_t pushed = snap.counters.at("runtime/segments_pushed");
+    EXPECT_GT(pushed, 2u);
+    EXPECT_EQ(pushed % 2, 0u);  // two identical runs
+    // The filter solves once per pushed segment.
+    EXPECT_EQ(snap.counters.at("op/f/in"), pushed);
+    EXPECT_EQ(snap.counters.at("op/f/solves"), pushed);
+    EXPECT_EQ(snap.counters.at("op/f/out"),
+              snap.counters.at("runtime/output_segments"));
+    EXPECT_GT(snap.counters.at("op/f/out"), 0u);
+  }
+}
+
+TEST(OperatorCountersTest, ServedSnapshotKeepsClosedSessionsSolves) {
+  serve::ServerOptions options;
+  options.spec = ObjectsQuery(false);
+  options.runtime = SharedRegistryOptions(nullptr);
+  options.num_shards = 2;
+  options.session.admission.enabled = false;
+  Result<std::unique_ptr<serve::StreamServer>> server =
+      serve::StreamServer::Make(std::move(options));
+  ASSERT_TRUE(server.ok());
+  const std::vector<Tuple> trace = ZigZagTrace();
+  for (int session = 0; session < 2; ++session) {
+    Result<std::unique_ptr<serve::Transport>> conn =
+        (*server)->ConnectInProcess();
+    ASSERT_TRUE(conn.ok());
+    serve::ServeClient client(std::move(*conn));
+    ASSERT_TRUE(client.Hello().ok());
+    ASSERT_TRUE(client.OpenStream(1, "objects").ok());
+    ASSERT_TRUE(client.SendBatch(1, trace).ok());
+    ASSERT_TRUE(client.Drain().ok());
+  }
+  (*server)->Drain();
+  const MetricsSnapshot snap = (*server)->Snapshot();
+  if constexpr (kMetricsEnabled) {
+    const uint64_t pushed = snap.counters.at("runtime/segments_pushed");
+    EXPECT_GT(pushed, 0u);
+    EXPECT_EQ(snap.counters.at("op/f/solves"), pushed);
+  }
+}
+
+TEST(OperatorCountersTest, StateSizeDropsWhenARuntimeIsDestroyed) {
+  MetricsRegistry registry;
+  const std::vector<Tuple> trace = ZigZagTrace();
+  auto make_fed = [&]() -> std::unique_ptr<HistoricalRuntime> {
+    Result<HistoricalRuntime> rt = HistoricalRuntime::Make(
+        ObjectsQuery(true), SharedRegistryOptions(&registry));
+    EXPECT_TRUE(rt.ok());
+    EXPECT_TRUE(
+        rt->ProcessTuples("objects", trace.data(), trace.size()).ok());
+    return std::make_unique<HistoricalRuntime>(std::move(*rt));
+  };
+  Gauge* state = registry.GetGauge("op/a/state_size");
+  std::unique_ptr<HistoricalRuntime> first = make_fed();
+  const double one = state->value();
+  std::unique_ptr<HistoricalRuntime> second = make_fed();
+  if constexpr (kMetricsEnabled) {
+    EXPECT_GT(one, 0.0);
+    EXPECT_EQ(state->value(), 2.0 * one);  // identical inputs and levels
+  }
+  second.reset();
+  if constexpr (kMetricsEnabled) {
+    EXPECT_EQ(state->value(), one);
+  }
+  first.reset();
+  EXPECT_EQ(state->value(), 0.0);
 }
 
 // ---------------------------------------------------------------------

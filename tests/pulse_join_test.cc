@@ -78,7 +78,7 @@ TEST(PulseJoin, OnlyOverlappingSegmentsSolve) {
   ASSERT_TRUE(
       j.Process(1, LinearSegment(2, 5.0, 10.0, 100.0, 0.0), &out).ok());
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(j.metrics().solves, 0u);
+  EXPECT_EQ(j.metrics().solves->value(), 0u);
 }
 
 TEST(PulseJoin, SolutionClippedToOverlap) {

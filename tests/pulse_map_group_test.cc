@@ -256,7 +256,7 @@ TEST(PulseGroupBy, FlushEmitsGroupsInAscendingKeyOrder) {
     EXPECT_DOUBLE_EQ(out[i + 1].range.lo, 5.0);
     EXPECT_DOUBLE_EQ(out[i + 1].range.hi, 10.0);
   }
-  EXPECT_EQ(g.metrics().segments_out, 6u);
+  EXPECT_EQ(g.metrics().segments_out->value(), 6u);
 }
 
 TEST(PulseGroupBy, FactoryFailurePropagates) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -504,6 +505,164 @@ TEST(Runtime, ExportedCountersUnchanged) {
               historical.end())
         << name;
   }
+}
+
+// Operators with only stateless operators below them keep lineage for
+// one push, so a long run holds about what a short one does instead of
+// one record per output ever produced. Returns the largest lineage size
+// `op` showed between batches in the first eighth of `num_tuples` and in
+// the rest.
+std::pair<size_t, size_t> LineagePeaks(const QuerySpec& spec,
+                                       size_t num_tuples,
+                                       const std::string& op) {
+  HistoricalRuntime::Options options;
+  options.segmentation.degree = 1;
+  options.segmentation.max_error = 0.5;
+  options.collect_outputs = false;
+  Result<HistoricalRuntime> rt = HistoricalRuntime::Make(spec, options);
+  EXPECT_TRUE(rt.ok());
+  const PulseOperator* node = nullptr;
+  for (PulsePlan::NodeId n = 0; n < rt->plan().num_nodes(); ++n) {
+    if (rt->plan().node(n)->name() == op) node = rt->plan().node(n);
+  }
+  EXPECT_NE(node, nullptr) << op;
+  if (node == nullptr) return {0, 0};
+  size_t early = 0;
+  size_t late = 0;
+  std::vector<Tuple> batch;
+  for (size_t i = 0; i < num_tuples; ++i) {
+    // 64 objects, each zig-zagging so segments keep closing.
+    const int64_t id = static_cast<int64_t>(i % 64);
+    const double t = static_cast<double>(i / 64) * 0.01;
+    const double phase = std::fmod(t + 0.37 * static_cast<double>(id), 4.0);
+    const double x = phase < 2.0 ? 5.0 * phase : 20.0 - 5.0 * phase;
+    batch.push_back(ObjectTuple(t, id, x, 0.0));
+    if (batch.size() == 4096 || i + 1 == num_tuples) {
+      EXPECT_TRUE(
+          rt->ProcessTuples("objects", batch.data(), batch.size()).ok());
+      batch.clear();
+      size_t& peak = (i < num_tuples / 8) ? early : late;
+      peak = std::max(peak, node->lineage().size());
+    }
+  }
+  return {early, late};
+}
+
+TEST(HistoricalRuntime, WindowlessLineageStaysBounded) {
+  constexpr size_t kTuples = 1 << 20;
+  QuerySpec epoch_distinct;
+  ASSERT_TRUE(epoch_distinct
+                  .AddStream(MovingObjectGenerator::MakeStreamSpec(
+                      "objects", 5.0))
+                  .ok());
+  const QuerySpec::NodeId e = epoch_distinct.AddEpoch(
+      "e", QuerySpec::Input::Stream("objects"), EpochSpec{});
+  epoch_distinct.AddDistinct("d", QuerySpec::Input::Node(e), DistinctSpec{});
+  struct Case {
+    QuerySpec spec;
+    std::string op;
+  };
+  for (const Case& c : {Case{FilterQuerySpec(8.0), "f"},
+                        Case{epoch_distinct, "e"},
+                        Case{epoch_distinct, "d"}}) {
+    const auto [early, late] = LineagePeaks(c.spec, kTuples, c.op);
+    EXPECT_GT(early, 0u) << c.op;
+    EXPECT_LE(late, 2 * early) << c.op;
+  }
+}
+
+// An operator feeding a stateful one keeps its lineage: the stateful
+// operator can emit from an old input long after the feeding operator
+// has moved on, and inverting that output walks back into the old
+// record. Every output must invert, and its bound reach the source.
+PredictiveRuntime::Options MinBoundOptions() {
+  PredictiveRuntime::Options opts;
+  opts.bounds = {BoundSpec::Absolute("x", 0.5)};
+  return opts;
+}
+
+AggregateSpec MinOfX(bool per_key) {
+  AggregateSpec min;
+  min.fn = AggFn::kMin;
+  min.attribute = "x";
+  min.output_attribute = "x";
+  min.window_seconds = 1.0;
+  min.slide_seconds = 1.0;
+  min.per_key = per_key;
+  return min;
+}
+
+TEST(PredictiveRuntime, FilterFeedingMinKeepsLineageAcrossOutputGap) {
+  // f: x < 10 -> m: min(x) over 1 s. Segment horizon 1 s, so every
+  // tuple past its key's horizon pushes a new segment.
+  QuerySpec spec = FilterQuerySpec(10.0, /*horizon=*/1.0);
+  spec.AddAggregate("m", QuerySpec::Input::Node(0), MinOfX(false));
+  Result<PredictiveRuntime> rt =
+      PredictiveRuntime::Make(spec, MinBoundOptions());
+  ASSERT_TRUE(rt.ok());
+  // Key 1 passes the filter at [0, 1); m holds that piece until an input
+  // starts at or after 1.
+  ASSERT_TRUE(rt->ProcessTuple("objects", ObjectTuple(0.0, 1, 0.0, 0.0))
+                  .ok());
+  // 30 s of key 2 that the filter drops: f advances, m sees nothing.
+  for (double t = 1.5; t <= 30.0; t += 1.5) {
+    ASSERT_TRUE(rt->ProcessTuple("objects", ObjectTuple(t, 2, 50.0, 0.0))
+                    .ok());
+  }
+  EXPECT_EQ(rt->stats().output_segments, 0u);
+  // Key 1 passes again: m emits the [0, 1) piece, caused by f's first
+  // output.
+  ASSERT_TRUE(rt->ProcessTuple("objects", ObjectTuple(31.0, 1, 0.0, 0.0))
+                  .ok());
+  EXPECT_EQ(rt->stats().output_segments, 1u);
+  EXPECT_EQ(rt->stats().inversions, 1u);
+  EXPECT_EQ(rt->bounds().Margin(1, "x"), 0.5);
+  ASSERT_TRUE(rt->Finish().ok());
+  EXPECT_EQ(rt->stats().output_segments, 2u);
+  EXPECT_EQ(rt->stats().inversions, 2u);
+}
+
+TEST(PredictiveRuntime, MapFeedingPerKeyMinKeepsLineageForIdleKey) {
+  // p: keep x, add d = x - y -> m: per-key min(x) over 1 s -> f: x < 100.
+  // The inversion walk ends at the group-by (PulseGroupBy records no
+  // lineage of its own, so QueryInverter registers its inputs' bounds
+  // by key), so p's records are never read; this pins that every output
+  // still inverts.
+  QuerySpec spec;
+  ASSERT_TRUE(
+      spec.AddStream(MovingObjectGenerator::MakeStreamSpec("objects", 1.0))
+          .ok());
+  MapSpec map;
+  map.outputs = {ComputedAttr::Difference("d", AttrRef::Left("x"),
+                                          AttrRef::Left("y"))};
+  const QuerySpec::NodeId p =
+      spec.AddMap("p", QuerySpec::Input::Stream("objects"), map);
+  const QuerySpec::NodeId m =
+      spec.AddAggregate("m", QuerySpec::Input::Node(p), MinOfX(true));
+  FilterSpec below;
+  below.predicate = Predicate::Comparison(ComparisonTerm::Simple(
+      AttrRef::Left("x"), CmpOp::kLt, Operand::Constant(100.0)));
+  spec.AddFilter("f", QuerySpec::Input::Node(m), below);
+  Result<PredictiveRuntime> rt =
+      PredictiveRuntime::Make(spec, MinBoundOptions());
+  ASSERT_TRUE(rt.ok());
+  ASSERT_TRUE(rt->ProcessTuple("objects", ObjectTuple(0.0, 1, 0.0, 0.0))
+                  .ok());
+  // Key 2 runs for 30 s while key 1 stays idle.
+  for (double t = 1.5; t <= 30.0; t += 1.5) {
+    ASSERT_TRUE(rt->ProcessTuple("objects", ObjectTuple(t, 2, 5.0, 0.0))
+                    .ok());
+  }
+  const uint64_t before = rt->stats().output_segments;
+  EXPECT_EQ(rt->stats().inversions, before);
+  // Key 1's next segment releases its [0, 1) minimum.
+  ASSERT_TRUE(rt->ProcessTuple("objects", ObjectTuple(31.0, 1, 0.0, 0.0))
+                  .ok());
+  EXPECT_EQ(rt->stats().output_segments, before + 1);
+  EXPECT_EQ(rt->stats().inversions, before + 1);
+  EXPECT_EQ(rt->bounds().Margin(1, "x"), 0.5);
+  ASSERT_TRUE(rt->Finish().ok());
+  EXPECT_EQ(rt->stats().inversions, rt->stats().output_segments);
 }
 
 }  // namespace
