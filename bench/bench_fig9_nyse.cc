@@ -6,7 +6,14 @@
 // Paper shape: tuple query tails off first (~4000 tup/s in the paper),
 // Pulse scales ~1.6x further (~6500 tup/s), historical segment processing
 // scales best in this range.
+//
+// Writes BENCH_fig9_nyse.json: one row per series, the Pulse row with
+// its validated/pushed/violation counts (deterministic for the fixed
+// trace; tests/bench_schema_test.cc pins them) and the per-push p50 of
+// each MACD operator (op/<name>/process_ns), and the Pulse runtime's
+// metrics block.
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "core/runtime.h"
@@ -29,7 +36,7 @@ QuerySpec MacdSpec() {
 }  // namespace
 }  // namespace pulse
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pulse;
   NyseOptions gen_opts;
   gen_opts.num_symbols = 50;
@@ -111,5 +118,44 @@ int main() {
       "\nExpected shape (paper): tuple MACD saturates first; Pulse "
       "sustains a higher rate (~1.6x in the paper);\nhistorical segment "
       "processing scales further still.\n");
-  return 0;
+
+  const RuntimeStats pulse_stats = rt->stats();
+  const obs::MetricsSnapshot pulse_metrics = rt->metrics()->Snapshot();
+  auto process_p50 = [&pulse_metrics](const std::string& op) {
+    auto it = pulse_metrics.histograms.find("op/" + op + "/process_ns");
+    return it == pulse_metrics.histograms.end() ? 0.0 : it->second.p50;
+  };
+  bench::BenchReport report("fig9_nyse");
+  report.ParamUint("symbols", gen_opts.num_symbols);
+  report.ParamDouble("tuple_rate", gen_opts.tuple_rate);
+  report.ParamUint("trades_per_trend", gen_opts.trades_per_trend);
+  report.ParamDouble("noise", gen_opts.noise);
+  report.ParamUint("seed", gen_opts.seed);
+  report.ParamDouble("relative_bound", 0.01);
+  report.ParamUint("hardware_concurrency", bench::HardwareConcurrency());
+  auto add_row = [&](const char* series, double seconds) -> auto& {
+    return report.AddRow()
+        .String("series", series)
+        .Uint("tuples", trace.size())
+        .Double("seconds", seconds)
+        .Double("tuples_per_sec", n / seconds)
+        .Bool("core_bound", bench::CoreBound(1));
+  };
+  add_row("tuple", tuple_s);
+  add_row("pulse", pulse_s)
+      .Uint("tuples_validated", pulse_stats.tuples_validated)
+      .Uint("segments_pushed", pulse_stats.segments_pushed)
+      .Uint("violations", pulse_stats.violations)
+      .Uint("output_segments", pulse_stats.output_segments)
+      .Double("macd_short_process_ns_p50", process_p50("macd.short"))
+      .Double("macd_long_process_ns_p50", process_p50("macd.long"))
+      .Double("macd_join_process_ns_p50", process_p50("macd.join"))
+      .Double("macd_diff_process_ns_p50", process_p50("macd.diff"));
+  add_row("historical", hist_s)
+      .Uint("segments_pushed", hist->stats().segments_pushed)
+      .Uint("output_segments", hist->stats().output_segments);
+  report.AttachMetrics(pulse_metrics);
+  if (!report.WriteFile("BENCH_fig9_nyse.json")) return 1;
+  std::printf("\nWrote BENCH_fig9_nyse.json.\n");
+  return bench::HandleMetricsOutFlag(argc, argv, pulse_metrics) ? 0 : 1;
 }

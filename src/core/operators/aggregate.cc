@@ -42,10 +42,13 @@ Status PulseMinMaxAggregate::Process(size_t port, const Segment& segment,
   metrics_.solves->Increment();
   const IntervalSet changed =
       state_.MergeEnvelope(Piece{segment.range, poly}, is_min_);
+  // Every piece this segment wins shares one copy of it as its cause.
+  std::shared_ptr<const Segment> cause;
   for (const Interval& iv : changed.intervals()) {
     if (iv.IsPoint()) continue;  // tangency: no change of measure
+    if (cause == nullptr) cause = std::make_shared<const Segment>(segment);
     OverrideInsert(FinalPiece{Interval::ClosedOpen(iv.lo, iv.hi), poly,
-                              segment.key, segment});
+                              segment.key, cause});
   }
   // Inputs arrive ordered by range.lo, so every change going forward
   // starts at or after this segment's lo: everything before it is
@@ -132,7 +135,7 @@ Result<std::vector<AllocatedBound>> InvertAggregateBound(
   }
   std::vector<const Segment*> inputs;
   inputs.reserve(causes->size());
-  for (const LineageEntry& e : *causes) inputs.push_back(&e.input);
+  for (const LineageEntry& e : *causes) inputs.push_back(e.input.get());
   SplitContext ctx;
   ctx.output = &output;
   ctx.attribute = attribute;
@@ -144,7 +147,7 @@ Result<std::vector<AllocatedBound>> InvertAggregateBound(
                          split.Apportion(ctx));
   for (size_t i = 0; i < allocs.size(); ++i) {
     allocs[i].port = (*causes)[i].port;
-    allocs[i].segment_id = (*causes)[i].input.id;
+    allocs[i].segment_id = (*causes)[i].input->id;
   }
   return allocs;
 }
@@ -273,8 +276,9 @@ Status PulseSumAvgAggregate::EmitWindows(double from, double to,
     result.range = Interval::ClosedOpen(a, b);
     result.set_attribute(options_.output_attribute, wf);
     std::vector<LineageEntry> causes;
+    causes.reserve(head_idx - tail_idx + 1);
     for (size_t i = tail_idx; i <= head_idx; ++i) {
-      causes.push_back(LineageEntry{0, stored_[i].snapshot});
+      causes.push_back(LineageEntry{0, stored_[i].input});
     }
     lineage_.Record(result.id, result.range, std::move(causes));
     out->push_back(std::move(result));
@@ -320,13 +324,10 @@ Status PulseSumAvgAggregate::Process(size_t port, const Segment& segment,
 
   Stored entry;
   entry.range = segment.range;
-  entry.poly = poly;
   entry.anti = poly.Antiderivative();
   entry.full = entry.anti.Evaluate(segment.range.hi) -
                entry.anti.Evaluate(segment.range.lo);
-  entry.id = segment.id;
-  entry.key = segment.key;
-  entry.snapshot = segment;
+  entry.input = std::make_shared<const Segment>(segment);
   stored_.push_back(std::move(entry));
 
   // Emit the window functions this segment enables: closes in
@@ -370,8 +371,8 @@ Result<std::vector<AllocatedBound>> PulseSumAvgAggregate::InvertBound(
   std::vector<AllocatedBound> out;
   out.reserve(causes->size());
   for (const LineageEntry& e : *causes) {
-    out.push_back(AllocatedBound{e.input.key, options_.input_attribute,
-                                 base, e.port, e.input.id});
+    out.push_back(AllocatedBound{e.input->key, options_.input_attribute,
+                                 base, e.port, e.input->id});
   }
   return out;
 }

@@ -67,7 +67,7 @@ class PulseMinMaxAggregate : public PulseOperator {
     Interval range;
     Polynomial poly;
     Key arg_key = 0;
-    Segment cause;  // causing input, for lineage
+    std::shared_ptr<const Segment> cause;  // causing input, for lineage
   };
 
   // Overrides pending_ coverage on `range` with the new piece.
@@ -115,12 +115,11 @@ class PulseSumAvgAggregate : public PulseOperator {
   /// a function for the tail integral").
   struct Stored {
     Interval range;
-    Polynomial poly;
-    Polynomial anti;     // antiderivative of poly
+    Polynomial anti;     // antiderivative of the input attribute
     double full = 0.0;   // definite integral over `range`
-    uint64_t id = 0;
-    Key key = 0;
-    Segment snapshot;    // the causing input segment, for lineage
+    // The causing input segment; every window output citing it shares
+    // this one copy in its lineage.
+    std::shared_ptr<const Segment> input;
   };
 
   // Emits window-function segments for closes in [from, to).

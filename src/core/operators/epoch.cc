@@ -1,6 +1,7 @@
 #include "core/operators/epoch.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "engine/epoch.h"
 #include "util/logging.h"
@@ -18,6 +19,8 @@ Status PulseEpoch::Process(size_t port, const Segment& segment,
   metrics_.segments_in->Increment();
   const double lo = segment.range.lo;
   const double hi = segment.range.hi;
+  // Every piece of this input shares one copy of it as its cause.
+  std::shared_ptr<const Segment> cause;
   for (int64_t k = EpochIndexOf(lo, epoch_seconds_);
        static_cast<double>(k) * epoch_seconds_ < hi; ++k) {
     const double e_lo = static_cast<double>(k) * epoch_seconds_;
@@ -26,7 +29,8 @@ Status PulseEpoch::Process(size_t port, const Segment& segment,
         Interval::ClosedOpen(std::max(lo, e_lo), e_hi));
     if (piece.range.IsEmpty()) continue;
     piece.id = NextSegmentId();
-    lineage_.Record(piece.id, piece.range, {LineageEntry{0, segment}});
+    if (cause == nullptr) cause = std::make_shared<const Segment>(segment);
+    lineage_.Record(piece.id, piece.range, {LineageEntry{0, cause}});
     out->push_back(std::move(piece));
     metrics_.segments_out->Increment();
   }

@@ -1,5 +1,6 @@
 #include "core/operators/filter.h"
 
+#include <memory>
 #include <set>
 
 #include "util/logging.h"
@@ -31,11 +32,14 @@ Status PulseFilter::Process(size_t port, const Segment& segment,
   PULSE_RETURN_IF_ERROR(predicate_.SolveInto(MakeUnaryResolver(segment),
                                              segment.range, &scratch,
                                              &solution_));
+  // Every output of this input shares one copy of it as its cause.
+  std::shared_ptr<const Segment> cause;
   for (const Interval& iv : solution_.intervals()) {
+    if (cause == nullptr) cause = std::make_shared<const Segment>(segment);
     Segment result = segment;
     result.id = NextSegmentId();
     result.range = iv;
-    lineage_.Record(result.id, iv, {LineageEntry{0, segment}});
+    lineage_.Record(result.id, iv, {LineageEntry{0, cause}});
     out->push_back(std::move(result));
     metrics_.segments_out->Increment();
   }
@@ -60,7 +64,7 @@ Result<std::vector<AllocatedBound>> PulseFilter::InvertBound(
 
   std::vector<const Segment*> inputs;
   inputs.reserve(causes->size());
-  for (const LineageEntry& e : *causes) inputs.push_back(&e.input);
+  for (const LineageEntry& e : *causes) inputs.push_back(e.input.get());
 
   std::vector<AllocatedBound> out;
   for (const std::string& dep : deps) {
@@ -75,7 +79,7 @@ Result<std::vector<AllocatedBound>> PulseFilter::InvertBound(
                            split.Apportion(ctx));
     for (size_t i = 0; i < allocs.size(); ++i) {
       allocs[i].port = (*causes)[i].port;
-      allocs[i].segment_id = (*causes)[i].input.id;
+      allocs[i].segment_id = (*causes)[i].input->id;
       out.push_back(std::move(allocs[i]));
     }
   }

@@ -62,6 +62,12 @@ Result<std::vector<AllocatedBound>> PulseGroupBy::InvertBound(
   return inner->InvertBound(output, attribute, margin, split);
 }
 
+const std::vector<LineageEntry>* PulseGroupBy::LookupCauses(
+    const Segment& output) const {
+  PulseOperator* inner = group_operator(output.key);
+  return inner == nullptr ? nullptr : inner->LookupCauses(output);
+}
+
 Status PulseGroupBy::Flush(SegmentBatch* out) {
   PULSE_SPAN("group_by/flush");
   // Groups flush in ascending key order (groups_ is an ordered map);

@@ -34,6 +34,11 @@ class PulseGroupBy : public PulseOperator {
       const Segment& output, const std::string& attribute, double margin,
       const SplitHeuristic& split) const override;
 
+  /// The inner operators record the lineage: delegates to the output's
+  /// group, as InvertBound does.
+  const std::vector<LineageEntry>* LookupCauses(
+      const Segment& output) const override;
+
   size_t num_groups() const { return groups_.size(); }
 
   /// The inner operator for `group`, or nullptr when the group is unseen.

@@ -141,7 +141,7 @@ bool PulseJoin::KeysAdmissible(const Segment& a, const Segment& b) const {
 void PulseJoin::Expire(double now) {
   const double horizon = now - options_.window_seconds;
   for (std::deque<StoredSegment>* side : {&left_, &right_}) {
-    while (!side->empty() && side->front().segment.range.hi < horizon) {
+    while (!side->empty() && side->front().segment->range.hi < horizon) {
       side->pop_front();
     }
   }
@@ -180,23 +180,23 @@ void PulseJoin::CollectPairs(size_t port, const Segment& segment,
                              const ResolvedAttrs& probe,
                              std::vector<Pair>* pairs) const {
   for (const StoredSegment& partner : (port == 0) ? right_ : left_) {
-    if (!KeysAdmissible(segment, partner.segment)) continue;
-    Pair p = (port == 0) ? Pair{&segment, &partner.segment, &probe,
-                                &partner.resolved, Interval()}
-                         : Pair{&partner.segment, &segment, &partner.resolved,
-                                &probe, Interval()};
+    const Segment& stored = *partner.segment;
+    if (!KeysAdmissible(segment, stored)) continue;
+    Pair p = (port == 0) ? Pair{&segment, &stored, &probe, &partner.resolved,
+                                &partner, Interval()}
+                         : Pair{&stored, &segment, &partner.resolved, &probe,
+                                &partner, Interval()};
     p.overlap = p.left->range.Intersect(p.right->range);
     if (p.overlap.IsEmpty()) continue;
     pairs->push_back(p);
   }
 }
 
-Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
-                                const ResolvedAttrs& probe,
+Status PulseJoin::MatchPartners(size_t port, const StoredSegment& arriving,
                                 SegmentBatch* out) {
   std::vector<Pair>& pairs = pair_scratch_;
   pairs.clear();
-  CollectPairs(port, segment, probe, &pairs);
+  CollectPairs(port, *arriving.segment, arriving.resolved, &pairs);
   if (pairs.empty()) return Status::OK();
   metrics_.solves->Add(pairs.size());
   PULSE_SPAN("join/match_partners");
@@ -241,12 +241,16 @@ Status PulseJoin::MatchPartners(size_t port, const Segment& segment,
 
   // Emission in pair order fixes segment ids, lineage and output order.
   for (size_t i = 0; i < pairs.size(); ++i) {
+    const std::shared_ptr<const Segment>& partner = pairs[i].partner->segment;
+    const std::shared_ptr<const Segment>& left =
+        port == 0 ? arriving.segment : partner;
+    const std::shared_ptr<const Segment>& right =
+        port == 0 ? partner : arriving.segment;
     for (const Interval& iv : solutions[i].intervals()) {
-      Segment joined = MakeJoined(*pairs[i].left, *pairs[i].right, iv);
+      Segment joined = MakeJoined(*left, *right, iv);
       joined.id = NextSegmentId();
       lineage_.Record(joined.id, iv,
-                      {LineageEntry{0, *pairs[i].left},
-                       LineageEntry{1, *pairs[i].right}});
+                      {LineageEntry{0, left}, LineageEntry{1, right}});
       out->push_back(std::move(joined));
       metrics_.segments_out->Increment();
     }
@@ -261,14 +265,15 @@ Status PulseJoin::Process(size_t port, const Segment& segment,
   latest_time_ = std::max(latest_time_, segment.range.lo);
   Expire(latest_time_);
   const Side side = (port == 0) ? Side::kLeft : Side::kRight;
-  ResolvedAttrs probe;
-  if (compiled_) probe = Resolve(side, segment);
-  PULSE_RETURN_IF_ERROR(MatchPartners(port, segment, probe, out));
+  // The one copy of the arriving segment: it is matched, stored, and
+  // cited by every output's lineage. The pointer table points into its
+  // attribute map, which lives as long as the copy.
+  StoredSegment arriving{std::make_shared<const Segment>(segment),
+                         ResolvedAttrs()};
+  if (compiled_) arriving.resolved = Resolve(side, *arriving.segment);
+  PULSE_RETURN_IF_ERROR(MatchPartners(port, arriving, out));
   std::deque<StoredSegment>& own = (port == 0) ? left_ : right_;
-  own.push_back(StoredSegment{segment, ResolvedAttrs()});
-  // Resolve against the stored copy: the table must point into the
-  // attribute map that lives as long as the stored element.
-  if (compiled_) own.back().resolved = Resolve(side, own.back().segment);
+  own.push_back(std::move(arriving));
   metrics_.state_size.Set(left_.size() + right_.size());
   return Status::OK();
 }
@@ -305,7 +310,7 @@ Result<std::vector<AllocatedBound>> PulseJoin::InvertBound(
     std::vector<const LineageEntry*> entries;
     for (const LineageEntry& e : *causes) {
       if (e.port == port) {
-        inputs.push_back(&e.input);
+        inputs.push_back(e.input.get());
         entries.push_back(&e);
       }
     }
@@ -321,7 +326,7 @@ Result<std::vector<AllocatedBound>> PulseJoin::InvertBound(
                            split.Apportion(ctx));
     for (size_t i = 0; i < allocs.size(); ++i) {
       allocs[i].port = entries[i]->port;
-      allocs[i].segment_id = entries[i]->input.id;
+      allocs[i].segment_id = entries[i]->input->id;
       out.push_back(std::move(allocs[i]));
     }
   }

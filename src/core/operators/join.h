@@ -2,6 +2,7 @@
 #define PULSE_CORE_OPERATORS_JOIN_H_
 
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,9 +98,11 @@ class PulseJoin : public PulseOperator {
     bool complete = false;
   };
   // One stored segment of a side's buffer with its pointer table, which
-  // points into this element's own attribute map.
+  // points into the segment's attribute map. The segment is the copy
+  // the join took on arrival; the lineage of every output it joins into
+  // shares it.
   struct StoredSegment {
-    Segment segment;
+    std::shared_ptr<const Segment> segment;
     ResolvedAttrs resolved;
   };
   // A stored partner aligned with an arriving segment: operands oriented
@@ -109,6 +112,7 @@ class PulseJoin : public PulseOperator {
     const Segment* right;
     const ResolvedAttrs* left_resolved;
     const ResolvedAttrs* right_resolved;
+    const StoredSegment* partner;
     Interval overlap;
   };
 
@@ -129,10 +133,11 @@ class PulseJoin : public PulseOperator {
   // both enumerate partners through here.
   void CollectPairs(size_t port, const Segment& segment,
                     const ResolvedAttrs& probe, std::vector<Pair>* pairs) const;
-  // Solves `segment` (arrived on `port`) against every admissible stored
-  // partner, emitting (ids, lineage, output order) in partner order.
-  Status MatchPartners(size_t port, const Segment& segment,
-                       const ResolvedAttrs& probe, SegmentBatch* out);
+  // Solves `arriving` (arrived on `port`) against every admissible
+  // stored partner, emitting (ids, lineage, output order) in partner
+  // order.
+  Status MatchPartners(size_t port, const StoredSegment& arriving,
+                       SegmentBatch* out);
   bool KeysAdmissible(const Segment& a, const Segment& b) const;
   void Expire(double now);
   Segment MakeJoined(const Segment& left, const Segment& right,

@@ -1,5 +1,6 @@
 #include "core/operators/map.h"
 
+#include <memory>
 #include <set>
 
 #include "core/operators/filter.h"
@@ -82,7 +83,8 @@ Status PulseMap::Process(size_t port, const Segment& segment,
   metrics_.segments_in->Increment();
   PULSE_ASSIGN_OR_RETURN(Segment result, Apply(segment));
   result.id = NextSegmentId();
-  lineage_.Record(result.id, result.range, {LineageEntry{0, segment}});
+  lineage_.Record(result.id, result.range,
+                  {LineageEntry{0, std::make_shared<const Segment>(segment)}});
   out->push_back(std::move(result));
   metrics_.segments_out->Increment();
   return Status::OK();
@@ -117,7 +119,7 @@ Result<std::vector<AllocatedBound>> PulseMap::InvertBound(
   if (deps.empty()) deps = {attribute};  // passthrough
 
   std::vector<const Segment*> inputs;
-  for (const LineageEntry& e : *causes) inputs.push_back(&e.input);
+  for (const LineageEntry& e : *causes) inputs.push_back(e.input.get());
 
   std::vector<AllocatedBound> out;
   for (const std::string& dep : deps) {
@@ -132,7 +134,7 @@ Result<std::vector<AllocatedBound>> PulseMap::InvertBound(
                            split.Apportion(ctx));
     for (size_t i = 0; i < allocs.size(); ++i) {
       allocs[i].port = (*causes)[i].port;
-      allocs[i].segment_id = (*causes)[i].input.id;
+      allocs[i].segment_id = (*causes)[i].input->id;
       out.push_back(std::move(allocs[i]));
     }
   }

@@ -61,6 +61,16 @@ class PulseOperator {
   LineageStore& lineage() { return lineage_; }
   const LineageStore& lineage() const { return lineage_; }
 
+  /// The causes of `output`, an output this operator emitted, or nullptr
+  /// when they are unknown or expired. Query inversion finds causes only
+  /// through here. The default reads this operator's own lineage; an
+  /// operator whose outputs are recorded elsewhere (a group-by's inner
+  /// operators) overrides it.
+  virtual const std::vector<LineageEntry>* LookupCauses(
+      const Segment& output) const {
+    return lineage_.Lookup(output.id);
+  }
+
  protected:
   PulseOperatorMetrics metrics_;
   LineageStore lineage_;

@@ -122,9 +122,9 @@ Status PulseExecutor::RunNode(PulsePlan::NodeId id, size_t port,
   return plan_.node(id)->Process(port, segment, out);
 }
 
-void PulseExecutor::DeliverToSink(const Segment& segment) {
+void PulseExecutor::DeliverToSink(Segment segment) {
   ++total_output_;
-  if (!discard_output_) output_.push_back(segment);
+  if (!discard_output_) output_.push_back(std::move(segment));
 }
 
 Status PulseExecutor::Drain(PulsePlan::NodeId from, SegmentBatch segments) {
@@ -134,14 +134,19 @@ Status PulseExecutor::Drain(PulsePlan::NodeId from, SegmentBatch segments) {
     Segment segment;
   };
   std::deque<Work> pending;
+  // Consumes `outs`: the last consumer of each segment takes it by move,
+  // the others get copies.
   auto route = [&](PulsePlan::NodeId producer, SegmentBatch& outs) {
     const auto& edges = plan_.downstream(producer);
     if (edges.empty()) {
-      for (const Segment& s : outs) DeliverToSink(s);
+      for (Segment& s : outs) DeliverToSink(std::move(s));
       return;
     }
-    for (const Segment& s : outs) {
-      for (const auto& e : edges) pending.push_back(Work{e.to, e.port, s});
+    for (Segment& s : outs) {
+      for (size_t i = 0; i + 1 < edges.size(); ++i) {
+        pending.push_back(Work{edges[i].to, edges[i].port, s});
+      }
+      pending.push_back(Work{edges.back().to, edges.back().port, std::move(s)});
     }
   };
   route(from, segments);

@@ -91,7 +91,7 @@ class PulseExecutor {
   // stores (LineageStore::set_push_scoped).
   void ClearPushScopedLineage();
   Status Drain(PulsePlan::NodeId from, SegmentBatch segments);
-  void DeliverToSink(const Segment& segment);
+  void DeliverToSink(Segment segment);
   // One Process call, timed into the operator's op/<name>/process_ns
   // histogram when a registry is attached.
   Status RunNode(PulsePlan::NodeId id, size_t port, const Segment& segment,

@@ -307,9 +307,7 @@ Status PredictiveRuntime::HandleOutputs(size_t from) {
     // segment (identified by lineage ownership).
     for (const BoundSpec& spec : options_.bounds) {
       for (PulsePlan::NodeId sink : sinks) {
-        if (plan.node(sink)->lineage().Lookup(out.id) == nullptr) {
-          continue;
-        }
+        if (plan.node(sink)->LookupCauses(out) == nullptr) continue;
         Status st = inverter_->InvertForOutput(sink, out, spec,
                                                bound_registry_.get());
         if (st.ok()) counters.inversions->Increment();
@@ -356,30 +354,29 @@ void PredictiveRuntime::RefreshMargins(const StreamState& state, Key key,
   model->margin_version = bound_registry_->version();
 }
 
-Status PredictiveRuntime::ProcessTuple(const std::string& stream,
-                                       const Tuple& tuple) {
-  PULSE_ASSIGN_OR_RETURN(size_t index, core_.AcceptTuples(stream, 1));
-  return ProcessAccepted(index, tuple);
-}
-
 Status PredictiveRuntime::ProcessTuples(const std::string& stream,
                                         const Tuple* tuples, size_t n) {
   PULSE_ASSIGN_OR_RETURN(size_t index, core_.AcceptTuples(stream, n));
-  for (size_t i = 0; i < n; ++i) {
-    PULSE_RETURN_IF_ERROR(ProcessAccepted(index, tuples[i]));
+  uint64_t validated = 0;
+  Status status = Status::OK();
+  for (size_t i = 0; i < n && status.ok(); ++i) {
+    status = ProcessAccepted(index, tuples[i], &validated);
   }
-  return Status::OK();
+  core_.counters().tuples_validated->Add(validated);
+  return status;
 }
 
-Status PredictiveRuntime::ProcessAccepted(size_t index, const Tuple& tuple) {
+Status PredictiveRuntime::ProcessAccepted(size_t index, const Tuple& tuple,
+                                          uint64_t* validated) {
   StreamState* state = &streams_[index];
   const SegmentModelBuilder& builder = state->builder;
   const Key key = builder.KeyOf(tuple);
 
   // Fast path: the tuple is explained by the active predictive model.
-  // This is what makes Pulse cheap — an explained tuple costs one map hop
-  // plus a polynomial evaluation and comparison per validated attribute,
-  // never touching the solver (paper Section IV).
+  // This is what makes Pulse cheap — an explained tuple costs one hash
+  // probe plus a polynomial evaluation and comparison per validated
+  // attribute, never touching the solver or a shared counter (paper
+  // Section IV).
   auto cit = state->current.find(key);
   if (cit != state->current.end() &&
       cit->second.segment.range.Contains(tuple.timestamp)) {
@@ -406,7 +403,7 @@ Status PredictiveRuntime::ProcessAccepted(size_t index, const Tuple& tuple) {
       }
     }
     if (explained) {
-      core_.counters().tuples_validated->Increment();
+      ++*validated;
       return Status::OK();
     }
     core_.counters().violations->Increment();

@@ -1,11 +1,10 @@
 #ifndef PULSE_CORE_RUNTIME_H_
 #define PULSE_CORE_RUNTIME_H_
 
-#include <map>
-#include <unordered_map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -158,11 +157,15 @@ class PredictiveRuntime {
   /// Feeds one arriving tuple. Either the tuple validates against the
   /// current model (cheap path) or the model is rebuilt and pushed
   /// through the equation-system plan.
-  Status ProcessTuple(const std::string& stream, const Tuple& tuple);
+  Status ProcessTuple(const std::string& stream, const Tuple& tuple) {
+    return ProcessTuples(stream, &tuple, 1);
+  }
 
   /// Batch feed: exactly equivalent to calling ProcessTuple on each
   /// element in order (batch boundaries can never change results, see
-  /// docs/SERVING.md).
+  /// docs/SERVING.md). runtime/tuples_validated moves once per call, also
+  /// when the call fails part-way, so stats() read between calls is the
+  /// same whatever the batching.
   Status ProcessTuples(const std::string& stream, const Tuple* tuples,
                        size_t n);
 
@@ -213,11 +216,15 @@ class PredictiveRuntime {
   struct StreamState {
     SegmentModelBuilder builder;
     std::vector<ValidationClause> clauses;
-    std::map<Key, ActiveModel> current;
+    // Only ever probed by key, never iterated; elements stay put across
+    // rehashes, so ProcessAccepted may hold a reference while it pushes.
+    std::unordered_map<Key, ActiveModel> current;
   };
 
-  // ProcessTuple past the core's stream lookup.
-  Status ProcessAccepted(size_t index, const Tuple& tuple);
+  // One tuple past the core's stream lookup. Counts an explained tuple
+  // into *validated; the caller adds the total to the registry once.
+  Status ProcessAccepted(size_t index, const Tuple& tuple,
+                         uint64_t* validated);
   // Slack of `segment` against the plan's source operators for `stream`.
   double SourceSlack(const std::string& stream, const Segment& segment);
   // Inverts bounds through / samples the core's outputs from `from` on,

@@ -11,14 +11,16 @@ double BoundSpec::MarginFor(double reference) const {
 }
 
 void BoundRegistry::Set(Key key, std::string_view attribute, double margin) {
-  ++version_;
   AttrMargins& per_key = margins_[key];
   auto it = per_key.find(attribute);
   if (it == per_key.end()) {
     per_key.emplace(std::string(attribute), margin);
   } else if (margin < it->second) {
     it->second = margin;
+  } else {
+    return;
   }
+  ++version_;
 }
 
 double BoundRegistry::Find(const AttrMargins& m,

@@ -55,7 +55,8 @@ class BoundRegistry {
   /// Wildcard key for attribute-wide defaults.
   static constexpr Key kAnyKey = -1;
 
-  /// Monotone change counter: bumped by every Set. Hot paths cache
+  /// Monotone change counter: bumped by every Set that changes a margin
+  /// (a Set that would not tighten one leaves it alone). Hot paths cache
   /// margins and refresh when the version moves.
   uint64_t version() const { return version_; }
 

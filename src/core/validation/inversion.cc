@@ -1,7 +1,5 @@
 #include "core/validation/inversion.h"
 
-#include <map>
-
 #include "util/logging.h"
 
 namespace pulse {
@@ -44,30 +42,31 @@ Status QueryInverter::InvertAtNode(PulsePlan::NodeId node,
       op->InvertBound(output, attribute, margin, *split_));
   ++inversions_;
 
-  // Resolve allocated segment ids back to the snapshotted input segments
-  // so the walk can continue into upstream producers.
-  std::map<uint64_t, const Segment*> by_id;
-  if (const std::vector<LineageEntry>* causes =
-          op->lineage().Lookup(output.id)) {
-    for (const LineageEntry& e : *causes) by_id[e.input.id] = &e.input;
-  }
-
+  // Allocations that reach a plan source are enforceable input bounds.
+  // The rest resolve their segment id back to the causing input segment
+  // so the walk can continue into the upstream producer. Causes are few
+  // and only non-source allocations search them.
+  const std::vector<LineageEntry>* causes = op->LookupCauses(output);
   for (const AllocatedBound& ab : allocs) {
     const std::optional<PulsePlan::NodeId> upstream =
         plan_->UpstreamOf(node, ab.port);
-    if (!upstream.has_value()) {
-      // Reached a plan source: this is an enforceable input bound.
+    const Segment* cause = nullptr;
+    if (upstream.has_value() && causes != nullptr) {
+      for (const LineageEntry& e : *causes) {
+        if (e.input->id == ab.segment_id) {
+          cause = e.input.get();
+          break;
+        }
+      }
+    }
+    if (cause == nullptr) {
+      // A plan source, or lineage for the intermediate segment expired:
+      // register a source-level bound keyed by entity (conservative in
+      // the second case).
       registry->Set(ab.key, ab.attribute, ab.margin);
       continue;
     }
-    auto it = by_id.find(ab.segment_id);
-    if (it == by_id.end()) {
-      // Lineage for the intermediate segment expired; fall back to
-      // registering a conservative source-level bound keyed by entity.
-      registry->Set(ab.key, ab.attribute, ab.margin);
-      continue;
-    }
-    PULSE_RETURN_IF_ERROR(InvertAtNode(*upstream, *it->second, ab.attribute,
+    PULSE_RETURN_IF_ERROR(InvertAtNode(*upstream, *cause, ab.attribute,
                                        ab.margin, registry, depth + 1));
   }
   return Status::OK();

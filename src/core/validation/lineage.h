@@ -2,20 +2,22 @@
 #define PULSE_CORE_VALIDATION_LINEAGE_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "model/segment.h"
 
 namespace pulse {
 
-/// One input segment that contributed to an output segment. The full
-/// segment is snapshotted: the paper maintains "these inputs as query
-/// lineage, compactly as model segments" (Section IV), and the gradient
-/// split heuristic needs the input coefficients.
+/// One input segment that contributed to an output segment. The paper
+/// maintains "these inputs as query lineage, compactly as model
+/// segments" (Section IV), and the gradient split heuristic needs the
+/// input coefficients, so the entry holds the whole segment. It is
+/// shared, not copied: an operator copies an input once, when it first
+/// keeps it, and every output that input causes points at that copy.
 struct LineageEntry {
-  size_t port = 0;  // which operator input it arrived on
-  Segment input;    // snapshot of the causing segment
+  size_t port = 0;                      // which operator input it arrived on
+  std::shared_ptr<const Segment> input;  // the causing segment
 };
 
 /// Per-operator lineage: output segment id -> the input segments that
@@ -26,10 +28,13 @@ struct LineageEntry {
 class LineageStore {
  public:
   /// Records the causes of output `out_id`, whose validity is `out_range`.
+  /// Ids must increase from one call to the next: an operator records
+  /// each output as it mints the output's id (NextSegmentId).
   void Record(uint64_t out_id, const Interval& out_range,
               std::vector<LineageEntry> causes);
 
   /// Causes of `out_id`, or nullptr when unknown (e.g. already expired).
+  /// The pointer is valid until the next Record, ExpireBefore or Clear.
   const std::vector<LineageEntry>* Lookup(uint64_t out_id) const;
 
   /// Drops records for outputs that ended before `t` (state bounded by
@@ -50,10 +55,13 @@ class LineageStore {
 
  private:
   struct OutputRecord {
+    uint64_t out_id = 0;
     Interval out_range;
     std::vector<LineageEntry> causes;
   };
-  std::map<uint64_t, OutputRecord> records_;
+  // In Record order, so sorted by out_id: lookups binary-search and the
+  // sweep runs over contiguous memory.
+  std::vector<OutputRecord> records_;
   bool push_scoped_ = false;
 };
 

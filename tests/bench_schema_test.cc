@@ -357,12 +357,63 @@ TEST(CheckedInBenchJsonTest, PrecisionMatchesGateSchema) {
       << "widest tier must sustain >= 1.3x the tier-0 live throughput";
 }
 
+// Fig. 9i (NYSE MACD): the tuple, Pulse and historical series, with the
+// Pulse row's counts, which are deterministic for the bench's fixed
+// trace and move only when an answer or a validation decision moves.
+TEST(CheckedInBenchJsonTest, Fig9NyseMatchesSchema) {
+  const std::string text = ReadFileOrEmpty(std::string(PULSE_REPO_ROOT) +
+                                           "/BENCH_fig9_nyse.json");
+  ASSERT_FALSE(text.empty()) << "BENCH_fig9_nyse.json missing";
+  json::Value doc;
+  ASSERT_NO_FATAL_FAILURE(CheckReportShape(text, "fig9_nyse", &doc));
+  ExpectRowFields(doc, {"series", "tuples", "seconds", "tuples_per_sec",
+                        "core_bound"});
+  const json::Value* params = doc.Find("params");
+  for (const char* key : {"symbols", "tuple_rate", "trades_per_trend",
+                          "noise", "seed", "relative_bound",
+                          "hardware_concurrency"}) {
+    EXPECT_NE(params->Find(key), nullptr) << "missing param " << key;
+  }
+  const auto& rows = doc.Find("results")->as_array();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].Find("series")->as_string(), "tuple");
+  EXPECT_EQ(rows[1].Find("series")->as_string(), "pulse");
+  EXPECT_EQ(rows[2].Find("series")->as_string(), "historical");
+  for (const json::Value& row : rows) {
+    EXPECT_EQ(row.Find("tuples")->as_number(), 360000.0);
+    EXPECT_GT(row.Find("tuples_per_sec")->as_number(), 0.0);
+  }
+  const json::Value& pulse = rows[1];
+  for (const char* field :
+       {"tuples_validated", "segments_pushed", "violations",
+        "output_segments", "macd_short_process_ns_p50",
+        "macd_long_process_ns_p50", "macd_join_process_ns_p50",
+        "macd_diff_process_ns_p50"}) {
+    ASSERT_NE(pulse.Find(field), nullptr) << "pulse row missing " << field;
+  }
+  EXPECT_EQ(pulse.Find("tuples_validated")->as_number(), 358793.0);
+  EXPECT_EQ(pulse.Find("segments_pushed")->as_number(), 1207.0);
+  EXPECT_EQ(pulse.Find("violations")->as_number(), 16.0);
+  EXPECT_EQ(pulse.Find("output_segments")->as_number(), 937.0);
+  // Every trade is either explained by its model or pushes a new one.
+  EXPECT_EQ(pulse.Find("tuples_validated")->as_number() +
+                pulse.Find("segments_pushed")->as_number(),
+            360000.0);
+  EXPECT_GT(pulse.Find("macd_long_process_ns_p50")->as_number(), 0.0);
+  EXPECT_GT(pulse.Find("macd_short_process_ns_p50")->as_number(), 0.0);
+  const json::Value& historical = rows[2];
+  ASSERT_NE(historical.Find("segments_pushed"), nullptr);
+  EXPECT_EQ(historical.Find("segments_pushed")->as_number(), 755.0);
+  EXPECT_EQ(historical.Find("output_segments")->as_number(), 540.0);
+}
+
 // Operators count into registry series, so a metrics block names each
 // series once, summed over every runtime that fed it; a "#N" suffix was
 // the old per-runtime duplicate and must not come back.
 TEST(CheckedInBenchJsonTest, MetricsBlocksHaveNoDuplicateSuffixes) {
   for (const char* file :
-       {"BENCH_parallel_scaling.json", "BENCH_precision.json",
+       {"BENCH_fig9_nyse.json", "BENCH_parallel_scaling.json",
+       "BENCH_precision.json",
         "BENCH_serving_throughput.json", "BENCH_solver_hotpath.json",
         "BENCH_storage.json", "BENCH_telemetry.json"}) {
     const std::string text =

@@ -1,6 +1,7 @@
 #include "core/operators/aggregate.h"
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -303,6 +304,55 @@ TEST(PulseSumAvgAggregate, InvertBoundScalesForSum) {
   ASSERT_EQ(allocs->size(), 1u);
   // Sum margin divides by the window length (4).
   EXPECT_NEAR((*allocs)[0].margin, 0.25, 1e-12);
+}
+
+// Window outputs that cite the same stored input share one copy of it in
+// their lineage instead of each holding a snapshot, and inversion reads
+// the same causes through the shared copy.
+TEST(PulseSumAvgAggregate, WindowOutputsShareStoredInputs) {
+  // Window 4 over v = 0 on [0,5) (key 1) and v = 10 on [5,10) (key 2):
+  // closes [4,5) cite the first piece, [5,9) both, [9,10) the second.
+  PulseSumAvgAggregate agg("a", AvgOpts(4.0));
+  const Segment first = LinearSegment(1, 0.0, 5.0, 0.0, 0.0);
+  const Segment second = LinearSegment(2, 5.0, 10.0, 10.0, 0.0);
+  SegmentBatch out;
+  ASSERT_TRUE(agg.Process(0, first, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  // The second push expires [4,5)'s record, so read it now.
+  const std::vector<LineageEntry>* a = agg.lineage().Lookup(out[0].id);
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->size(), 1u);
+  const std::shared_ptr<const Segment> first_copy = (*a)[0].input;
+  ASSERT_TRUE(agg.Process(0, second, &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(agg.lineage().Lookup(out[0].id), nullptr);
+  const std::vector<LineageEntry>* b = agg.lineage().Lookup(out[1].id);
+  const std::vector<LineageEntry>* c = agg.lineage().Lookup(out[2].id);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(b->size(), 2u);
+  ASSERT_EQ(c->size(), 1u);
+  EXPECT_EQ((*b)[0].input.get(), first_copy.get());
+  EXPECT_EQ((*b)[1].input.get(), (*c)[0].input.get());
+  EXPECT_EQ((*b)[0].input->id, first.id);
+  EXPECT_EQ((*b)[1].input->id, second.id);
+  EXPECT_EQ(*(*b)[1].input->attribute("v"), *second.attribute("v"));
+
+  // avg passes the whole margin to every cause, in cause order.
+  EquiSplit split;
+  Result<std::vector<AllocatedBound>> allocs =
+      agg.InvertBound(out[1], "agg", 0.3, split);
+  ASSERT_TRUE(allocs.ok());
+  ASSERT_EQ(allocs->size(), 2u);
+  const Key keys[] = {1, 2};
+  const uint64_t ids[] = {first.id, second.id};
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ((*allocs)[i].key, keys[i]);
+    EXPECT_EQ((*allocs)[i].attribute, "v");
+    EXPECT_EQ((*allocs)[i].margin, 0.3);
+    EXPECT_EQ((*allocs)[i].port, 0u);
+    EXPECT_EQ((*allocs)[i].segment_id, ids[i]);
+  }
 }
 
 TEST(MakePulseAggregate, DispatchesAndRejectsCount) {

@@ -113,8 +113,8 @@ TEST(PulseFilter, LineageRecordsCause) {
   const std::vector<LineageEntry>* causes = f.lineage().Lookup(out[0].id);
   ASSERT_NE(causes, nullptr);
   ASSERT_EQ(causes->size(), 1u);
-  EXPECT_EQ((*causes)[0].input.key, 9);
-  EXPECT_EQ((*causes)[0].input.id, in.id);
+  EXPECT_EQ((*causes)[0].input->key, 9);
+  EXPECT_EQ((*causes)[0].input->id, in.id);
 }
 
 TEST(PulseFilter, ComputeSlackDistanceToFiring) {

@@ -160,9 +160,26 @@ TEST(PulseJoin, LineageRecordsBothSides) {
   ASSERT_NE(causes, nullptr);
   ASSERT_EQ(causes->size(), 2u);
   EXPECT_EQ((*causes)[0].port, 0u);
-  EXPECT_EQ((*causes)[0].input.id, l.id);
+  EXPECT_EQ((*causes)[0].input->id, l.id);
   EXPECT_EQ((*causes)[1].port, 1u);
-  EXPECT_EQ((*causes)[1].input.id, r.id);
+  EXPECT_EQ((*causes)[1].input->id, r.id);
+}
+
+// The join copies an arriving segment once: the stored buffer entry and
+// the lineage of every output it joins into share that copy.
+TEST(PulseJoin, OutputsShareTheStoredSegment) {
+  PulseJoin j("j", CrossPredicate(CmpOp::kLe), Opts());
+  SegmentBatch out;
+  ASSERT_TRUE(j.Process(0, LinearSegment(1, 0.0, 10.0, 0.0, 0.0), &out).ok());
+  ASSERT_TRUE(j.Process(1, LinearSegment(2, 0.0, 5.0, 1.0, 0.0), &out).ok());
+  ASSERT_TRUE(j.Process(1, LinearSegment(3, 5.0, 10.0, 1.0, 0.0), &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  const std::vector<LineageEntry>* first = j.lineage().Lookup(out[0].id);
+  const std::vector<LineageEntry>* second = j.lineage().Lookup(out[1].id);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ((*first)[0].input.get(), (*second)[0].input.get());
+  EXPECT_NE((*first)[1].input.get(), (*second)[1].input.get());
 }
 
 TEST(PulseJoin, InvertBoundTranslatesPrefixedAttribute) {

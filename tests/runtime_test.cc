@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "shard/sharded_runtime.h"
+#include "store/checksum.h"
 #include "workload/moving_object.h"
 #include "workload/nyse.h"
+#include "workload/queries.h"
 
 namespace pulse {
 namespace {
@@ -584,8 +586,10 @@ PredictiveRuntime::Options MinBoundOptions() {
 AggregateSpec MinOfX(bool per_key) {
   AggregateSpec min;
   min.fn = AggFn::kMin;
-  min.attribute = "x";
-  min.output_attribute = "x";
+  // Move-assigned from a std::string: GCC 12 at -O3 flags assigning a
+  // literal to an empty string here with a spurious -Wrestrict.
+  min.attribute = std::string("x");
+  min.output_attribute = std::string("x");
   min.window_seconds = 1.0;
   min.slide_seconds = 1.0;
   min.per_key = per_key;
@@ -624,10 +628,9 @@ TEST(PredictiveRuntime, FilterFeedingMinKeepsLineageAcrossOutputGap) {
 
 TEST(PredictiveRuntime, MapFeedingPerKeyMinKeepsLineageForIdleKey) {
   // p: keep x, add d = x - y -> m: per-key min(x) over 1 s -> f: x < 100.
-  // The inversion walk ends at the group-by (PulseGroupBy records no
-  // lineage of its own, so QueryInverter registers its inputs' bounds
-  // by key), so p's records are never read; this pins that every output
-  // still inverts.
+  // The inversion walk passes through the group-by (its inner operators
+  // hold the lineage) into p's record of key 1's first segment, so p must
+  // keep that record while key 2 runs; every output still inverts.
   QuerySpec spec;
   ASSERT_TRUE(
       spec.AddStream(MovingObjectGenerator::MakeStreamSpec("objects", 1.0))
@@ -663,6 +666,192 @@ TEST(PredictiveRuntime, MapFeedingPerKeyMinKeepsLineageForIdleKey) {
   EXPECT_EQ(rt->bounds().Margin(1, "x"), 0.5);
   ASSERT_TRUE(rt->Finish().ok());
   EXPECT_EQ(rt->stats().inversions, rt->stats().output_segments);
+}
+
+// Predictive golden runs. Each pins the output hash (canonical encoding,
+// ids zeroed), the validated-tuple and violation counts, and the output
+// count of one seeded predictive run fed in 64-tuple calls. The figures
+// were recorded before segments in lineage became shared, so a change to
+// the cheap path, lineage or bound inversion that moves an answer fails
+// here. runtime/tuples_validated and the output stream depend on every
+// inverted margin, so a changed margin shows too.
+struct GoldenRun {
+  uint64_t hash = store::kCanonicalHashSeed;
+  uint64_t outputs = 0;
+  uint64_t validated = 0;
+  uint64_t violations = 0;
+};
+
+GoldenRun RunGolden(const QuerySpec& spec, PredictiveRuntime::Options opts,
+                    const std::string& stream,
+                    const std::vector<Tuple>& trace) {
+  GoldenRun run;
+  Result<PredictiveRuntime> rt = PredictiveRuntime::Make(spec, std::move(opts));
+  EXPECT_TRUE(rt.ok());
+  if (!rt.ok()) return run;
+  auto fold = [&run](const std::vector<Segment>& segments) {
+    for (const Segment& s : segments) {
+      run.hash = store::CanonicalSegmentHash(s, run.hash);
+    }
+    run.outputs += segments.size();
+  };
+  for (size_t done = 0; done < trace.size(); done += 64) {
+    const size_t n = std::min<size_t>(64, trace.size() - done);
+    EXPECT_TRUE(rt->ProcessTuples(stream, trace.data() + done, n).ok());
+    fold(rt->TakeOutputSegments());
+  }
+  EXPECT_TRUE(rt->Finish().ok());
+  fold(rt->TakeOutputSegments());
+  run.validated = rt->stats().tuples_validated;
+  run.violations = rt->stats().violations;
+  return run;
+}
+
+TEST(PredictiveGolden, Macd) {
+  // 10 symbols at 400 trades/s for 100 s: the 60 s window warms up
+  // after about 24,000 trades.
+  QuerySpec spec;
+  ASSERT_TRUE(
+      spec.AddStream(NyseGenerator::MakeStreamSpec("nyse", 5.0)).ok());
+  ASSERT_TRUE(AddMacdQuery(&spec, MacdParams{}).ok());
+  NyseOptions gen;
+  gen.num_symbols = 10;
+  gen.tuple_rate = 400.0;
+  gen.trades_per_trend = 300;
+  gen.noise = 0.02;
+  gen.seed = 29;
+  PredictiveRuntime::Options opts;
+  opts.bounds = {BoundSpec::Relative("s.ap", 0.01)};
+  const GoldenRun run =
+      RunGolden(spec, std::move(opts), "nyse",
+                NyseGenerator(gen).Generate(40000));
+  EXPECT_EQ(run.hash, 0x16010328ad645affull);
+  EXPECT_EQ(run.outputs, 166u);
+  EXPECT_EQ(run.validated, 39799u);
+  EXPECT_EQ(run.violations, 2u);
+}
+
+TEST(PredictiveGolden, Filter) {
+  MovingObjectOptions gen;
+  gen.num_objects = 20;
+  gen.tuple_rate = 1000.0;
+  gen.tuples_per_segment = 50;
+  gen.area = 1000.0;
+  gen.noise = 0.05;
+  gen.seed = 29;
+  PredictiveRuntime::Options opts;
+  opts.bounds = {BoundSpec::Absolute("x", 0.5)};
+  const GoldenRun run =
+      RunGolden(FilterQuerySpec(500.0, /*horizon=*/1.0), std::move(opts),
+                "objects", MovingObjectGenerator(gen).Generate(20000));
+  EXPECT_EQ(run.hash, 0xe9a0bea8dc9d2160ull);
+  EXPECT_EQ(run.outputs, 259u);
+  EXPECT_EQ(run.validated, 19600u);
+  EXPECT_EQ(run.violations, 71u);
+}
+
+// runtime/tuples_validated moves once per ProcessTuples call, so stats()
+// read after each call must match a run fed one tuple at a time, read at
+// the same points.
+TEST(PredictiveRuntime, BatchedStatsMatchOneAtATime) {
+  MovingObjectOptions gen;
+  gen.num_objects = 8;
+  gen.tuple_rate = 400.0;
+  gen.tuples_per_segment = 40;
+  gen.area = 1000.0;
+  gen.noise = 0.05;
+  gen.seed = 5;
+  const std::vector<Tuple> trace = MovingObjectGenerator(gen).Generate(4000);
+  auto make = [] {
+    PredictiveRuntime::Options opts;
+    opts.bounds = {BoundSpec::Absolute("x", 0.5)};
+    opts.collect_outputs = false;
+    return PredictiveRuntime::Make(FilterQuerySpec(500.0, 1.0),
+                                   std::move(opts));
+  };
+  Result<PredictiveRuntime> batched = make();
+  Result<PredictiveRuntime> single = make();
+  ASSERT_TRUE(batched.ok());
+  ASSERT_TRUE(single.ok());
+  auto same = [](const RuntimeStats& a, const RuntimeStats& b) {
+    return a.tuples_in == b.tuples_in &&
+           a.tuples_validated == b.tuples_validated &&
+           a.violations == b.violations &&
+           a.segments_pushed == b.segments_pushed &&
+           a.output_segments == b.output_segments &&
+           a.inversions == b.inversions;
+  };
+  // Uneven call sizes, so call boundaries fall everywhere.
+  const size_t sizes[] = {1, 7, 64, 3, 130, 16};
+  size_t done = 0;
+  for (size_t call = 0; done < trace.size(); ++call) {
+    const size_t n = std::min(sizes[call % 6], trace.size() - done);
+    ASSERT_TRUE(
+        batched->ProcessTuples("objects", trace.data() + done, n).ok());
+    for (size_t i = done; i < done + n; ++i) {
+      ASSERT_TRUE(single->ProcessTuple("objects", trace[i]).ok());
+    }
+    done += n;
+    ASSERT_TRUE(same(batched->stats(), single->stats())) << "call " << call;
+  }
+  EXPECT_GT(batched->stats().tuples_validated, 0u);
+  EXPECT_GT(batched->stats().violations, 0u);
+}
+
+// A call that fails part-way still counts the tuples it validated before
+// the failure.
+TEST(PredictiveRuntime, FailedCallStillCountsValidated) {
+  // vx is a tuple field but no modeled attribute, so every push fails in
+  // the filter; the model installed before the push still explains the
+  // key's later tuples.
+  QuerySpec spec;
+  ASSERT_TRUE(
+      spec.AddStream(MovingObjectGenerator::MakeStreamSpec("objects", 5.0))
+          .ok());
+  FilterSpec filter;
+  filter.predicate = Predicate::Comparison(ComparisonTerm::Simple(
+      AttrRef::Left("vx"), CmpOp::kLt, Operand::Constant(1.0)));
+  spec.AddFilter("f", QuerySpec::Input::Stream("objects"), filter);
+  Result<PredictiveRuntime> rt =
+      PredictiveRuntime::Make(spec, PredictiveRuntime::Options{});
+  ASSERT_TRUE(rt.ok());
+  const Tuple first = ObjectTuple(0.0, 1, 0.0, 1.0);
+  EXPECT_FALSE(rt->ProcessTuples("objects", &first, 1).ok());
+  const Tuple tuples[] = {ObjectTuple(0.5, 1, 0.5, 1.0),
+                          ObjectTuple(1.0, 1, 1.0, 1.0),
+                          ObjectTuple(1.5, 2, 0.0, 1.0),
+                          ObjectTuple(2.0, 1, 2.0, 1.0)};
+  EXPECT_FALSE(rt->ProcessTuples("objects", tuples, 4).ok());
+  EXPECT_EQ(rt->stats().tuples_in, 5u);
+  EXPECT_EQ(rt->stats().tuples_validated, 2u);
+  EXPECT_EQ(rt->stats().segments_pushed, 0u);
+}
+
+// A per-key aggregate sink: PulseGroupBy's inner operators record the
+// lineage, and the runtime finds it through LookupCauses, so every
+// output inverts and the bound reaches the source key.
+TEST(PredictiveRuntime, PerKeyAggregateSinkInverts) {
+  QuerySpec spec;
+  ASSERT_TRUE(
+      spec.AddStream(MovingObjectGenerator::MakeStreamSpec("objects", 1.0))
+          .ok());
+  spec.AddAggregate("m", QuerySpec::Input::Stream("objects"), MinOfX(true));
+  Result<PredictiveRuntime> rt =
+      PredictiveRuntime::Make(spec, MinBoundOptions());
+  ASSERT_TRUE(rt.ok());
+  for (int i = 0; i < 20; ++i) {
+    const double t = 1.5 * i;
+    ASSERT_TRUE(rt->ProcessTuple("objects", ObjectTuple(t, 1, t, 0.0)).ok());
+    ASSERT_TRUE(
+        rt->ProcessTuple("objects", ObjectTuple(t + 0.5, 2, 50.0, 0.0))
+            .ok());
+  }
+  ASSERT_TRUE(rt->Finish().ok());
+  EXPECT_GT(rt->stats().output_segments, 0u);
+  EXPECT_GT(rt->stats().inversions, 0u);
+  EXPECT_EQ(rt->stats().inversions, rt->stats().output_segments);
+  EXPECT_EQ(rt->bounds().Margin(1, "x"), 0.5);
+  EXPECT_EQ(rt->bounds().Margin(2, "x"), 0.5);
 }
 
 }  // namespace

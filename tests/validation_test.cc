@@ -1,5 +1,6 @@
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -50,12 +51,12 @@ TEST(BoundRegistry, Within) {
 
 TEST(LineageStore, RecordLookupExpire) {
   LineageStore store;
-  Segment in(7, Interval::ClosedOpen(0.0, 1.0));
-  in.id = 100;
+  auto in = std::make_shared<Segment>(7, Interval::ClosedOpen(0.0, 1.0));
+  in->id = 100;
   store.Record(1, Interval::ClosedOpen(0.0, 1.0), {LineageEntry{0, in}});
   store.Record(2, Interval::ClosedOpen(5.0, 6.0), {LineageEntry{0, in}});
   ASSERT_NE(store.Lookup(1), nullptr);
-  EXPECT_EQ(store.Lookup(1)->at(0).input.key, 7);
+  EXPECT_EQ(store.Lookup(1)->at(0).input->key, 7);
   EXPECT_EQ(store.Lookup(999), nullptr);
   store.ExpireBefore(3.0);
   EXPECT_EQ(store.Lookup(1), nullptr);
